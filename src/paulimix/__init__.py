@@ -14,20 +14,15 @@ from .dynmaps import (
     KrausSet,
     MixtureMap,
     Plateau,
-    apply_input_map,
-    apply_mixture,
     decay_rate,
     density_matrix_defects,
-    eigenvalue_profile,
     generator_rates,
     is_cp,
     kraus_dagger_dual,
     mixture_map,
     numeric_generator,
-    p_eval,
     random_density_matrix,
     to_choi,
-    to_superoperator,
     unvec,
     validate_density_matrix,
     vec,
@@ -54,9 +49,6 @@ from .finite_field import (
     factor_prime_power,
     find_irreducible,
     galois_field,
-    gf_add,
-    gf_mul,
-    gf_trace,
     is_prime_power,
 )
 from .invertibility import (

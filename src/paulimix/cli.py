@@ -3,7 +3,8 @@
 Every command prints deterministic, machine-readable JSON (CSV where noted)
 with floats at 17 significant digits, so identical invocations are
 byte-identical. Exit codes: 0 success, 1 computation-level failure (e.g. a
-regime mismatch), 2 usage or validation error.
+regime mismatch, or running out of memory), 2 usage or validation error,
+which includes every non-finite number.
 """
 
 from __future__ import annotations
@@ -52,11 +53,24 @@ def _guard(fn):
         except ValidationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except PaulimixError as exc:
+        except (PaulimixError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
     return wrapper
+
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that refuses nan and +-inf as a usage error."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
+
+
+_FINITE_FLOAT = _FiniteFloat()
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -74,11 +88,18 @@ def _csv_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_weights(text: str, d: int) -> np.ndarray:
+def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        parts = [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"could not parse weights {text!r}: {exc}") from exc
+        raise ValidationError(f"could not parse {what} {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{what} must be finite numbers, got {text!r}")
+    return values
+
+
+def _parse_weights(text: str, d: int) -> np.ndarray:
+    parts = _parse_floats(text, "weights")
     if len(parts) != d + 1:
         raise ValidationError(f"need {d + 1} comma-separated weights for d={d}, got {len(parts)}")
     if any(w <= 0 for w in parts):
@@ -119,10 +140,10 @@ _FAMILY_OPTIONS = [
         show_default=True,
         help="Decoherence profile driving every input map.",
     ),
-    click.option("--n", "n", type=float, default=None, help="Decoherence parameter (exponential)."),
-    click.option("--c", "c", type=float, default=1.0, show_default=True, help="Decay factor (exponential)."),
-    click.option("--omega", type=float, default=1.0, show_default=True, help="Angular frequency (cosine)."),
-    click.option("--t-sharp", type=float, default=1.0, show_default=True, help="Plateau onset time."),
+    click.option("--n", "n", type=_FINITE_FLOAT, default=None, help="Decoherence parameter (exponential)."),
+    click.option("--c", "c", type=_FINITE_FLOAT, default=1.0, show_default=True, help="Decay factor (exponential)."),
+    click.option("--omega", type=_FINITE_FLOAT, default=1.0, show_default=True, help="Angular frequency (cosine)."),
+    click.option("--t-sharp", type=_FINITE_FLOAT, default=1.0, show_default=True, help="Plateau onset time."),
 ]
 
 
@@ -142,7 +163,7 @@ def main() -> None:
 
 @main.command()
 @click.option("--d", "d", type=int, required=True, help="Hilbert-space dimension (prime power).")
-@click.option("--n", "n", type=float, required=True, help="Decoherence parameter.")
+@click.option("--n", "n", type=_FINITE_FLOAT, required=True, help="Decoherence parameter.")
 @click.option("--output", type=click.Path(), default=None)
 @_guard
 def regime(d: int, n: float, output: Optional[str]) -> None:
@@ -160,7 +181,7 @@ def regime(d: int, n: float, output: Optional[str]) -> None:
 @click.option("--d", "d", type=int, required=True)
 @_family_options
 @click.option("--weights", required=True, help="d+1 comma-separated positive weights.")
-@click.option("--t-max", type=float, default=None, help="Scan horizon (family-specific default).")
+@click.option("--t-max", type=_FINITE_FLOAT, default=None, help="Scan horizon (family-specific default).")
 @click.option("--grid", type=int, default=4001, show_default=True, help="Scan grid points.")
 @click.option("--output", type=click.Path(), default=None)
 @_guard
@@ -214,7 +235,7 @@ def singular_time(
 
 @main.command("measure")
 @click.option("--d", "d", type=int, required=True)
-@click.option("--n", "n", type=float, required=True)
+@click.option("--n", "n", type=_FINITE_FLOAT, required=True)
 @click.option(
     "--method",
     type=click.Choice(["closed", "quadrature", "mc", "all"]),
@@ -223,7 +244,6 @@ def singular_time(
 )
 @click.option("--samples", type=int, default=10**6, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 @_guard
 def measure(
@@ -232,7 +252,6 @@ def measure(
     method: str,
     samples: int,
     seed: int,
-    workers: int,
     output: Optional[str],
 ) -> None:
     """Invertible fraction of the mixing simplex for the exponential family."""
@@ -241,14 +260,14 @@ def measure(
     elif method == "quadrature":
         payload = measure_mod.delta_quadrature(d, n).to_payload()
     elif method == "mc":
-        payload = measure_mod.delta_monte_carlo(d, n, samples, seed, workers).to_payload()
+        payload = measure_mod.delta_monte_carlo(d, n, samples, seed).to_payload()
     else:
         closed = measure_mod.delta_closed_form(d, n)
         try:
             quad = measure_mod.delta_quadrature(d, n).to_payload()
         except RegimeMismatchError:
             quad = None
-        mc = measure_mod.delta_monte_carlo(d, n, samples, seed, workers)
+        mc = measure_mod.delta_monte_carlo(d, n, samples, seed)
         payload = {
             "closed_form": closed.to_payload(),
             "quadrature": quad,
@@ -263,7 +282,7 @@ def measure(
 @main.command("sweep")
 @click.option("--lo", type=int, required=True)
 @click.option("--hi", type=int, required=True)
-@click.option("--n", "n", type=float, required=True)
+@click.option("--n", "n", type=_FINITE_FLOAT, required=True)
 @click.option(
     "--method",
     type=click.Choice(["closed", "quadrature", "mc"]),
@@ -336,7 +355,7 @@ def _initial_state(spec: str, d: int) -> np.ndarray:
     help="max-mixed | mub:ALPHA:J | path to a JSON [re, im] matrix.",
 )
 @click.option("--times", default=None, help="Comma-separated times (overrides --t-max/--steps).")
-@click.option("--t-max", type=float, default=5.0, show_default=True)
+@click.option("--t-max", type=_FINITE_FLOAT, default=5.0, show_default=True)
 @click.option("--steps", type=int, default=10, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 @_guard
@@ -360,10 +379,7 @@ def evolve(
     m = mixture_map(d, w, pf)
     rho0 = _initial_state(state, d)
     if times is not None:
-        try:
-            ts = [float(tok) for tok in times.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"could not parse times {times!r}: {exc}") from exc
+        ts = _parse_floats(times, "times")
     else:
         if steps < 1:
             raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -391,7 +407,7 @@ def mub() -> None:
 
 @mub.command("verify")
 @click.option("--d", "d", type=int, default=None, help="Dimension to construct and verify.")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
+@click.option("--tol", type=_FINITE_FLOAT, default=1e-12, show_default=True)
 @click.option("--input", "input_path", type=click.Path(), default=None, help="Verify a basis-set JSON file instead of constructing.")
 @click.option("--export", type=click.Path(), default=None, help="Write the basis set as JSON.")
 @click.option("--output", type=click.Path(), default=None)
@@ -423,9 +439,9 @@ def mub_verify(
 @click.option("--d", "d", type=int, required=True)
 @_family_options
 @click.option("--weights", required=True)
-@click.option("--t-max", type=float, default=3.0, show_default=True)
+@click.option("--t-max", type=_FINITE_FLOAT, default=3.0, show_default=True)
 @click.option("--steps", type=int, default=30, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=_FINITE_FLOAT, default=1e-10, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 @_guard
 def cp_check(
@@ -465,8 +481,8 @@ def cp_check(
 @main.command("generator")
 @click.option("--d", "d", type=int, required=True)
 @_family_options
-@click.option("--t", "t", type=float, required=True)
-@click.option("--h", "h", type=float, default=None, help="Finite-difference step (default 1e-5/c).")
+@click.option("--t", "t", type=_FINITE_FLOAT, required=True)
+@click.option("--h", "h", type=_FINITE_FLOAT, default=None, help="Finite-difference step (default 1e-5/c).")
 @click.option("--weights", default=None, help="Omit to analyze a single input map.")
 @click.option("--output", type=click.Path(), default=None)
 @_guard
@@ -494,12 +510,11 @@ def generator(
         h = 1e-5 / c if family == "exponential" else 1e-5
     m = mixture_map(d, w, pf)
     numeric = generator_rates(m, t, h)
-    p_val = pf.value(t)
+    lam = m.eigenvalues(t)
     dp = pf.derivative(t)
     entries = []
     for i in range(d + 1):
-        lam = 1.0 - (d / (d - 1)) * (1.0 - w[i]) * p_val
-        analytic = -(d / (d - 1)) * (1.0 - w[i]) * dp / lam
+        analytic = -(d / (d - 1)) * (1.0 - w[i]) * dp / lam[i]
         num = float(numeric[i])
         denom = max(abs(analytic), 1e-30)
         entries.append(

@@ -10,7 +10,16 @@ output map the eigenvalue profile
 
     lambda_i(t) = 1 - d/(d-1) * (1 - x_i) * p(t)
 
-on the eigenoperators U_i^k (k = 1..d-1), which everything downstream uses.
+on the eigenoperators U_i^k (k = 1..d-1). Every such map is a generalized
+Pauli channel, fixed completely by these d+1 eigenvalues, and they are the
+core of every computation: ``MixtureMap.eigenvalues`` feeds the generator
+rates and the CP checks, and ``MixtureMap.apply`` is d+1 dephasings in the
+MUB bases, since sum_{k=0}^{d-1} U_i^k rho U_i^{-k} = d * dephase_i(rho).
+
+The dense d^2 x d^2 representation (``MixtureMap.superoperator``,
+``to_choi``, ``is_cp``, ``numeric_generator``, ``KrausSet``) is built from
+the definition, independently of the eigenvalues, and serves as the oracle
+the tests compare the core against.
 
 Conventions, fixed once for the whole package:
   * vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B),
@@ -42,6 +51,12 @@ from .finite_field import PrimePowerDim, factor_prime_power
 from .mub import WeylUnitaries, cached_unitaries
 
 # --- decoherence functions -------------------------------------------------
+
+
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be a finite number, got {value}")
 
 
 class DecoherenceFunction(ABC):
@@ -80,6 +95,7 @@ class Exponential(DecoherenceFunction):
     family = "exponential"
 
     def __post_init__(self) -> None:
+        _check_finite(n=self.n, c=self.c)
         if self.n < 1:
             raise ValidationError(f"decoherence parameter n must be >= 1, got {self.n}")
         if self.c <= 0:
@@ -103,6 +119,7 @@ class Cosine(DecoherenceFunction):
     family = "cosine"
 
     def __post_init__(self) -> None:
+        _check_finite(omega=self.omega)
         if self.omega <= 0:
             raise ValidationError(f"angular frequency must be > 0, got {self.omega}")
 
@@ -129,6 +146,7 @@ class Plateau(DecoherenceFunction):
     family = "plateau"
 
     def __post_init__(self) -> None:
+        _check_finite(t_sharp=self.t_sharp)
         if self.t_sharp <= 0:
             raise ValidationError(f"t_sharp must be > 0, got {self.t_sharp}")
         if self.ramp is not None:
@@ -160,11 +178,6 @@ class Plateau(DecoherenceFunction):
             "t_sharp": self.t_sharp,
             "ramp": "linear" if self.ramp is None else "custom",
         }
-
-
-def p_eval(pf: DecoherenceFunction, t: float) -> float:
-    """Evaluate p(t); raises NegativeTimeError for t < 0."""
-    return pf.value(t)
 
 
 # --- density matrices -------------------------------------------------------
@@ -217,46 +230,14 @@ def unvec(v: np.ndarray) -> np.ndarray:
 # --- input maps and mixtures -------------------------------------------------
 
 
-def _unitary_powers(unitaries: WeylUnitaries, i: int) -> list[np.ndarray]:
-    """[U_i, U_i^2, ..., U_i^(d-1)]."""
-    U = unitaries.unitaries[i]
-    powers = [U]
-    for _ in range(unitaries.d - 2):
-        powers.append(powers[-1] @ U)
-    return powers
-
-
-def apply_input_map(
-    unitaries: WeylUnitaries,
-    i: int,
-    pf: DecoherenceFunction,
-    t: float,
-    rho: np.ndarray,
-) -> np.ndarray:
-    """One dephasing input map: (1-p) rho + p/(d-1) sum_k U_i^k rho U_i^-k.
-
-    For d = 2 this is exactly the Pauli channel (1-p) rho + p U rho U.
-    ``i`` is 0-based (0 <= i <= d).
-    """
-    d = unitaries.d
-    if not 0 <= i <= d:
-        raise ValidationError(f"basis index must be in [0, {d}], got {i}")
-    p = pf.value(t)
-    rho = np.asarray(rho, dtype=complex)
-    out = (1.0 - p) * rho
-    coef = p / (d - 1)
-    for Uk in _unitary_powers(unitaries, i):
-        out = out + coef * (Uk @ rho @ Uk.conj().T)
-    return out
-
-
 @dataclass(eq=False)
 class MixtureMap:
     """A convex mixture of the d+1 dephasing input maps.
 
     Weights may sit on the boundary of the simplex (zeros allowed), which
-    covers the single-input-map limit; they must be nonnegative and sum to
-    one within 1e-12.
+    covers the single-input-map limit, so a one-hot weight vector is a
+    single input map; they must be finite, nonnegative and sum to one
+    within 1e-12.
     """
 
     unitaries: WeylUnitaries
@@ -268,6 +249,8 @@ class MixtureMap:
         d = self.unitaries.d
         if w.shape != (d + 1,):
             raise ValidationError(f"need {d + 1} weights for dimension {d}, got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite numbers")
         if np.any(w < 0):
             raise ValidationError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -282,31 +265,25 @@ class MixtureMap:
     def d(self) -> int:
         return self.unitaries.d
 
-    def eigenvalue(self, i: int, t: float) -> float:
-        """lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t) for mixing index i."""
-        d = self.d
-        if not 0 <= i <= d:
-            raise ValidationError(f"index must be in [0, {d}], got {i}")
-        return 1.0 - (d / (d - 1)) * (1.0 - self.weights[i]) * self.pf.value(t)
-
     def eigenvalues(self, t: float) -> np.ndarray:
+        """lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t), indexed by mixing index i."""
         d = self.d
         return 1.0 - (d / (d - 1)) * (1.0 - self.weights) * self.pf.value(t)
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """Evolve a state: sum_i x_i Phi_i(t)[rho]."""
+        """Evolve a state: (1 - a) rho + a sum_i x_i dephase_i(rho), a = p d/(d-1).
+
+        dephase_i(rho) = B_i diag(B_i^dag rho B_i) B_i^dag keeps the diagonal
+        of rho in basis i; all d+1 of them come from two d x d(d+1) products.
+        """
         d = self.d
-        p = self.pf.value(t)
+        a = self.pf.value(t) * d / (d - 1)
         rho = np.asarray(rho, dtype=complex)
-        out = (1.0 - p) * rho
-        coef = p / (d - 1)
-        for i in range(d + 1):
-            x = self.weights[i]
-            if x == 0.0:
-                continue
-            for Uk in _unitary_powers(self.unitaries, i):
-                out = out + x * coef * (Uk @ rho @ Uk.conj().T)
-        return out
+        # all d+1 bases side by side: column i*d + j is vector j of basis i
+        cols = self.unitaries.bases.transpose(1, 0, 2).reshape(d, -1)
+        populations = np.sum(cols.conj() * (rho @ cols), axis=0)  # <xi_j^i| rho |xi_j^i>
+        coefs = np.repeat(self.weights, d) * populations
+        return (1.0 - a) * rho + a * ((cols * coefs) @ cols.conj().T)
 
     @cached_property
     def _conjugation_superop(self) -> np.ndarray:
@@ -317,12 +294,19 @@ class MixtureMap:
             x = self.weights[i]
             if x == 0.0:
                 continue
-            for Uk in _unitary_powers(self.unitaries, i):
+            U = self.unitaries.unitaries[i]
+            Uk = U
+            for _ in range(d - 1):
                 acc += x * np.kron(Uk.conj(), Uk)
+                Uk = Uk @ U
         return acc
 
     def superoperator(self, t: float) -> np.ndarray:
-        """Column-stacking superoperator matrix of the map at time t."""
+        """Column-stacking superoperator matrix of the map at time t.
+
+        Built from the definition as an independent oracle for the
+        eigenvalue core; no command computes it.
+        """
         d = self.d
         p = self.pf.value(t)
         return (1.0 - p) * np.eye(d * d, dtype=complex) + (p / (d - 1)) * self._conjugation_superop
@@ -332,18 +316,6 @@ def mixture_map(d: int, weights, pf: DecoherenceFunction) -> MixtureMap:
     """Build a mixture map for dimension d, constructing (cached) MUBs."""
     factor_prime_power(d)
     return MixtureMap(unitaries=cached_unitaries(d), weights=np.asarray(weights, dtype=float), pf=pf)
-
-
-def apply_mixture(m: MixtureMap, t: float, rho: np.ndarray) -> np.ndarray:
-    return m.apply(t, rho)
-
-
-def eigenvalue_profile(m: MixtureMap, i: int, t: float) -> float:
-    return m.eigenvalue(i, t)
-
-
-def to_superoperator(m: MixtureMap, t: float) -> np.ndarray:
-    return m.superoperator(t)
 
 
 # --- Choi / CP --------------------------------------------------------------
@@ -474,37 +446,43 @@ def decay_rate(pf: DecoherenceFunction, t: float) -> float:
     raise ValidationError(f"decay rate has no closed form for the {pf.family} family")
 
 
-def numeric_generator(m: MixtureMap, t: float, h: float) -> np.ndarray:
-    """Finite-difference time-local generator L(t) = dPhi/dt * Phi(t)^-1.
-
-    Central differences away from t = 0; a second-order forward stencil
-    when t < h keeps the O(h^2) accuracy without negative times. Raises
-    SingularAtTimeError when the map is not invertible at t.
-    """
+def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> np.ndarray:
+    """lambda(t), after checking the step and that the map is invertible at t."""
     if h <= 0:
         raise ValidationError(f"step must be > 0, got {h}")
     lam = m.eigenvalues(t)
     if np.min(np.abs(lam)) < 1e-12:
         raise SingularAtTimeError(f"map has a zero eigenvalue at t={t}")
+    return lam
+
+
+def _time_derivative(f: Callable[[float], np.ndarray], t: float, h: float) -> np.ndarray:
+    """df/dt at t with step h.
+
+    Central differences away from t = 0; a second-order forward stencil
+    when t < h keeps the O(h^2) accuracy without negative times.
+    """
     if t - h >= 0:
-        deriv = (m.superoperator(t + h) - m.superoperator(t - h)) / (2 * h)
-    else:
-        deriv = (
-            -3.0 * m.superoperator(t)
-            + 4.0 * m.superoperator(t + h)
-            - m.superoperator(t + 2 * h)
-        ) / (2 * h)
-    return deriv @ np.linalg.inv(m.superoperator(t))
+        return (f(t + h) - f(t - h)) / (2 * h)
+    return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2 * h)) / (2 * h)
+
+
+def numeric_generator(m: MixtureMap, t: float, h: float) -> np.ndarray:
+    """Finite-difference time-local generator L(t) = dPhi/dt * Phi(t)^-1.
+
+    The dense oracle for ``generator_rates``. Raises SingularAtTimeError
+    when the map is not invertible at t.
+    """
+    _invertible_eigenvalues(m, t, h)
+    return _time_derivative(m.superoperator, t, h) @ np.linalg.inv(m.superoperator(t))
 
 
 def generator_rates(m: MixtureMap, t: float, h: float) -> np.ndarray:
     """Per-index eigenvalue rates lambda_i'(t)/lambda_i(t) of the generator.
 
-    Extracted by applying the numeric generator to the eigenoperators U_i.
+    The generator is diagonal on the eigenoperators U_i^k, so its rates are
+    finite differences of the eigenvalues divided by the eigenvalues.
+    Raises SingularAtTimeError when the map is not invertible at t.
     """
-    gen = numeric_generator(m, t, h)
-    rates = np.empty(m.d + 1)
-    for i in range(m.d + 1):
-        v = vec(m.unitaries.unitaries[i])
-        rates[i] = float(np.real(np.vdot(v, gen @ v) / np.vdot(v, v)))
-    return rates
+    lam = _invertible_eigenvalues(m, t, h)
+    return _time_derivative(m.eigenvalues, t, h) / lam

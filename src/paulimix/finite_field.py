@@ -305,22 +305,6 @@ class GfElement:
         return f"GfElement{self.coeffs} in GF({self.field.order})"
 
 
-def gf_add(a: GfElement, b: GfElement) -> GfElement:
-    if a.field != b.field:
-        raise FieldMismatchError("cannot add elements of different fields")
-    return a.field.add(a, b)
-
-
-def gf_mul(a: GfElement, b: GfElement) -> GfElement:
-    if a.field != b.field:
-        raise FieldMismatchError("cannot multiply elements of different fields")
-    return a.field.mul(a, b)
-
-
-def gf_trace(a: GfElement) -> int:
-    return a.field.trace(a)
-
-
 @lru_cache(maxsize=None)
 def galois_field(p: int, k: int) -> GaloisField:
     """Shared, cached field instance for (p, k)."""

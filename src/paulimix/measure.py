@@ -153,36 +153,24 @@ def sample_simplex(n_coords: int, samples: int, rng: np.random.Generator) -> np.
     return e / e.sum(axis=1, keepdims=True)
 
 
-def delta_monte_carlo(
-    d: int,
-    n: float,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> MeasureResult:
+def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResult:
     """Monte-Carlo invertible fraction over uniform simplex draws.
 
-    Deterministic for a fixed (seed, workers) pair: worker w consumes its
-    own stream spawned from the master seed and the hit counts are reduced
-    in worker order.
+    Deterministic for a fixed seed. The draws come from the first stream
+    spawned from the seed, not from the seed itself, so a seed gives the
+    same numbers as in earlier releases.
     """
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
-    if workers < 1:
-        raise ValidationError(f"need at least one worker, got {workers}")
     g = g_threshold(d, n).g
-    quotas = [samples // workers] * workers
-    for w in range(samples % workers):
-        quotas[w] += 1
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     hits = 0
-    for child, quota in zip(np.random.SeedSequence(seed).spawn(workers), quotas):
-        rng = np.random.default_rng(child)
-        remaining = quota
-        while remaining > 0:
-            batch = min(remaining, _MC_BATCH)
-            draws = sample_simplex(d + 1, batch, rng)
-            hits += int(np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL))
-            remaining -= batch
+    remaining = samples
+    while remaining > 0:
+        batch = min(remaining, _MC_BATCH)
+        draws = sample_simplex(d + 1, batch, rng)
+        hits += int(np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL))
+        remaining -= batch
     delta = hits / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
     return MeasureResult(

@@ -79,11 +79,17 @@ class MubVerification:
 
 @dataclass(frozen=True)
 class WeylUnitaries:
-    """The d+1 phase unitaries, one per basis, with spectrum = d-th roots of 1."""
+    """The d+1 phase unitaries, one per basis, with spectrum = d-th roots of 1.
+
+    ``bases`` are the MUBs the unitaries are built from: ``unitaries[i]`` is
+    diagonal in ``bases[i]``, so a map on the eigenoperators U_i^k acts
+    through dephasings in these bases.
+    """
 
     dim: PrimePowerDim
     unitaries: np.ndarray  # shape (d+1, d, d), complex
     omega: complex
+    bases: np.ndarray  # shape (d+1, d, d), complex, vectors in columns
 
     @property
     def d(self) -> int:
@@ -280,7 +286,7 @@ def build_unitaries(m: MubSet) -> WeylUnitaries:
     for alpha, basis in enumerate(m.bases):
         unitaries[alpha] = (basis * phases[None, :]) @ basis.conj().T
     unitaries.setflags(write=False)
-    return WeylUnitaries(dim=m.dim, unitaries=unitaries, omega=complex(omega))
+    return WeylUnitaries(dim=m.dim, unitaries=unitaries, omega=complex(omega), bases=m.bases)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from paulimix import measure as measure_mod
 from paulimix.cli import main
 from paulimix.dynmaps import random_density_matrix
 from paulimix.serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
@@ -323,3 +324,57 @@ def test_byte_identical_reruns(runner):
     assert first == second
     sweep_args = ["sweep", "--lo", "7", "--hi", "32", "--n", "1.03"]
     assert runner.invoke(main, sweep_args).stdout == runner.invoke(main, sweep_args).stdout
+
+
+# --- non-finite numbers and resource failures ----------------------------------------
+
+# one valid invocation per command, and every float-valued option it takes
+_VALID_ARGS = {
+    "regime": ["regime", "--d", "2", "--n", "1.5"],
+    "singular-time": ["singular-time", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3"],
+    "measure": ["measure", "--d", "2", "--n", "1.5"],
+    "sweep": ["sweep", "--lo", "7", "--hi", "8", "--n", "1.05"],
+    "evolve": ["evolve", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--times", "0,1"],
+    "mub-verify": ["mub", "verify", "--d", "2"],
+    "cp-check": ["cp-check", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--steps", "2"],
+    "generator": ["generator", "--d", "2", "--n", "3", "--t", "0.5"],
+}
+_FAMILY_FLOATS = ["--n", "--c", "--omega", "--t-sharp"]
+_FLOAT_OPTIONS = {
+    "regime": ["--n"],
+    "singular-time": _FAMILY_FLOATS + ["--t-max", "--weights"],
+    "measure": ["--n"],
+    "sweep": ["--n"],
+    "evolve": _FAMILY_FLOATS + ["--t-max", "--weights", "--times"],
+    "mub-verify": ["--tol"],
+    "cp-check": _FAMILY_FLOATS + ["--t-max", "--tol", "--weights"],
+    "generator": _FAMILY_FLOATS + ["--t", "--h", "--weights"],
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,option", [(cmd, opt) for cmd, opts in _FLOAT_OPTIONS.items() for opt in opts]
+)
+def test_non_finite_numbers_exit_2(runner, command, option, bad):
+    args = _VALID_ARGS[command]
+    assert runner.invoke(main, args).exit_code == 0
+    # list options get the bad number as their last entry; a repeated option overrides
+    value = {"--weights": f"0.5,0.5,{bad}", "--times": f"0,{bad}"}.get(option, bad)
+    result = runner.invoke(main, args + [option, value])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+
+
+def test_memory_error_is_a_computation_failure(runner, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(measure_mod, "delta_quadrature", out_of_memory)
+    result = runner.invoke(main, ["measure", "--d", "13", "--n", "1.01", "--method", "quadrature"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "error: Unable to allocate 1.00 TiB for an array\n"
+    assert result.stdout == ""

@@ -10,16 +10,12 @@ from paulimix.dynmaps import (
     Exponential,
     KrausSet,
     Plateau,
-    apply_input_map,
-    apply_mixture,
     decay_rate,
-    eigenvalue_profile,
     generator_rates,
     is_cp,
     kraus_dagger_dual,
     mixture_map,
     numeric_generator,
-    p_eval,
     random_density_matrix,
     to_choi,
     unvec,
@@ -33,7 +29,7 @@ from paulimix.errors import (
     SingularAtTimeError,
     ValidationError,
 )
-from paulimix.mub import cached_mub, cached_unitaries
+from paulimix.mub import cached_mub
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,30 +45,52 @@ def random_kraus_set(d, rng, count=None):
     return KrausSet([k @ inv_sqrt for k in ops])
 
 
+def input_map(d, i, pf):
+    """Input map i alone: the mixture with a one-hot weight on basis i."""
+    weights = np.zeros(d + 1)
+    weights[i] = 1.0
+    return mixture_map(d, weights, pf)
+
+
+def dense_generator_rates(m, t, h):
+    """Rates read off the dense numeric generator on the eigenoperators U_i."""
+    gen = numeric_generator(m, t, h)
+    rates = np.empty(m.d + 1)
+    for i, U in enumerate(m.unitaries.unitaries):
+        v = vec(U)
+        rates[i] = float(np.real(np.vdot(v, gen @ v) / np.vdot(v, v)))
+    return rates
+
+
+# the d and families every spectral route is checked against the dense oracle on
+ORACLE_DIMS = [2, 3, 4, 5, 7, 8, 9]
+ORACLE_PF = {"exponential": Exponential(n=2.0, c=1.0), "cosine": Cosine(omega=1.0)}
+
+
 # --- decoherence functions ----------------------------------------------------
 
 
 def test_p_eval_exponential():
     pf = Exponential(n=2, c=1)
-    assert p_eval(pf, 0.0) == 0.0
-    assert p_eval(pf, 60.0) == pytest.approx(0.5, abs=1e-12)
+    assert pf.value(0.0) == 0.0
+    assert pf.value(60.0) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(NegativeTimeError):
-        p_eval(pf, -0.1)
+        pf.value(-0.1)
 
 
 def test_p_eval_cosine():
-    assert p_eval(Cosine(omega=math.pi), 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert p_eval(Cosine(omega=1.0), 0.0) == 0.0
+    assert Cosine(omega=math.pi).value(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert Cosine(omega=1.0).value(0.0) == 0.0
 
 
 def test_p_eval_plateau():
     pf = Plateau(t_sharp=2.0)
-    assert p_eval(pf, 0.0) == 0.0
-    assert p_eval(pf, 1.0) == pytest.approx(0.25)
-    assert p_eval(pf, 2.0) == 0.5
-    assert p_eval(pf, 50.0) == 0.5
+    assert pf.value(0.0) == 0.0
+    assert pf.value(1.0) == pytest.approx(0.25)
+    assert pf.value(2.0) == 0.5
+    assert pf.value(50.0) == 0.5
     custom = Plateau(t_sharp=1.0, ramp=lambda t: 0.5 * t**2)
-    assert p_eval(custom, 0.5) == pytest.approx(0.125)
+    assert custom.value(0.5) == pytest.approx(0.125)
     with pytest.raises(ValidationError):
         Plateau(t_sharp=1.0, ramp=lambda t: t)  # f(t_sharp) != 1/2
 
@@ -86,21 +104,29 @@ def test_parameter_validation():
         Cosine(omega=-1)
     with pytest.raises(ValidationError):
         Plateau(t_sharp=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in (
+            lambda v: Exponential(n=v, c=1),
+            lambda v: Exponential(n=2, c=v),
+            lambda v: Cosine(omega=v),
+            lambda v: Plateau(t_sharp=v),
+            lambda v: mixture_map(2, [0.5, 0.5, v], Exponential(n=2, c=1)),
+        ):
+            with pytest.raises(ValidationError):
+                make(bad)
 
 
 # --- input maps and mixtures ----------------------------------------------------
 
 
 def test_input_map_is_identity_at_t0():
-    u = cached_unitaries(3)
     rng = np.random.default_rng(1)
     rho = random_density_matrix(3, rng)
-    out = apply_input_map(u, 1, Exponential(n=1.5, c=2.0), 0.0, rho)
+    out = input_map(3, 1, Exponential(n=1.5, c=2.0)).apply(0.0, rho)
     assert np.max(np.abs(out - rho)) < 1e-15
 
 
 def test_input_map_reduces_to_qubit_pauli_channel():
-    u = cached_unitaries(2)
     pf = Exponential(n=1.2, c=0.7)
     rng = np.random.default_rng(2)
     for t in (0.3, 1.1, 4.0):
@@ -108,19 +134,18 @@ def test_input_map_reduces_to_qubit_pauli_channel():
         rho = random_density_matrix(2, rng)
         for i, sigma in enumerate([SZ, SX, SY]):
             expected = (1 - p) * rho + p * sigma @ rho @ sigma
-            out = apply_input_map(u, i, pf, t, rho)
+            out = input_map(2, i, pf).apply(t, rho)
             assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_input_map_fixes_own_basis_projector_at_full_dephasing():
     d = 3
     m = cached_mub(d)
-    u = cached_unitaries(d)
     pf = Cosine(omega=math.pi)  # p(1) = 1
     for i in (0, 2, 3):
         v = m.bases[i][:, 0]
         rho = np.outer(v, v.conj())
-        out = apply_input_map(u, i, pf, 1.0, rho)
+        out = input_map(d, i, pf).apply(1.0, rho)
         assert np.max(np.abs(out - rho)) < 1e-12
 
 
@@ -174,11 +199,11 @@ def test_mixture_outputs_valid_states(raw, t):
 
 def test_eigenvalue_profile_examples():
     m = mixture_map(2, [1 / 3, 1 / 3, 1 / 3], Exponential(n=2, c=1))
-    assert m.eigenvalue(0, 0.0) == 1.0
+    assert m.eigenvalues(0.0)[0] == 1.0
     # p = 1/2 at t = 0.5 for the cosine with omega = pi
     m2 = mixture_map(2, [1 / 3, 1 / 3, 1 / 3], Cosine(omega=math.pi))
-    assert m2.eigenvalue(0, 0.5) == pytest.approx(1 - 2 * (2 / 3) * 0.5, abs=1e-12)
-    assert m2.eigenvalue(0, 0.5) == pytest.approx(1 / 3, abs=1e-12)
+    assert m2.eigenvalues(0.5)[0] == pytest.approx(1 - 2 * (2 / 3) * 0.5, abs=1e-12)
+    assert m2.eigenvalues(0.5)[0] == pytest.approx(1 / 3, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -240,8 +265,20 @@ def test_apply_agrees_with_superoperator():
     direct = m.apply(t, rho)
     via_superop = unvec(m.superoperator(t) @ vec(rho))
     assert np.max(np.abs(direct - via_superop)) < 1e-12
-    assert np.array_equal(apply_mixture(m, t, rho), direct)
-    assert eigenvalue_profile(m, 2, t) == m.eigenvalue(2, t)
+    assert np.array_equal(m.apply(t, rho), direct)
+    p = m.pf.value(t)
+    assert m.eigenvalues(t)[2] == pytest.approx(1 - (4 / 3) * (1 - 0.2) * p, abs=1e-15)
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_PF))
+@pytest.mark.parametrize("d", ORACLE_DIMS)
+def test_apply_matches_dense_superoperator(d, family):
+    rng = np.random.default_rng(40 + d)
+    m = mixture_map(d, rng.dirichlet(np.ones(d + 1)), ORACLE_PF[family])
+    for t in (0.0, 0.4, 1.3, 2.9):
+        rho = random_density_matrix(d, rng)
+        via_superop = unvec(m.superoperator(t) @ vec(rho))
+        assert np.max(np.abs(m.apply(t, rho) - via_superop)) < 1e-13
 
 
 def test_choi_of_identity_map():
@@ -380,7 +417,24 @@ def test_generator_requires_invertibility():
     # lambda_0 = 1 - 2 * 0.9 * p hits zero when p = 5/9
     t_sing = -math.log(1 - 5 / 9)
     with pytest.raises(SingularAtTimeError):
+        generator_rates(m, t_sing, 1e-5)
+    with pytest.raises(SingularAtTimeError):
         numeric_generator(m, t_sing, 1e-5)
+    with pytest.raises(ValidationError):
+        generator_rates(m, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_PF))
+@pytest.mark.parametrize("d", ORACLE_DIMS)
+def test_generator_rates_match_dense_generator(d, family):
+    rng = np.random.default_rng(60 + d)
+    m = mixture_map(d, rng.dirichlet(np.ones(d + 1)), ORACLE_PF[family])
+    # t = 0 takes the forward stencil; the cosine rates vanish there
+    times = (0.0, 0.5, 2.0) if family == "exponential" else (0.3, 1.1)
+    for t in times:
+        np.testing.assert_allclose(
+            generator_rates(m, t, h=1e-5), dense_generator_rates(m, t, h=1e-5), rtol=1e-8, atol=0
+        )
 
 
 # --- state helpers ------------------------------------------------------------------

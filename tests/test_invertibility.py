@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from paulimix.dynmaps import Cosine, Exponential, Plateau, mixture_map
+from paulimix.dynmaps import Cosine, Exponential, Plateau, is_cp, mixture_map, to_choi
 from paulimix.errors import (
     NotQubitError,
     SingularAtGridPointError,
@@ -74,6 +74,11 @@ def test_cosine_singular_time_examples():
     assert singular_time_cosine(2.0, 1 / 3) == pytest.approx(math.pi / 3, abs=1e-12)
     assert singular_time_cosine(1.0, 0.6) is None
     assert singular_time_cosine(1.0, 0.5) == pytest.approx(math.pi, abs=1e-12)
+    # d = 3: cos(omega t*) = 1 - 4/(3(1 - x)), reachable iff x <= 1/3
+    assert singular_time_cosine(1.0, 0.0, d=3) == pytest.approx(math.acos(-1 / 3), abs=1e-15)
+    assert singular_time_cosine(1.0, 0.5, d=3) is None
+    with pytest.raises(ValidationError):
+        singular_time_cosine(1.0, 0.2, d=1)
 
 
 def test_cosine_singular_time_against_root_finder():
@@ -282,3 +287,23 @@ def test_cp_divisibility_detects_backflow():
     times = np.linspace(0.0, 2 * math.pi * 0.45, 24)
     steps = cp_divisibility_check(m, times)
     assert any(not s.cp for s in steps)
+
+
+@pytest.mark.parametrize("family", ["cosine", "exponential"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_cp_divisibility_matches_dense_choi(d, family):
+    # oracle: the Choi matrix of the dense propagator S(t2) S(t1)^-1
+    pf = Exponential(n=2.0, c=1.0) if family == "exponential" else Cosine(omega=1.0)
+    t_max = 3.0 if family == "exponential" else 1.4  # every |lambda_i| stays above 0.1
+    times = np.linspace(0.0, t_max, 13)
+    uneven = np.full(d + 1, 0.2 / d)
+    uneven[0] = 0.8
+    rng = np.random.default_rng(80 + d)
+    for weights in (rng.dirichlet(np.ones(d + 1)), uneven):
+        m = mixture_map(d, weights, pf)
+        steps = cp_divisibility_check(m, times)
+        for step in steps:
+            prop = m.superoperator(step.t_end) @ np.linalg.inv(m.superoperator(step.t_start))
+            cp, lam_min = is_cp(to_choi(prop), tol=1e-10)
+            assert abs(step.choi_min_eigenvalue - lam_min) <= 1e-12
+            assert step.cp == cp

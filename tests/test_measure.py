@@ -163,10 +163,6 @@ def test_monte_carlo_deterministic_per_seed_and_workers():
     a = delta_monte_carlo(3, 1.2, samples=50_000, seed=7)
     b = delta_monte_carlo(3, 1.2, samples=50_000, seed=7)
     assert a.delta == b.delta
-    c = delta_monte_carlo(3, 1.2, samples=50_000, seed=7, workers=4)
-    d_ = delta_monte_carlo(3, 1.2, samples=50_000, seed=7, workers=4)
-    assert c.delta == d_.delta
-    assert abs(c.delta - a.delta) <= 4 * a.stderr
 
 
 def test_monte_carlo_agrees_with_output_invertible_bitwise():
