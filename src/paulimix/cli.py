@@ -88,6 +88,13 @@ def _csv_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _read_json_input(path: str, decode, what: str):
+    try:
+        return decode(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",")]
@@ -335,10 +342,7 @@ def _initial_state(spec: str, d: int) -> np.ndarray:
             raise ValidationError(f"mub state indices out of range for d={d}: {spec!r}")
         v = bases[alpha][:, j]
         return np.outer(v, v.conj())
-    path = Path(spec)
-    if not path.exists():
-        raise ValidationError(f"state file {spec!r} not found")
-    rho = pairs_to_complex_matrix(json.loads(path.read_text()))
+    rho = _read_json_input(spec, pairs_to_complex_matrix, "state file")
     if rho.shape != (d, d):
         raise ValidationError(f"state has shape {rho.shape}, expected {(d, d)}")
     return validate_density_matrix(rho)
@@ -421,7 +425,7 @@ def mub_verify(
 ) -> None:
     """Verify orthonormality and pairwise unbiasedness of a basis set."""
     if input_path is not None:
-        m = mub_from_payload(json.loads(Path(input_path).read_text()))
+        m = _read_json_input(input_path, mub_from_payload, "basis file")
     elif d is not None:
         m = build_mub_for(d)
     else:

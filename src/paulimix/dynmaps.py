@@ -196,6 +196,8 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("density matrix has non-finite entries")
     herm, tr_defect, lam_min = density_matrix_defects(rho)
     if herm > tol:
         raise ValidationError(f"not Hermitian (max deviation {herm:.3e})")
@@ -369,11 +371,6 @@ class KrausSet:
     def completeness_defect(self) -> float:
         """max |sum K^dag K - I|; zero for trace-preserving maps."""
         acc = sum(k.conj().T @ k for k in self.operators)
-        return float(np.max(np.abs(acc - np.eye(self.d))))
-
-    def unitality_defect(self) -> float:
-        """max |sum K K^dag - I|; zero for unital maps."""
-        acc = sum(k @ k.conj().T for k in self.operators)
         return float(np.max(np.abs(acc - np.eye(self.d))))
 
     def to_superoperator(self) -> np.ndarray:

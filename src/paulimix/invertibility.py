@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .finite_field import factor_prime_power
-from .measure import THRESHOLD_ATOL, g_threshold
+from .measure import THRESHOLD_ATOL, _check_n, g_threshold
 
 # --- analytic singular times --------------------------------------------------
 
@@ -44,8 +44,7 @@ def singular_time_exponential(d: int, n: float, c: float, x_i: float) -> Optiona
     """
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-    if n < 1:
-        raise ValidationError(f"decoherence parameter must be >= 1, got {n}")
+    _check_n(n)
     if c <= 0:
         raise ValidationError(f"decay factor must be > 0, got {c}")
     _check_weight(x_i)
@@ -135,8 +134,7 @@ def classify_regime(d: int, n: float) -> Regime:
     invertible set there is just the equal-mixing point, measure zero).
     """
     factor_prime_power(d)
-    if n < 1:
-        raise ValidationError(f"decoherence parameter must be >= 1, got {n}")
+    _check_n(n)
     lower = d * d / (d * d - 1.0)
     upper = d / (d - 1.0)
     if n >= upper:

@@ -8,8 +8,8 @@ routes to the resulting simplex fraction live here:
     intermediate interval [d^2/(d^2-1), d/(d-1)], clamped to 0/1 outside;
   * ``delta_quadrature``: the nested integral over the admissible region
     with per-level bounds [g, 1 - (d-j) g - sum of earlier weights],
-    normalized by the full simplex volume 1/d! (Gauss-Legendre per level,
-    exact for these polynomial integrands);
+    normalized by the full simplex volume 1/d! (exact iterated integral,
+    O(d^2) rational operations);
   * ``delta_monte_carlo``: uniform Dirichlet sampling with a min-weight
     test and a binomial error bar.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -44,11 +45,15 @@ class Threshold:
     g: float
 
 
+def _check_n(n: float) -> None:
+    if not (math.isfinite(n) and n >= 1):
+        raise ValidationError(f"decoherence parameter must be finite and >= 1, got {n}")
+
+
 def g_threshold(d: int, n: float) -> Threshold:
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-    if n < 1:
-        raise ValidationError(f"decoherence parameter must be >= 1, got {n}")
+    _check_n(n)
     return Threshold(d=d, n=n, g=1.0 - n * (d - 1) / d)
 
 
@@ -83,8 +88,7 @@ def _interval(d: int) -> tuple[float, float]:
 def delta_closed_form(d: int, n: float) -> MeasureResult:
     """Closed-form invertible fraction; 1 above the interval, 0 below."""
     factor_prime_power(d)
-    if n < 1:
-        raise ValidationError(f"decoherence parameter must be >= 1, got {n}")
+    _check_n(n)
     lower, upper = _interval(d)
     if n >= upper:
         delta = 1.0
@@ -95,48 +99,42 @@ def delta_closed_form(d: int, n: float) -> MeasureResult:
     return MeasureResult(d=d, n=n, delta=delta, method="closed_form")
 
 
-def _nested_simplex_integral(d: int, g: float, order: int) -> float:
-    """Iterated integral of 1 over {x_j >= g, sum_{j<=m} x_j <= 1 - (d-m) g}.
+def _nested_simplex_integral(d: int, g: Fraction) -> Fraction:
+    """Iterated integral of 1 over {x_j >= g, sum_{j<=m} x_j <= 1 - (d-m) g}, exactly.
 
-    Level j integrates x_{j+1} over [g, 1 - (d-j) g - X_j]; the innermost
-    level contributes the interval length directly. The integrand at level
-    j is a polynomial of degree d-j-1 in the partial sum, so Gauss-Legendre
-    with ``order`` nodes is exact once 2*order - 1 >= d - 1.
+    Level j integrates x_{j+1} over [g, 1 - (d-j) g - s], s the sum of the
+    earlier weights: F_j(s) = G(1 - (d-j) g) - G(s + g), G the antiderivative
+    of F_{j+1}, from F_{d-1}(s) = 1 - 2g - s. Each F_j is kept in v = s + (d-1-j) g,
+    where the limits are [v, 1 - 2g] at every level, so the integral is O(d^2).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    partial = np.zeros(1)
-    factors = np.ones(1)
-    for j in range(d - 1):
-        upper = 1.0 - (d - j) * g - partial
-        width = np.maximum(upper - g, 0.0)
-        mid = 0.5 * (upper + g)
-        half = 0.5 * width
-        x = mid[:, None] + half[:, None] * nodes[None, :]
-        partial = (partial[:, None] + x).reshape(-1)
-        factors = (factors[:, None] * half[:, None] * weights[None, :]).reshape(-1)
-    last = np.maximum(1.0 - g - partial - g, 0.0)
-    return float(np.sum(factors * last))
+    if (d + 1) * g >= 1:
+        return Fraction(0)  # the region is empty or a single point
+    top = 1 - 2 * g
+    top_powers = [top**k for k in range(1, d + 1)]
+    poly = [top, Fraction(-1)]
+    for _ in range(d - 1):
+        anti = [c / (k + 1) for k, c in enumerate(poly)]
+        poly = [sum(a * t for a, t in zip(anti, top_powers))] + [-a for a in anti]
+    return sum(c * ((d - 1) * g) ** k for k, c in enumerate(poly))
 
 
-def delta_quadrature(d: int, n: float, order: Optional[int] = None) -> MeasureResult:
+def delta_quadrature(d: int, n: float) -> MeasureResult:
     """Invertible fraction via the nested integral, normalized by 1/d!.
 
+    Exact iterated integral, O(d^2) rational operations: g is taken exactly
+    from the float n, so the result is the integral for that n rounded once.
     Only defined on the closed intermediate interval; outside it raises
     RegimeMismatchError.
     """
     factor_prime_power(d)
-    if n < 1:
-        raise ValidationError(f"decoherence parameter must be >= 1, got {n}")
+    _check_n(n)
     lower, upper = _interval(d)
     if not lower <= n <= upper:
         raise RegimeMismatchError(
             f"n={n} outside the intermediate interval [{lower}, {upper}] for d={d}"
         )
-    g = g_threshold(d, n).g
-    if order is None:
-        order = max(4, d // 2 + 2)
-    raw = _nested_simplex_integral(d, g, order)
-    delta = raw * math.factorial(d)
+    g = 1 - Fraction(n) * (d - 1) / d
+    delta = float(_nested_simplex_integral(d, g) * math.factorial(d))
     return MeasureResult(d=d, n=n, delta=delta, method="quadrature")
 
 
@@ -144,7 +142,7 @@ def normalization_check(d: int) -> float:
     """The same recursion over the whole simplex (g = 0); must equal 1/d!."""
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-    return _nested_simplex_integral(d, 0.0, max(4, d // 2 + 2))
+    return float(_nested_simplex_integral(d, Fraction(0)))
 
 
 def sample_simplex(n_coords: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,6 +160,8 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
     """
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     g = g_threshold(d, n).g
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     hits = 0
@@ -213,6 +213,7 @@ def sweep(
     Every dimension must contain n in its closed intermediate interval;
     otherwise a RegimeMismatchError lists all offenders.
     """
+    _check_n(n)
     ds = [int(d) for d in d_list]
     offenders = []
     for d in ds:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimix import measure as measure_mod
 from paulimix.cli import main
@@ -240,6 +242,40 @@ def test_mub_verify_needs_d_or_input(runner):
     assert result.exit_code == 2
 
 
+# --- input files ----------------------------------------------------------------
+
+
+_MUB_INPUT = ["mub", "verify", "--input"]
+_EVOLVE_STATE = ["evolve", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--times", "0,1", "--state"]
+
+
+@pytest.mark.parametrize(
+    "args,content",
+    [
+        (_MUB_INPUT, None),
+        (_EVOLVE_STATE, None),
+        (_MUB_INPUT, "not json"),
+        (_EVOLVE_STATE, "not json"),
+        (_MUB_INPUT, '{"d": 3, "bases": []}'),
+        (_MUB_INPUT, '{"bases": []}'),
+        (_EVOLVE_STATE, '{"d": 2, "bases": []}'),
+        (_EVOLVE_STATE, "[[[NaN, 0], [0, 0]], [[0, 0], [NaN, 0]]]"),
+    ],
+    ids=["missing-basis", "missing-state", "text-basis", "text-state", "no-bases",
+         "no-d", "object-as-state", "nan-state"],
+)
+def test_bad_input_file_exits_2(runner, tmp_path, args, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:")
+
+
 # --- cp-check ---------------------------------------------------------------------
 
 
@@ -378,3 +414,50 @@ def test_memory_error_is_a_computation_failure(runner, monkeypatch):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == "error: Unable to allocate 1.00 TiB for an array\n"
     assert result.stdout == ""
+
+
+# --- the boundary of the numeric commands, as a property ------------------------------
+
+
+@st.composite
+def _numeric_query(draw):
+    """regime, measure or sweep with any d in -2..40 and any float n, often inside d's interval."""
+    command = draw(st.sampled_from(["regime", "measure", "sweep"]))
+    d = draw(st.sampled_from(measure_mod.prime_powers_in(2, 40)) | st.integers(-2, 40))
+    n_any = st.floats(allow_nan=True, allow_infinity=True)
+    if d >= 2:
+        lower, upper = d * d / (d * d - 1), d / (d - 1)
+        n_any = n_any | st.floats(lower, upper)
+    n = draw(n_any)
+    if command == "regime":
+        return ["regime", "--d", str(d), "--n", repr(n)]
+    tail = ["--n", repr(n), "--samples", str(draw(st.integers(-1, 1000))),
+            "--seed", str(draw(st.integers(-2, 2) | st.integers(0, 2**40)))]
+    if command == "measure":
+        method = draw(st.sampled_from(["closed", "quadrature", "mc", "all"]))
+        return ["measure", "--d", str(d), "--method", method] + tail
+    method = draw(st.sampled_from(["closed", "quadrature", "mc"]))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    hi = str(d + draw(st.integers(-1, 8)))
+    return ["sweep", "--lo", str(d), "--hi", hi, "--method", method, "--format", fmt] + tail
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=_numeric_query())
+def test_numeric_commands_answer_or_refuse_cleanly(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+    if result.exit_code == 0:
+        text = result.stdout
+        assert "nan" not in text, (args, text)
+        if args[0] == "sweep" and "csv" in args:
+            lines = text.strip().splitlines()
+            assert lines[0] == "d,delta,log10_delta"
+            for line in lines[1:]:
+                assert len([float(cell) for cell in line.split(",")]) == 3
+        else:
+            assert isinstance(json.loads(text), dict)
+    else:
+        assert result.stdout == ""
+        assert "Traceback" not in result.output

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimix.errors import NotPrimePowerError, RegimeMismatchError, ValidationError
-from paulimix.invertibility import output_invertible
+from paulimix.invertibility import classify_regime, output_invertible, singular_time_exponential
 from paulimix.measure import (
     THRESHOLD_ATOL,
     delta_closed_form,
@@ -88,7 +88,38 @@ def test_closed_form_monotone_in_n(d, fracs):
         assert d1 >= d0
 
 
+# --- the decoherence parameter -------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: g_threshold(2, n),
+        lambda n: delta_closed_form(2, n),
+        lambda n: delta_quadrature(2, n),
+        lambda n: classify_regime(2, n),
+        lambda n: singular_time_exponential(2, n, 1.0, 0.2),
+        lambda n: sweep([7, 8], n),
+    ],
+    ids=["g_threshold", "delta_closed_form", "delta_quadrature", "classify_regime",
+         "singular_time_exponential", "sweep"],
+)
+def test_non_finite_n_is_refused(call, bad):
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
 # --- quadrature ------------------------------------------------------------------
+
+
+def _across_interval(ds, fracs):
+    """(d, n) at the given fractions of each d's intermediate interval."""
+    points = []
+    for d in ds:
+        lower, upper = d * d / (d * d - 1), d / (d - 1)
+        points += [(d, lower + f * (upper - lower)) for f in fracs]
+    return points
 
 
 @pytest.mark.parametrize(
@@ -109,12 +140,14 @@ def test_closed_form_monotone_in_n(d, fracs):
         (7, 1.03),
         (7, 1.1),
         (7, 1.16),
-    ],
+    ]
+    + _across_interval(prime_powers_in(8, 32), (1 / 20, 1 / 2, 19 / 20)),
 )
 def test_quadrature_agrees_with_closed_form(d, n):
     closed = delta_closed_form(d, n).delta
     quad = delta_quadrature(d, n).delta
     assert abs(closed - quad) <= 1e-10
+    assert abs(closed - quad) <= 1e-12 * closed
 
 
 def test_quadrature_qubit_value_matches_hand_integral():
@@ -131,6 +164,8 @@ def test_quadrature_regime_guard():
     # closed interval endpoints are allowed and exact
     assert delta_quadrature(3, 1.5).delta == pytest.approx(1.0, abs=1e-12)
     assert delta_quadrature(3, 9 / 8).delta == pytest.approx(0.0, abs=1e-12)
+    # the float 49/48 puts g just above 1/(d+1): the region is empty, not negative
+    assert delta_quadrature(7, 49 / 48).delta == 0.0
 
 
 def test_quadrature_d3_example():
@@ -138,8 +173,9 @@ def test_quadrature_d3_example():
 
 
 def test_normalization_check_matches_factorial():
-    for d in range(2, 9):
+    for d in range(2, 33):
         assert abs(normalization_check(d) - 1 / math.factorial(d)) <= 1e-12
+        assert abs(normalization_check(d) * math.factorial(d) - 1) <= 1e-12
 
 
 # --- Monte Carlo -----------------------------------------------------------------
@@ -163,6 +199,11 @@ def test_monte_carlo_deterministic_per_seed_and_workers():
     a = delta_monte_carlo(3, 1.2, samples=50_000, seed=7)
     b = delta_monte_carlo(3, 1.2, samples=50_000, seed=7)
     assert a.delta == b.delta
+
+
+def test_monte_carlo_refuses_negative_seed():
+    with pytest.raises(ValidationError):
+        delta_monte_carlo(2, 1.5, samples=10, seed=-1)
 
 
 def test_monte_carlo_agrees_with_output_invertible_bitwise():
@@ -225,10 +266,12 @@ def test_sweep_upper_boundary_gives_unity():
 
 
 def test_sweep_methods_agree():
-    ds = [7, 8]
-    closed = sweep(ds, 1.05, method="closed_form")
-    quad = sweep(ds, 1.05, method="quadrature")
-    mc = sweep(ds, 1.05, method="monte_carlo", samples=200_000, seed=3)
-    for c_row, q_row, m_row in zip(closed, quad, mc):
-        assert q_row.delta == pytest.approx(c_row.delta, abs=1e-10)
-        assert abs(m_row.delta - c_row.delta) < 0.01
+    # 1.05 lies above d=32's interval [1024/1023, 32/31]
+    for ds, n in (([7, 8], 1.05), ([32], 1.03)):
+        closed = sweep(ds, n, method="closed_form")
+        quad = sweep(ds, n, method="quadrature")
+        mc = sweep(ds, n, method="monte_carlo", samples=200_000, seed=3)
+        for c_row, q_row, m_row in zip(closed, quad, mc):
+            assert q_row.delta == pytest.approx(c_row.delta, abs=1e-10)
+            assert q_row.delta == pytest.approx(c_row.delta, rel=1e-12)
+            assert abs(m_row.delta - c_row.delta) < 0.01
