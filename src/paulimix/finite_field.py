@@ -19,19 +19,43 @@ from itertools import product
 from .errors import FieldMismatchError, NotPrimePowerError
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < _MR_EXACT_BELOW."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in _MR_BASES:
+        x = pow(b, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
+
+
+def _int_root(d: int, k: int) -> int:
+    """floor(d ** (1/k)) for d >= 1, by Newton's method on integers."""
+    x = 1 << -(-d.bit_length() // k)  # 2^ceil(bits/k) > d ** (1/k)
+    while True:
+        y = ((k - 1) * x + d // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)
@@ -60,12 +84,16 @@ def factor_prime_power(d: int) -> PrimePowerDim:
     """
     if not isinstance(d, (int,)) or isinstance(d, bool) or d < 2:
         raise NotPrimePowerError(f"{d!r} is not a prime power (need an integer >= 2)")
-    p = None
-    for cand in range(2, d + 1):
-        if d % cand == 0:
-            p = cand
-            break
-    assert p is not None
+    p = next((b for b in _MR_BASES if d % b == 0), None)
+    if p is None:
+        # every prime factor exceeds 41 > 2^5, so d = p^k < 2^bits needs 5k < bits
+        if d >= _MR_EXACT_BELOW:
+            raise NotPrimePowerError(f"{d} is too large: need d < {_MR_EXACT_BELOW} or a factor <= 41")
+        for k in range(1, (d.bit_length() - 1) // 5 + 1):
+            root = _int_root(d, k)
+            if root**k == d and _is_prime(root):
+                return PrimePowerDim(root, k)
+        raise NotPrimePowerError(f"{d} is not a prime power")
     rest, k = d, 0
     while rest % p == 0:
         rest //= p

@@ -20,6 +20,7 @@ table.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,7 +30,10 @@ import numpy as np
 from .errors import RegimeMismatchError, ValidationError
 from .finite_field import factor_prime_power, is_prime_power
 
-_MC_BATCH = 1 << 17
+# rows of exponential draws per batch: one reused buffer of this many rows
+# stays in cache; numpy fills it in C order, so the stream, and with it every
+# hit count, does not depend on the batch size
+_MC_BATCH = 1 << 12
 
 # weights this close to the threshold g(d, n) count as on the boundary, which
 # is invertible (the singular time diverges); absorbs float noise in g itself
@@ -151,6 +155,31 @@ def sample_simplex(n_coords: int, samples: int, rng: np.random.Generator) -> np.
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _check_mc(samples: int, seed: int) -> None:
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
+def _mc_hits(d: int, h: float, samples: int, seed: int) -> int:
+    """How many of ``samples`` uniform simplex draws on d+1 coordinates have min weight >= h.
+
+    A draw is a row of exponentials e over its sum. Dividing by a positive
+    float is monotone under rounding, so min(e)/sum(e) equals min(e/sum(e))
+    bit for bit and only the row vectors are divided. Touches no traced
+    function, so it may run off the main thread.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    buf = np.empty((min(samples, _MC_BATCH), d + 1))
+    hits = 0
+    for start in range(0, samples, _MC_BATCH):
+        e = buf[: samples - start]  # the last batch may be short
+        rng.standard_exponential(out=e)
+        hits += int(np.count_nonzero(e.min(axis=1) / e.sum(axis=1) >= h))
+    return hits
+
+
 def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResult:
     """Monte-Carlo invertible fraction over uniform simplex draws.
 
@@ -158,20 +187,9 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
     spawned from the seed, not from the seed itself, so a seed gives the
     same numbers as in earlier releases.
     """
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_mc(samples, seed)
     g = g_threshold(d, n).g
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        batch = min(remaining, _MC_BATCH)
-        draws = sample_simplex(d + 1, batch, rng)
-        hits += int(np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL))
-        remaining -= batch
-    delta = hits / samples
+    delta = _mc_hits(d, g - THRESHOLD_ATOL, samples, seed) / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
     return MeasureResult(
         d=d,
@@ -211,8 +229,12 @@ def sweep(
     """Invertible fraction per dimension at a fixed n.
 
     Every dimension must contain n in its closed intermediate interval;
-    otherwise a RegimeMismatchError lists all offenders.
+    otherwise a RegimeMismatchError lists all offenders. With
+    ``method="monte_carlo"`` the dimensions run concurrently, and each row's
+    delta is exactly ``delta_monte_carlo(d, n, samples, seed).delta``.
     """
+    if method not in ("closed_form", "quadrature", "monte_carlo"):
+        raise ValidationError(f"unknown method {method!r}")
     _check_n(n)
     ds = [int(d) for d in d_list]
     offenders = []
@@ -225,16 +247,35 @@ def sweep(
         raise RegimeMismatchError(
             f"n={n} outside the intermediate interval for: " + "; ".join(offenders)
         )
+    if method == "closed_form":
+        deltas = [delta_closed_form(d, n).delta for d in ds]
+    elif method == "quadrature":
+        deltas = [delta_quadrature(d, n).delta for d in ds]
+    else:
+        deltas = _mc_deltas(ds, n, samples, seed)
     rows = []
-    for d in ds:
-        if method == "closed_form":
-            res = delta_closed_form(d, n)
-        elif method == "quadrature":
-            res = delta_quadrature(d, n)
-        elif method == "monte_carlo":
-            res = delta_monte_carlo(d, n, samples=samples, seed=seed)
-        else:
-            raise ValidationError(f"unknown method {method!r}")
-        log10 = math.log10(res.delta) if res.delta > 0 else float("-inf")
-        rows.append(SweepRow(d=d, delta=res.delta, log10_delta=log10))
+    for d, delta in zip(ds, deltas):
+        log10 = math.log10(delta) if delta > 0 else float("-inf")
+        rows.append(SweepRow(d=d, delta=delta, log10_delta=log10))
     return rows
+
+
+def _mc_deltas(ds: list[int], n: float, samples: int, seed: int) -> list[float]:
+    """``delta_monte_carlo(d, n, samples, seed).delta`` for each d, one thread per core.
+
+    samples and seed are checked on the calling thread before the pool starts;
+    the pool runs only ``_mc_hits``, whose numpy fills and reductions release
+    the GIL. Each d has its own stream from the seed, so the result does not
+    depend on the pool size.
+    """
+    _check_mc(samples, seed)
+    if not ds:
+        return []
+    from concurrent.futures import ThreadPoolExecutor  # about 10 ms of import, MC only
+
+    hs = [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(ds), cores or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        hits = list(pool.map(_mc_hits, ds, hs, [samples] * len(ds), [seed] * len(ds)))
+    return [k / samples for k in hits]

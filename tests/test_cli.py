@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ def test_regime_non_prime_power_exits_2(runner):
     result = runner.invoke(main, ["regime", "--d", "6", "--n", "1.1"])
     assert result.exit_code == 2
     assert "prime power" in result.stderr
+
+
+@pytest.mark.parametrize("d", ["2147483647", str(2147483647**2), str(2**89 - 1)])
+def test_regime_large_dimension_answers_or_refuses_promptly(runner, d):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["regime", "--d", d, "--n", "1.5"])
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code in (0, 1, 2), result.output
+    assert isinstance(result.exception, (SystemExit, type(None)))
+    assert "Traceback" not in result.output
 
 
 # --- singular-time --------------------------------------------------------------
@@ -145,6 +156,16 @@ def test_sweep_regime_mismatch_exits_1(runner):
     result = runner.invoke(main, ["sweep", "--lo", "2", "--hi", "3", "--n", "1.03"])
     assert result.exit_code == 1
     assert "d=2" in result.stderr and "d=3" in result.stderr
+
+
+@pytest.mark.parametrize("bad", [["--samples", "0"], ["--seed", "-1"]])
+def test_sweep_mc_bad_samples_or_seed_exits_2(runner, bad):
+    args = ["sweep", "--lo", "7", "--hi", "32", "--n", "1.03", "--method", "mc"]
+    result = runner.invoke(main, args + bad)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
 
 
 def test_sweep_single_dimension_near_upper_boundary(runner):
@@ -419,11 +440,47 @@ def test_memory_error_is_a_computation_failure(runner, monkeypatch):
 # --- the boundary of the numeric commands, as a property ------------------------------
 
 
+def _any_float(draw, sane):
+    """Any float, often one from the ``sane`` strategy."""
+    return draw(sane | st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _weights(draw, d):
+    """d+1 normalized positive weights, sometimes miscounted or with one bad entry."""
+    count = max(d, 2) + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=count, max_size=count))
+    w = [x / sum(raw) for x in raw]
+    if draw(st.booleans()):
+        w[draw(st.integers(0, count - 1))] = _any_float(draw, st.sampled_from([0.0, -0.1, 1.0, 5e-324]))
+    return ",".join(repr(x) for x in w)
+
+
+def _singular_time_query(draw, d):
+    family = draw(st.sampled_from(["exponential", "cosine", "plateau"]))
+    args = ["singular-time", "--d", str(d), "--family", family, "--weights", _weights(draw, d)]
+    if family == "exponential":
+        args += ["--n", repr(_any_float(draw, st.floats(1.0, 3.0))),
+                 "--c", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
+    elif family == "cosine":
+        args += ["--omega", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
+    else:
+        args += ["--t-sharp", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
+    if draw(st.booleans()):
+        args += ["--t-max", repr(_any_float(draw, st.floats(1e-3, 100.0)))]
+    if draw(st.booleans()):
+        args += ["--grid", str(draw(st.integers(-1, 200)))]
+    return args
+
+
 @st.composite
 def _numeric_query(draw):
-    """regime, measure or sweep with any d in -2..40 and any float n, often inside d's interval."""
-    command = draw(st.sampled_from(["regime", "measure", "sweep"]))
+    """A numeric command with any d in -2..40 and any float arguments, often valid ones."""
+    command = draw(st.sampled_from(["regime", "measure", "sweep", "singular-time", "mub verify"]))
     d = draw(st.sampled_from(measure_mod.prime_powers_in(2, 40)) | st.integers(-2, 40))
+    if command == "singular-time":
+        return _singular_time_query(draw, d)
+    if command == "mub verify":
+        return ["mub", "verify", "--d", str(d)]
     n_any = st.floats(allow_nan=True, allow_infinity=True)
     if d >= 2:
         lower, upper = d * d / (d * d - 1), d / (d - 1)
@@ -442,7 +499,7 @@ def _numeric_query(draw):
     return ["sweep", "--lo", str(d), "--hi", hi, "--method", method, "--format", fmt] + tail
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(args=_numeric_query())
 def test_numeric_commands_answer_or_refuse_cleanly(args):
     result = CliRunner().invoke(main, args)

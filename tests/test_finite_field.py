@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from paulimix.errors import FieldMismatchError, NotPrimePowerError
@@ -8,6 +10,7 @@ from paulimix.finite_field import (
     galois_field,
     is_prime_power,
 )
+from paulimix.measure import prime_powers_in
 
 PRIME_POWERS_LE_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -17,6 +20,36 @@ def test_factor_prime_power_examples():
     assert factor_prime_power(32) == PrimePowerDim(p=2, k=5)
     with pytest.raises(NotPrimePowerError):
         factor_prime_power(6)
+
+
+def test_factor_prime_power_is_fast_on_large_primes():
+    start = time.perf_counter()
+    assert factor_prime_power(2147483647) == PrimePowerDim(p=2147483647, k=1)
+    assert factor_prime_power(2147483647**2) == PrimePowerDim(p=2147483647, k=2)
+    assert factor_prime_power(2**61 - 1) == PrimePowerDim(p=2**61 - 1, k=1)
+    assert factor_prime_power(3**50) == PrimePowerDim(p=3, k=50)
+    with pytest.raises(NotPrimePowerError, match="not a prime power"):
+        factor_prime_power(2147483647 * 2147483629)
+    assert factor_prime_power(2**100) == PrimePowerDim(p=2, k=100)
+    with pytest.raises(NotPrimePowerError, match="too large"):
+        factor_prime_power(2**89 - 1)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert len(prime_powers_in(2, 20000)) == 2328
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "d, expected",
+    [(43**2, (43, 2)), (43**3, (43, 3)), (101**4, (101, 4)), (1000003**2, (1000003, 2)),
+     (43 * 47, None), (43**2 * 47, None), (1000003 * 1000033, None), (41**2 * 43, None)],
+)
+def test_factor_prime_power_without_small_factors(d, expected):
+    if expected is None:
+        assert not is_prime_power(d)
+    else:
+        dim = factor_prime_power(d)
+        assert (dim.p, dim.k) == expected
 
 
 def test_factor_prime_power_matches_naive_factorization():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from paulimix.errors import NotPrimePowerError, RegimeMismatchError, ValidationError
 from paulimix.invertibility import classify_regime, output_invertible, singular_time_exponential
 from paulimix.measure import (
+    _MC_BATCH,
     THRESHOLD_ATOL,
+    _mc_hits,
     delta_closed_form,
     delta_monte_carlo,
     delta_quadrature,
@@ -201,6 +203,29 @@ def test_monte_carlo_deterministic_per_seed_and_workers():
     assert a.delta == b.delta
 
 
+# hit counts recorded from the per-batch-division loop with 2^17-row batches;
+# sample counts below one batch, at and one past a multiple of the batch,
+# and above the old batch size
+MC_PINNED_HITS = [
+    (3, 1.2, 1000, 7, 7),
+    (2, 1.9, 1, 3, 1),
+    (7, 1.15, 4096, 11, 1754),
+    (16, 1.05, 4097, 12, 38),
+    (2, 1.9, 8192, 4, 5922),
+    (5, 1.1, 12288, 0, 19),
+    (7, 1.15, 12289, 5, 5277),
+    (32, 1.03, 131073, 917, 11953),
+    (13, 1.08, 300_001, 2**31 - 1, 169071),
+]
+
+
+@pytest.mark.parametrize("d, n, samples, seed, hits", MC_PINNED_HITS)
+def test_monte_carlo_hits_are_pinned(d, n, samples, seed, hits):
+    res = delta_monte_carlo(d, n, samples=samples, seed=seed)
+    assert res.delta == hits / samples
+    assert res.stderr == math.sqrt(res.delta * (1.0 - res.delta) / samples)
+
+
 def test_monte_carlo_refuses_negative_seed():
     with pytest.raises(ValidationError):
         delta_monte_carlo(2, 1.5, samples=10, seed=-1)
@@ -214,6 +239,17 @@ def test_monte_carlo_agrees_with_output_invertible_bitwise():
     via_min = np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL)
     via_checker = sum(output_invertible(d, n, row) for row in draws)
     assert via_min == via_checker
+    # the row-minimum test divides only min(e) by sum(e); both give the same bits
+    rng = np.random.default_rng(123)
+    e = rng.standard_exponential((20_000, d + 1))
+    assert np.array_equal(e.min(axis=1) / e.sum(axis=1), draws.min(axis=1))
+    # and _mc_hits, over several short batches, counts what the checker counts
+    seed = 123
+    stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    draws = sample_simplex(d + 1, 20_000, stream)
+    via_checker = sum(output_invertible(d, n, row) for row in draws)
+    assert 20_000 > 2 * _MC_BATCH
+    assert _mc_hits(d, g - THRESHOLD_ATOL, 20_000, seed) == via_checker
 
 
 def test_sample_simplex_is_normalized():
@@ -275,3 +311,27 @@ def test_sweep_methods_agree():
             assert q_row.delta == pytest.approx(c_row.delta, abs=1e-10)
             assert q_row.delta == pytest.approx(c_row.delta, rel=1e-12)
             assert abs(m_row.delta - c_row.delta) < 0.01
+
+
+def test_sweep_monte_carlo_matches_delta_monte_carlo_row_for_row():
+    ds = [13, 7, 32, 9, 8, 7]
+    rows = sweep(ds, 1.03, method="monte_carlo", samples=5001, seed=3)
+    assert [r.d for r in rows] == ds
+    for row in rows:
+        assert row.delta == delta_monte_carlo(row.d, 1.03, samples=5001, seed=3).delta
+    assert sweep([], 1.03, method="monte_carlo", samples=10, seed=0) == []
+
+
+@pytest.mark.parametrize("samples, seed", [(0, 1), (-5, 1), (10, -1)])
+def test_sweep_monte_carlo_checks_arguments_before_any_thread(monkeypatch, samples, seed):
+    import concurrent.futures
+
+    import paulimix.measure as measure_mod
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread pool or a draw started before validation")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(measure_mod, "_mc_hits", no_thread)
+    with pytest.raises(ValidationError):
+        sweep([7, 8], 1.05, method="monte_carlo", samples=samples, seed=seed)
