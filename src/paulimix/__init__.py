@@ -78,6 +78,7 @@ from .measure import (
     prime_powers_in,
     sample_simplex,
     sweep,
+    sweep_dimensions,
 )
 from .mub import (
     MubSet,

@@ -31,6 +31,7 @@ from .dynmaps import (
     validate_density_matrix,
 )
 from .errors import PaulimixError, RegimeMismatchError, ValidationError
+from .finite_field import factor_prime_power
 from .invertibility import (
     analytic_singularity_report,
     classify_regime,
@@ -313,7 +314,7 @@ def sweep_cmd(
 ) -> None:
     """Invertible fraction per prime-power dimension in [lo, hi] at fixed n."""
     method_name = {"closed": "closed_form", "quadrature": "quadrature", "mc": "monte_carlo"}[method]
-    d_list = measure_mod.prime_powers_in(lo, hi)
+    d_list = measure_mod.sweep_dimensions(lo, hi, n)
     rows = measure_mod.sweep(d_list, n, method=method_name, samples=samples, seed=seed)
     if fmt == "csv":
         lines = ["d,delta,log10_delta"]
@@ -506,6 +507,7 @@ def generator(
     pf = _build_pf(family, n, c, omega, t_sharp)
     single = weights is None
     if single:
+        factor_prime_power(d)  # d sizes the one-hot weights
         w = np.zeros(d + 1)
         w[0] = 1.0
     else:

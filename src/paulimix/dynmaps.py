@@ -123,11 +123,17 @@ class Cosine(DecoherenceFunction):
         if self.omega <= 0:
             raise ValidationError(f"angular frequency must be > 0, got {self.omega}")
 
+    def _phase(self, t: float) -> float:
+        phase = self.omega * t
+        if not math.isfinite(phase):
+            raise ValidationError(f"the phase omega*t overflows at omega={self.omega}, t={t}")
+        return phase
+
     def _value(self, t: float) -> float:
-        return 0.5 * (1.0 - math.cos(self.omega * t))
+        return 0.5 * (1.0 - math.cos(self._phase(t)))
 
     def _derivative(self, t: float) -> float:
-        return 0.5 * self.omega * math.sin(self.omega * t)
+        return 0.5 * self.omega * math.sin(self._phase(t))
 
     def describe(self) -> dict:
         return {"family": self.family, "omega": self.omega}

@@ -20,20 +20,25 @@ table.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .errors import RegimeMismatchError, ValidationError
-from .finite_field import factor_prime_power, is_prime_power
+from .finite_field import _MR_EXACT_BELOW, factor_prime_power, is_prime_power
 
-# rows of exponential draws per batch: one reused buffer of this many rows
-# stays in cache; numpy fills it in C order, so the stream, and with it every
-# hit count, does not depend on the batch size
-_MC_BATCH = 1 << 12
+# values of the shared exponential stream drawn per chunk: one reused buffer of
+# this many values stays in cache; numpy fills it in C order, so the stream, and
+# with it every hit count, does not depend on the chunk size
+_MC_CHUNK = 1 << 16
+
+# on rows up to this long, one np.minimum per column beats e.min(axis=1)
+# (0.13 vs 0.30 ms per chunk at d=16); from about 40 values on, the single
+# reduction wins, as the column calls grow with the row length
+_MC_COLUMN_MIN_ROW = 40
 
 # weights this close to the threshold g(d, n) count as on the boundary, which
 # is invertible (the singular time diverges); absorbs float noise in g itself
@@ -162,21 +167,51 @@ def _check_mc(samples: int, seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
-def _mc_hits(d: int, h: float, samples: int, seed: int) -> int:
-    """How many of ``samples`` uniform simplex draws on d+1 coordinates have min weight >= h.
+def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[int]:
+    """Per (d, h): how many of ``samples`` uniform draws on d+1 coordinates have min weight >= h.
 
-    A draw is a row of exponentials e over its sum. Dividing by a positive
-    float is monotone under rounding, so min(e)/sum(e) equals min(e/sum(e))
-    bit for bit and only the row vectors are divided. Touches no traced
-    function, so it may run off the main thread.
+    Every d reads the same flat stream of exponentials, from the first stream
+    spawned from the seed: its draws are the first samples*(d+1) values, d+1
+    to a row. So the stream is drawn once, samples*(max(ds)+1) values in
+    chunks of ``_MC_CHUNK``, and the buffer keeps the last max(ds) values of
+    the previous chunk in front of the new one, so a row that straddles a
+    chunk boundary is read whole. A draw is a row e over its sum. Dividing by
+    a positive float is monotone under rounding, so min(e)/sum(e) equals
+    min(e/sum(e)) bit for bit. The minimum is exact in any order, so short
+    rows take it column by column; the sum is numpy's own ``e.sum(axis=1)``.
     """
+    if not ds:
+        return []
+    width = max(ds) + 1
+    total = samples * width
+    tail = width - 1
+    # a chunk no shorter than a row: the tail carried forward stays below one chunk
+    chunk = max(_MC_CHUNK, width)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    buf = np.empty((min(samples, _MC_BATCH), d + 1))
-    hits = 0
-    for start in range(0, samples, _MC_BATCH):
-        e = buf[: samples - start]  # the last batch may be short
-        rng.standard_exponential(out=e)
-        hits += int(np.count_nonzero(e.min(axis=1) / e.sum(axis=1) >= h))
+    buf = np.empty(tail + min(chunk, total))
+    hits = [0] * len(ds)
+    for start in range(0, total, chunk):
+        if start:
+            buf[:tail] = buf[chunk:]
+        size = min(chunk, total - start)
+        rng.standard_exponential(out=buf[tail : tail + size])
+        # buf[i] holds value start - tail + i of the stream
+        for k, (d, h) in enumerate(zip(ds, hs)):
+            row = d + 1
+            first = start // row  # the rows that end in this chunk
+            stop = min((start + size) // row, samples)
+            if stop <= first:
+                continue
+            offset = first * row - start + tail
+            e = buf[offset : offset + (stop - first) * row].reshape(-1, row)
+            if row <= _MC_COLUMN_MIN_ROW:
+                low = e[:, 0].copy()
+                for j in range(1, row):
+                    np.minimum(low, e[:, j], out=low)
+            else:
+                low = e.min(axis=1)
+            low /= e.sum(axis=1)
+            hits[k] += int(np.count_nonzero(low >= h))
     return hits
 
 
@@ -189,7 +224,7 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
     """
     _check_mc(samples, seed)
     g = g_threshold(d, n).g
-    delta = _mc_hits(d, g - THRESHOLD_ATOL, samples, seed) / samples
+    delta = _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed)[0] / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
     return MeasureResult(
         d=d,
@@ -204,9 +239,73 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
 
 def prime_powers_in(lo: int, hi: int) -> list[int]:
     """All prime powers in [lo, hi], ascending."""
-    if not 2 <= lo <= hi:
-        raise ValidationError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
+    _check_range(lo, hi)
     return [d for d in range(lo, hi + 1) if is_prime_power(d)]
+
+
+def _check_range(lo: int, hi: int) -> None:
+    # past the bound where the primality test stops being exact, the only prime
+    # powers left to find are powers of primes up to 41, which lie far apart
+    if not 2 <= lo <= hi < _MR_EXACT_BELOW:
+        raise ValidationError(f"need 2 <= lo <= hi < {_MR_EXACT_BELOW}, got lo={lo}, hi={hi}")
+
+
+# offenders a regime-mismatch error names one by one; the rest are summed up
+_LISTED_OFFENDERS = 8
+
+
+def _regime_mismatch(n: float, listed: list[int], rest: str) -> RegimeMismatchError:
+    needs = []
+    for d in listed:
+        lower, upper = _interval(d)
+        needs.append(f"d={d} needs n in [{lower:.6g}, {upper:.6g}]")
+    if rest:
+        needs.append(f"and {rest}")
+    return RegimeMismatchError(f"n={n} outside the intermediate interval for: " + "; ".join(needs))
+
+
+def sweep_dimensions(lo: int, hi: int, n: float) -> list[int]:
+    """The prime powers in [lo, hi], once n is known to lie in the intermediate interval of each.
+
+    Both ends of the interval decrease with d, so n lies in every interval
+    exactly when lower(d_min) <= n <= upper(d_max), d_min and d_max the
+    smallest and largest prime powers in the range. That is checked before
+    the range is enumerated, so a mismatch over a long range is refused at
+    once: the offenders are the prime powers below the first d with
+    lower(d) <= n and from the first d with upper(d) < n on. The error names
+    the first few and gives the rest by their ranges.
+    """
+    _check_range(lo, hi)
+    _check_n(n)
+    d_min = next((d for d in range(lo, hi + 1) if is_prime_power(d)), None)
+    if d_min is None:
+        return []
+    d_max = next(d for d in range(hi, d_min - 1, -1) if is_prime_power(d))
+    if _interval(d_min)[0] <= n <= _interval(d_max)[1]:
+        return prime_powers_in(d_min, d_max)
+    bands = (
+        range(d_min, _first(d_min, d_max, lambda d: _interval(d)[0] <= n)),
+        range(_first(d_min, d_max, lambda d: _interval(d)[1] < n), d_max + 1),
+    )
+    offenders = (d for band in bands for d in band if is_prime_power(d))
+    listed = list(islice(offenders, _LISTED_OFFENDERS + 1))
+    rest = ""
+    if len(listed) > _LISTED_OFFENDERS:
+        unlisted = listed.pop()
+        ranges = [range(max(b.start, unlisted), b.stop) for b in bands]
+        rest = "every other prime power in " + " or ".join(f"[{r.start}, {r.stop - 1}]" for r in ranges if r)
+    raise _regime_mismatch(n, listed, rest)
+
+
+def _first(lo: int, hi: int, pred) -> int:
+    """The smallest d in [lo, hi] with pred(d), or hi + 1; pred is false then true."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -229,9 +328,10 @@ def sweep(
     """Invertible fraction per dimension at a fixed n.
 
     Every dimension must contain n in its closed intermediate interval;
-    otherwise a RegimeMismatchError lists all offenders. With
-    ``method="monte_carlo"`` the dimensions run concurrently, and each row's
-    delta is exactly ``delta_monte_carlo(d, n, samples, seed).delta``.
+    otherwise a RegimeMismatchError names the first offenders and counts the
+    rest. With ``method="monte_carlo"`` every dimension reads the one shared
+    stream of the seed in a single pass, and each row's delta is exactly
+    ``delta_monte_carlo(d, n, samples, seed).delta``.
     """
     if method not in ("closed_form", "quadrature", "monte_carlo"):
         raise ValidationError(f"unknown method {method!r}")
@@ -242,40 +342,21 @@ def sweep(
         factor_prime_power(d)
         lower, upper = _interval(d)
         if not lower <= n <= upper:
-            offenders.append(f"d={d} needs n in [{lower:.6g}, {upper:.6g}]")
+            offenders.append(d)
     if offenders:
-        raise RegimeMismatchError(
-            f"n={n} outside the intermediate interval for: " + "; ".join(offenders)
-        )
+        more = len(offenders) - _LISTED_OFFENDERS
+        raise _regime_mismatch(n, offenders[:_LISTED_OFFENDERS], f"{more} more" if more > 0 else "")
     if method == "closed_form":
         deltas = [delta_closed_form(d, n).delta for d in ds]
     elif method == "quadrature":
         deltas = [delta_quadrature(d, n).delta for d in ds]
     else:
-        deltas = _mc_deltas(ds, n, samples, seed)
+        _check_mc(samples, seed)
+        hs = [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds]
+        deltas = [k / samples for k in _mc_hits(ds, hs, samples, seed)]
     rows = []
     for d, delta in zip(ds, deltas):
         log10 = math.log10(delta) if delta > 0 else float("-inf")
         rows.append(SweepRow(d=d, delta=delta, log10_delta=log10))
     return rows
 
-
-def _mc_deltas(ds: list[int], n: float, samples: int, seed: int) -> list[float]:
-    """``delta_monte_carlo(d, n, samples, seed).delta`` for each d, one thread per core.
-
-    samples and seed are checked on the calling thread before the pool starts;
-    the pool runs only ``_mc_hits``, whose numpy fills and reductions release
-    the GIL. Each d has its own stream from the seed, so the result does not
-    depend on the pool size.
-    """
-    _check_mc(samples, seed)
-    if not ds:
-        return []
-    from concurrent.futures import ThreadPoolExecutor  # about 10 ms of import, MC only
-
-    hs = [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds]
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(ds), cores or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = list(pool.map(_mc_hits, ds, hs, [samples] * len(ds), [seed] * len(ds)))
-    return [k / samples for k in hits]

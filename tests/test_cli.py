@@ -158,6 +158,17 @@ def test_sweep_regime_mismatch_exits_1(runner):
     assert "d=2" in result.stderr and "d=3" in result.stderr
 
 
+def test_sweep_refuses_a_long_range_at_once(runner):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["sweep", "--lo", "2", "--hi", "1000000", "--n", "1.5"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert len(result.stderr.encode()) < 1024
+    assert "d=4 needs n in [1.06667, 1.33333]" in result.stderr
+    assert result.stderr.endswith("and every other prime power in [17, 999983]\n")
+
+
 @pytest.mark.parametrize("bad", [["--samples", "0"], ["--seed", "-1"]])
 def test_sweep_mc_bad_samples_or_seed_exits_2(runner, bad):
     args = ["sweep", "--lo", "7", "--hi", "32", "--n", "1.03", "--method", "mc"]
@@ -455,9 +466,10 @@ def _weights(draw, d):
     return ",".join(repr(x) for x in w)
 
 
-def _singular_time_query(draw, d):
+def _family_args(draw):
+    """A decoherence family with any float for each of its parameters, often a sane one."""
     family = draw(st.sampled_from(["exponential", "cosine", "plateau"]))
-    args = ["singular-time", "--d", str(d), "--family", family, "--weights", _weights(draw, d)]
+    args = ["--family", family]
     if family == "exponential":
         args += ["--n", repr(_any_float(draw, st.floats(1.0, 3.0))),
                  "--c", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
@@ -465,20 +477,68 @@ def _singular_time_query(draw, d):
         args += ["--omega", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
     else:
         args += ["--t-sharp", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
-    if draw(st.booleans()):
-        args += ["--t-max", repr(_any_float(draw, st.floats(1e-3, 100.0)))]
-    if draw(st.booleans()):
-        args += ["--grid", str(draw(st.integers(-1, 200)))]
     return args
+
+
+def _optional(draw, option, value):
+    return [option, value] if draw(st.booleans()) else []
+
+
+def _singular_time_query(draw, d):
+    args = ["singular-time", "--d", str(d), *_family_args(draw), "--weights", _weights(draw, d)]
+    args += _optional(draw, "--t-max", repr(_any_float(draw, st.floats(1e-3, 100.0))))
+    args += _optional(draw, "--grid", str(draw(st.integers(-1, 200))))
+    return args
+
+
+def _evolve_query(draw, d):
+    args = ["evolve", "--d", str(d), *_family_args(draw), "--weights", _weights(draw, d)]
+    index = st.integers(-1, max(d, 0) + 1)
+    state = draw(st.sampled_from(["max-mixed", "mub", "mub:1", "pure"]))
+    if state == "mub":
+        state = f"mub:{draw(index)}:{draw(index)}"
+    args += _optional(draw, "--state", state)
+    if draw(st.booleans()):
+        times = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+        times[-1] = _any_float(draw, st.sampled_from([times[-1], -1.0, 0.0]))
+        args += ["--times", ",".join(repr(t) for t in times)]
+    else:
+        args += _optional(draw, "--t-max", repr(_any_float(draw, st.floats(0.0, 20.0))))
+        args += _optional(draw, "--steps", str(draw(st.integers(-1, 30))))
+    return args
+
+
+def _cp_check_query(draw, d):
+    args = ["cp-check", "--d", str(d), *_family_args(draw), "--weights", _weights(draw, d)]
+    args += _optional(draw, "--t-max", repr(_any_float(draw, st.floats(0.0, 20.0))))
+    args += _optional(draw, "--steps", str(draw(st.integers(-1, 30))))
+    args += _optional(draw, "--tol", repr(_any_float(draw, st.floats(0.0, 1e-6))))
+    return args
+
+
+def _generator_query(draw, d):
+    args = ["generator", "--d", str(d), *_family_args(draw),
+            "--t", repr(_any_float(draw, st.floats(0.0, 20.0)))]
+    args += _optional(draw, "--h", repr(_any_float(draw, st.floats(1e-8, 1e-2))))
+    args += _optional(draw, "--weights", _weights(draw, d))
+    return args
+
+
+_MAP_QUERIES = {
+    "singular-time": _singular_time_query,
+    "evolve": _evolve_query,
+    "cp-check": _cp_check_query,
+    "generator": _generator_query,
+}
 
 
 @st.composite
 def _numeric_query(draw):
     """A numeric command with any d in -2..40 and any float arguments, often valid ones."""
-    command = draw(st.sampled_from(["regime", "measure", "sweep", "singular-time", "mub verify"]))
+    command = draw(st.sampled_from(["regime", "measure", "sweep", "mub verify", *_MAP_QUERIES]))
     d = draw(st.sampled_from(measure_mod.prime_powers_in(2, 40)) | st.integers(-2, 40))
-    if command == "singular-time":
-        return _singular_time_query(draw, d)
+    if command in _MAP_QUERIES:
+        return _MAP_QUERIES[command](draw, d)
     if command == "mub verify":
         return ["mub", "verify", "--d", str(d)]
     n_any = st.floats(allow_nan=True, allow_infinity=True)

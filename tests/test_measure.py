@@ -1,14 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paulimix import measure as measure_mod
 from paulimix.errors import NotPrimePowerError, RegimeMismatchError, ValidationError
 from paulimix.invertibility import classify_regime, output_invertible, singular_time_exponential
 from paulimix.measure import (
-    _MC_BATCH,
+    _MC_CHUNK,
     THRESHOLD_ATOL,
     _mc_hits,
     delta_closed_form,
@@ -19,6 +21,7 @@ from paulimix.measure import (
     prime_powers_in,
     sample_simplex,
     sweep,
+    sweep_dimensions,
 )
 
 
@@ -216,6 +219,16 @@ MC_PINNED_HITS = [
     (7, 1.15, 12289, 5, 5277),
     (32, 1.03, 131073, 917, 11953),
     (13, 1.08, 300_001, 2**31 - 1, 169071),
+    # samples*(d+1) at, one below and one past a multiple of the 2^16-value
+    # chunk of the shared stream, and one row wider than a chunk
+    (7, 1.1, 8192, 21, 105),
+    (16, 1.05, 65536, 8, 484),
+    (2, 1.6, 21845, 5, 3506),
+    (16, 1.06, 3855, 13, 647),
+    (2, 1.7, 43691, 2, 13207),
+    (4, 1.2, 52429, 17, 3262),
+    (16, 1.045, 61681, 4, 68),
+    (65537, 1.0000152585562425, 5, 6, 2),
 ]
 
 
@@ -232,24 +245,60 @@ def test_monte_carlo_refuses_negative_seed():
 
 
 def test_monte_carlo_agrees_with_output_invertible_bitwise():
-    d, n = 3, 1.2
+    d, n, samples = 3, 1.2, 40_000
     g = g_threshold(d, n).g
     rng = np.random.default_rng(123)
-    draws = sample_simplex(d + 1, 20_000, rng)
+    draws = sample_simplex(d + 1, samples, rng)
     via_min = np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL)
     via_checker = sum(output_invertible(d, n, row) for row in draws)
     assert via_min == via_checker
     # the row-minimum test divides only min(e) by sum(e); both give the same bits
     rng = np.random.default_rng(123)
-    e = rng.standard_exponential((20_000, d + 1))
+    e = rng.standard_exponential((samples, d + 1))
     assert np.array_equal(e.min(axis=1) / e.sum(axis=1), draws.min(axis=1))
-    # and _mc_hits, over several short batches, counts what the checker counts
+    # and _mc_hits, across several chunk boundaries, counts what the checker counts
     seed = 123
     stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    draws = sample_simplex(d + 1, 20_000, stream)
+    draws = sample_simplex(d + 1, samples, stream)
     via_checker = sum(output_invertible(d, n, row) for row in draws)
-    assert 20_000 > 2 * _MC_BATCH
-    assert _mc_hits(d, g - THRESHOLD_ATOL, 20_000, seed) == via_checker
+    assert samples * (d + 1) > 2 * _MC_CHUNK
+    assert _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed) == [via_checker]
+
+
+def test_mc_hits_reads_one_stream_for_every_dimension():
+    # rows of 3, of 8 and of one more value than a chunk, from one pass
+    ds, samples, seed = [7, 2, _MC_CHUNK, 7], 9, 41
+    hs = [0.05, 0.2, 1e-11, 0.01]
+    hits = _mc_hits(ds, hs, samples, seed)
+    assert hits == [_mc_hits([d], [h], samples, seed)[0] for d, h in zip(ds, hs)]
+    stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    flat = stream.standard_exponential(samples * (_MC_CHUNK + 1))
+    for d, h, k in zip(ds, hs, hits):
+        e = flat[: samples * (d + 1)].reshape(samples, d + 1)
+        assert k == np.count_nonzero(e.min(axis=1) / e.sum(axis=1) >= h)
+
+
+def test_sweep_draws_the_stream_once(monkeypatch):
+    made = []
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+            self.drawn = 0
+            made.append(self)
+
+        def standard_exponential(self, *args, **kwargs):
+            out = self.rng.standard_exponential(*args, **kwargs)
+            self.drawn += out.size
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    ds, samples = [13, 7, 32, 9, 8, 7], 5001
+    rows = sweep(ds, 1.03, method="monte_carlo", samples=samples, seed=3)
+    assert len(made) == 1
+    assert made[0].drawn == samples * (max(ds) + 1)
+    monkeypatch.undo()
+    assert rows == sweep(ds, 1.03, method="monte_carlo", samples=samples, seed=3)
 
 
 def test_sample_simplex_is_normalized():
@@ -286,6 +335,58 @@ def test_sweep_regime_mismatch_lists_offenders():
         sweep([2, 3], 1.03)
     assert "d=2" in str(err.value)
     assert "d=3" in str(err.value)
+
+
+def test_sweep_caps_the_offender_list():
+    ds = prime_powers_in(2, 200)
+    with pytest.raises(RegimeMismatchError) as err:
+        sweep(ds, 1.5)
+    text = str(err.value)
+    offenders = [d for d in ds if d > 3]  # 1.5 is in the intervals of d=2 and d=3 only
+    assert [int(x) for x in re.findall(r"d=(\d+) needs", text)] == offenders[:8]
+    assert text.endswith(f"; and {len(offenders) - 8} more")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.integers(2, 150),
+    width=st.integers(0, 1200),
+    n=st.floats(1.0, 2.5) | st.floats(1.0, 1.01),
+)
+def test_sweep_dimensions_checks_n_against_the_ends_of_the_range(lo, width, n):
+    hi = lo + width
+    ds = prime_powers_in(lo, hi)
+    offenders = [d for d in ds if not d * d / (d * d - 1) <= n <= d / (d - 1)]
+    if not offenders:
+        assert sweep_dimensions(lo, hi, n) == ds
+        return
+    with pytest.raises(RegimeMismatchError) as err:
+        sweep_dimensions(lo, hi, n)
+    text = str(err.value)
+    assert [int(x) for x in re.findall(r"d=(\d+) needs", text)] == offenders[:8]
+    if len(offenders) > 8:
+        ranges = re.findall(r"\[(\d+), (\d+)\]", text.split("every other prime power in")[1])
+        assert [d for a, b in ranges for d in prime_powers_in(int(a), int(b))] == offenders[8:]
+    else:
+        assert "every other" not in text
+
+
+def test_sweep_dimensions_does_not_enumerate_a_refused_range(monkeypatch):
+    calls = []
+    real = measure_mod.is_prime_power
+    monkeypatch.setattr(measure_mod, "is_prime_power", lambda d: calls.append(d) or real(d))
+    for lo, hi, n in ((2, 10**6, 1.5), (2, 10**6, 1.0001), (2, 10**20, 1.0000001)):
+        with pytest.raises(RegimeMismatchError) as err:
+            sweep_dimensions(lo, hi, n)
+        assert len(str(err.value)) < 1024
+    assert len(calls) < 500
+    assert sweep_dimensions(33, 36, 1.2) == []
+    with pytest.raises(ValidationError):
+        sweep_dimensions(1, 5, 1.2)
+    with pytest.raises(ValidationError):
+        sweep_dimensions(2, 10**30, 1.5)  # beyond the exact primality test
+    with pytest.raises(ValidationError):
+        sweep_dimensions(7, 32, math.nan)
 
 
 def test_sweep_excludes_d5_at_low_n():

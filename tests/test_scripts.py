@@ -1,0 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_command(script: str) -> list[str]:
+    """The README's example invocation of a script, as an argument list."""
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith(f"python scripts/{script} "):
+            return line.split()[1:]
+    raise AssertionError(f"README has no example for scripts/{script}")
+
+
+def test_singularity_portrait_readme_example():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, *_readme_command("singularity_portrait.py")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "classification: noninvertible" in lines
+    # x_0 = 0.05 lies below g(3, 1.15) = 0.2333..., so index 0 alone goes singular
+    assert "  index 0: x=0.0500  t*_analytic=1.645155995  t*_numeric=1.645155995" in lines
+    for i, x in ((1, "0.4000"), (2, "0.3000"), (3, "0.2500")):
+        assert f"  index {i}: x={x}  t*_analytic=none  t*_numeric=none" in lines
