@@ -11,7 +11,11 @@ routes to the resulting simplex fraction live here:
     normalized by the full simplex volume 1/d! (exact iterated integral,
     O(d^2) rational operations);
   * ``delta_monte_carlo``: uniform Dirichlet sampling with a min-weight
-    test and a binomial error bar.
+    test and a binomial error bar. Every d reads one shared stream of
+    exponentials from the seed; a sweep draws it once for all its
+    dimensions and shares each chunk's prefix sum and range-minimum table
+    among them, rechecking exactly every row near its threshold, so a count
+    never depends on which path or which other dimensions read the stream.
 
 Plus the prime-power dimension sweep used for the superexponential-growth
 table.
@@ -31,14 +35,31 @@ from .errors import RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, factor_prime_power, is_prime_power
 
 # values of the shared exponential stream drawn per chunk: one reused buffer of
-# this many values stays in cache; numpy fills it in C order, so the stream, and
-# with it every hit count, does not depend on the chunk size
+# this many values, with the shared path's prefix sum and range-minimum table
+# beside it, stays in cache; numpy fills it in C order, so the stream, and with
+# it every hit count, does not depend on the chunk size
 _MC_CHUNK = 1 << 16
 
-# on rows up to this long, one np.minimum per column beats e.min(axis=1)
-# (0.13 vs 0.30 ms per chunk at d=16); from about 40 values on, the single
-# reduction wins, as the column calls grow with the row length
+# direct path (one dimension, or too few to share a table): on rows up to this
+# long, one np.minimum per column beats e.min(axis=1) (0.13 vs 0.30 ms per chunk
+# at d=16); from about 40 values on, the single reduction wins, as the column
+# calls grow with the row length. The shared path takes every row length.
 _MC_COLUMN_MIN_ROW = 40
+
+# shared path: a row is decided from its prefix-sum margin only when the margin
+# clears this multiple of the rounding bound derived in _mc_hits; every other
+# row goes to the exact test of the direct path
+_MC_BOUND_SLACK = 2.0
+
+# Monte Carlo work refused beyond this many values of the stream, samples*(d+1)
+# for the largest d: the kernel reads 3.5e7-9e7 values/s (one process, 2-core
+# VM), so this is 12-30 s of work, where 10^6 samples at d=32 take 0.4 s
+_MC_MAX_VALUES = 1 << 30
+
+# the exact quadrature is refused beyond this d: its rational coefficients
+# lengthen with d, and the cost grows about as d^4 (0.16 s at d=64, 0.68 s at
+# d=101, 1.6 s at d=128, one process on a 2-core VM)
+_QUADRATURE_MAX_D = 101
 
 # weights this close to the threshold g(d, n) count as on the boundary, which
 # is invertible (the singular time diverges); absorbs float noise in g itself
@@ -133,7 +154,8 @@ def delta_quadrature(d: int, n: float) -> MeasureResult:
     Exact iterated integral, O(d^2) rational operations: g is taken exactly
     from the float n, so the result is the integral for that n rounded once.
     Only defined on the closed intermediate interval; outside it raises
-    RegimeMismatchError.
+    RegimeMismatchError. Refused (ValidationError) for d above
+    ``_QUADRATURE_MAX_D``, where its cost passes a second.
     """
     factor_prime_power(d)
     _check_n(n)
@@ -141,6 +163,10 @@ def delta_quadrature(d: int, n: float) -> MeasureResult:
     if not lower <= n <= upper:
         raise RegimeMismatchError(
             f"n={n} outside the intermediate interval [{lower}, {upper}] for d={d}"
+        )
+    if d > _QUADRATURE_MAX_D:
+        raise ValidationError(
+            f"the exact quadrature is limited to d <= {_QUADRATURE_MAX_D}, got d={d}; use the closed form"
         )
     g = 1 - Fraction(n) * (d - 1) / d
     delta = float(_nested_simplex_integral(d, g) * math.factorial(d))
@@ -160,11 +186,25 @@ def sample_simplex(n_coords: int, samples: int, rng: np.random.Generator) -> np.
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_mc(samples: int, seed: int) -> None:
+def _check_mc(samples: int, seed: int, d: int) -> None:
+    """Refuses a Monte Carlo run of ``samples`` draws up to dimension ``d`` that is malformed or too long."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    if samples * (d + 1) > _MC_MAX_VALUES:
+        raise ValidationError(
+            f"Monte Carlo of {samples} samples at d={d} reads {samples * (d + 1)} values, "
+            f"over the limit of {_MC_MAX_VALUES}; use fewer samples"
+        )
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
 def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[int]:
@@ -175,10 +215,40 @@ def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[in
     to a row. So the stream is drawn once, samples*(max(ds)+1) values in
     chunks of ``_MC_CHUNK``, and the buffer keeps the last max(ds) values of
     the previous chunk in front of the new one, so a row that straddles a
-    chunk boundary is read whole. A draw is a row e over its sum. Dividing by
-    a positive float is monotone under rounding, so min(e)/sum(e) equals
-    min(e/sum(e)) bit for bit. The minimum is exact in any order, so short
-    rows take it column by column; the sum is numpy's own ``e.sum(axis=1)``.
+    chunk boundary is read whole. A draw is a row e over its sum, and it
+    counts when e.min() / e.sum() >= h with numpy's own row sum: dividing by a
+    positive float is monotone under rounding, so that is min(e/sum(e)) bit
+    for bit. Every count is fixed by this test; two paths compute it, chosen
+    per chunk from the dimensions that still read it.
+
+    Direct, when fewer than two dimensions, or fewer than the table below
+    has levels, still read the chunk (so always for ``delta_monte_carlo``):
+    each d views its rows as (rows, d+1) and takes the minimum
+    column by column (rows up to ``_MC_COLUMN_MIN_ROW``) or with
+    e.min(axis=1), and the sum with e.sum(axis=1), so each d reads the
+    chunk twice.
+
+    Shared, otherwise: the chunk gets one prefix sum P, P[i] the sum of its
+    first i values, and one range-minimum table T, T_k[i] the minimum of the
+    2^k values from i on (Bender & Farach-Colton 2000), built in place one
+    level at a time with one np.minimum of shifted views, up to the level
+    floor(log2(max(ds)+1)). The dimensions are taken by level k =
+    floor(log2(d+1)): a row at offset o has the minimum min(T_k[o],
+    T_k[o+d+1-2^k]), exact, and the sum S~ = P[o+d+1] - P[o], both strided
+    over the rows. S~ is not numpy's row sum S, so a row is decided from its
+    margin m = fl(min - fl(h S~)) only when |m| > |h| tau. Every other row is
+    gathered as a contiguous (rows, d+1) array and sent to the exact test
+    above, so both paths give the same count.
+
+    The bound: the L values of a chunk are >= 0, with computed total P_L.
+    Every computed prefix is within gamma_L P_L of its exact value and a row's
+    exact sum is at most P_L (recursive summation, Higham 2002, sec. 4.2), so
+    with the subtraction's rounding |S~ - S| <= (2 gamma_L + gamma_{d+1} + 2u)
+    P_L. Adding the roundings of the product and the difference, m > |h| tau
+    gives min >= h S and so a hit, m < -|h| tau gives min (1+2u) < h S and so
+    a miss, for tau = _MC_BOUND_SLACK (2 gamma_L + gamma_{max(ds)+1} + 5u)
+    P_L; the slack of 2 covers the second-order terms. For h <= 0 every row
+    is a hit, and no row clears -|h| tau <= 0 as a miss.
     """
     if not ds:
         return []
@@ -188,31 +258,85 @@ def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[in
     # a chunk no shorter than a row: the tail carried forward stays below one chunk
     chunk = max(_MC_CHUNK, width)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    buf = np.empty(tail + min(chunk, total))
+    # zeros, so that the first chunk's prefix sum and table start from finite values
+    buf = np.zeros(tail + min(chunk, total))
     hits = [0] * len(ds)
+    # by row length: a dimension whose draws are used up drops off the front
+    entries = sorted((d + 1, k, h) for k, (d, h) in enumerate(zip(ds, hs)))
+    # the shared path serves a chunk that at least two dimensions, and at least
+    # one per table level, still read: per 2^16-value chunk its prefix sum costs
+    # 0.28 ms and each level 0.03-0.09 ms, and each dimension it serves saves
+    # 0.15-0.6 ms of the direct path
+    share_from = max(2, width.bit_length() - 1)
+    if len(entries) >= share_from:
+        # prefix sum and table over the chunk; margins, sums and flags of one d's rows
+        most = len(buf) // entries[0][0] + 1
+        scratch = np.zeros(len(buf) + 1), np.empty(len(buf)), np.empty(most), np.empty(most), np.empty(most, bool)
+    live = 0
     for start in range(0, total, chunk):
         if start:
             buf[:tail] = buf[chunk:]
         size = min(chunk, total - start)
         rng.standard_exponential(out=buf[tail : tail + size])
         # buf[i] holds value start - tail + i of the stream
-        for k, (d, h) in enumerate(zip(ds, hs)):
-            row = d + 1
-            first = start // row  # the rows that end in this chunk
-            stop = min((start + size) // row, samples)
-            if stop <= first:
-                continue
-            offset = first * row - start + tail
-            e = buf[offset : offset + (stop - first) * row].reshape(-1, row)
-            if row <= _MC_COLUMN_MIN_ROW:
-                low = e[:, 0].copy()
-                for j in range(1, row):
-                    np.minimum(low, e[:, j], out=low)
-            else:
-                low = e.min(axis=1)
-            low /= e.sum(axis=1)
-            hits[k] += int(np.count_nonzero(low >= h))
+        while entries[live][0] * samples <= start:
+            live += 1
+        if len(entries) - live >= share_from:
+            _shared_hits(buf, start, size, tail, samples, entries[live:], scratch, hits)
+        else:
+            for row, k, h in entries[live:]:
+                hits[k] += _direct_hits(buf, start, size, tail, row, samples, h)
     return hits
+
+
+def _first_row(start: int, size: int, tail: int, row: int, samples: int) -> tuple[int, int]:
+    """(offset in the buffer, count) of the rows of length ``row`` that end in the chunk."""
+    first = start // row
+    return first * row - start + tail, min((start + size) // row, samples) - first
+
+
+def _direct_hits(buf: np.ndarray, start: int, size: int, tail: int, row: int, samples: int, h: float) -> int:
+    """Hits among the rows of length ``row`` that end in the chunk, by numpy's row minimum and sum."""
+    offset, rows = _first_row(start, size, tail, row, samples)
+    e = buf[offset : offset + rows * row].reshape(-1, row)
+    if row <= _MC_COLUMN_MIN_ROW:
+        low = e[:, 0].copy()
+        for j in range(1, row):
+            np.minimum(low, e[:, j], out=low)
+    else:
+        low = e.min(axis=1)
+    low /= e.sum(axis=1)
+    return int(np.count_nonzero(low >= h))
+
+
+def _shared_hits(buf, start, size, tail, samples, entries, scratch, hits) -> None:
+    """Adds the hits among the rows of ``entries`` (ascending row length) that end in the chunk to ``hits``."""
+    prefix, table, margins, sums, flags = scratch
+    n = tail + size
+    np.cumsum(buf[:n], out=prefix[1 : n + 1])
+    tau = _MC_BOUND_SLACK * (2 * _gamma(n) + _gamma(entries[-1][0]) + 5 * _UNIT_ROUNDOFF) * prefix[n]
+    np.minimum(buf[: n - 1], buf[1:n], out=table[: n - 1])
+    level = 1  # table[i] is the minimum of the 2^level values from i on
+    for row, k, h in entries:
+        while 2 << level <= row:
+            m = n - (2 << level) + 1
+            # in place: each slot reads only itself and a later slot
+            np.minimum(table[:m], table[1 << level : (1 << level) + m], out=table[:m])
+            level += 1
+        o, rows = _first_row(start, size, tail, row, samples)
+        end = o + rows * row
+        span = 1 << level
+        margin = np.minimum(table[o:end:row], table[o + row - span : end + row - span : row], out=margins[:rows])
+        scaled = np.subtract(prefix[o + row : end + row : row], prefix[o:end:row], out=sums[:rows])
+        np.multiply(scaled, h, out=scaled)
+        np.subtract(margin, scaled, out=margin)
+        bound = abs(h) * tau
+        sure = np.count_nonzero(np.greater(margin, bound, out=flags[:rows]))
+        hits[k] += sure
+        if np.count_nonzero(np.greater_equal(margin, -bound, out=flags[:rows])) > sure:
+            near = np.flatnonzero(np.abs(margin) <= bound)
+            e = buf[o + row * near[:, None] + np.arange(row)]
+            hits[k] += int(np.count_nonzero(e.min(axis=1) / e.sum(axis=1) >= h))
 
 
 def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResult:
@@ -222,7 +346,7 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
     spawned from the seed, not from the seed itself, so a seed gives the
     same numbers as in earlier releases.
     """
-    _check_mc(samples, seed)
+    _check_mc(samples, seed, d)
     g = g_threshold(d, n).g
     delta = _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed)[0] / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
@@ -351,7 +475,7 @@ def sweep(
     elif method == "quadrature":
         deltas = [delta_quadrature(d, n).delta for d in ds]
     else:
-        _check_mc(samples, seed)
+        _check_mc(samples, seed, max(ds, default=0))
         hs = [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds]
         deltas = [k / samples for k in _mc_hits(ds, hs, samples, seed)]
     rows = []

@@ -128,6 +128,26 @@ def test_measure_quadrature_out_of_regime_exits_1(runner):
     assert "intermediate" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["--d", "1000003", "--n", "1.0000001", "--method", "all", "--samples", "10"],
+         measure_mod._QUADRATURE_MAX_D),
+        (["--d", "211", "--n", "1.004", "--method", "quadrature"], measure_mod._QUADRATURE_MAX_D),
+        (["--d", "65537", "--n", "1.00001", "--method", "mc"], measure_mod._MC_MAX_VALUES),
+        (["--d", "7", "--n", "1.15", "--method", "mc", "--samples", str(10**9)], measure_mod._MC_MAX_VALUES),
+    ],
+    ids=["all-d-1000003", "quadrature-d-211", "mc-d-65537", "mc-samples"],
+)
+def test_measure_refuses_work_beyond_its_limit_at_once(runner, args, limit):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["measure", *args])
+    assert time.perf_counter() - start < 3.0
+    assert result.exit_code == 2, result.output
+    assert str(limit) in result.stderr
+    assert result.stdout == ""
+
+
 # --- sweep ----------------------------------------------------------------------
 
 

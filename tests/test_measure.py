@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from paulimix import measure as measure_mod
 from paulimix.errors import NotPrimePowerError, RegimeMismatchError, ValidationError
+from paulimix.finite_field import factor_prime_power
 from paulimix.invertibility import classify_regime, output_invertible, singular_time_exponential
 from paulimix.measure import (
     _MC_CHUNK,
@@ -200,7 +201,7 @@ def test_monte_carlo_degenerate_regimes():
     assert delta_monte_carlo(3, 9 / 8, samples=10_000, seed=1).delta == 0.0
 
 
-def test_monte_carlo_deterministic_per_seed_and_workers():
+def test_monte_carlo_deterministic_per_seed():
     a = delta_monte_carlo(3, 1.2, samples=50_000, seed=7)
     b = delta_monte_carlo(3, 1.2, samples=50_000, seed=7)
     assert a.delta == b.delta
@@ -424,15 +425,151 @@ def test_sweep_monte_carlo_matches_delta_monte_carlo_row_for_row():
 
 
 @pytest.mark.parametrize("samples, seed", [(0, 1), (-5, 1), (10, -1)])
-def test_sweep_monte_carlo_checks_arguments_before_any_thread(monkeypatch, samples, seed):
-    import concurrent.futures
+def test_sweep_monte_carlo_checks_arguments_before_any_draw(monkeypatch, samples, seed):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw started before validation")
 
-    import paulimix.measure as measure_mod
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread pool or a draw started before validation")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread)
-    monkeypatch.setattr(measure_mod, "_mc_hits", no_thread)
+    monkeypatch.setattr(measure_mod, "_mc_hits", no_draw)
     with pytest.raises(ValidationError):
         sweep([7, 8], 1.05, method="monte_carlo", samples=samples, seed=seed)
+
+
+# --- Monte Carlo: the shared path and its exact recheck ----------------------------
+
+SWEEP_DIMS = [7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+def _median_thresholds(ds):
+    """The h at which half the draws on d+1 coordinates clear it: (1 - (d+1) h)^d = 1/2."""
+    return [(1 - 0.5 ** (1 / d)) / (d + 1) for d in ds]
+
+
+def _thresholds(ds, n):
+    return [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds] if n else _median_thresholds(ds)
+
+
+# _mc_hits counts recorded before the shared path existed, from the one-pass
+# direct loop: (dimensions, n or None for the median thresholds, samples, seed,
+# hits). 65536, 31775 and 33761 samples put samples*33 at, one below and one
+# past a multiple of the 2^16-value chunk
+MC_PINNED_SWEEPS = [
+    (SWEEP_DIMS, 1.03, 100_000, 11, [0, 0, 0, 0, 0, 0, 0, 1, 4, 15, 92, 509, 3389, 9134]),
+    (SWEEP_DIMS, 1.032, 100_000, 2024, [0, 0, 0, 0, 0, 1, 0, 2, 22, 114, 613, 3695, 27372, 76849]),
+    (SWEEP_DIMS, 1.031, 65536, 5, [0, 0, 0, 1, 0, 0, 0, 3, 3, 31, 146, 876, 6527, 17670]),
+    (SWEEP_DIMS, 1.031, 31775, 6, [0, 0, 0, 0, 0, 0, 0, 0, 2, 15, 68, 412, 3174, 8714]),
+    (SWEEP_DIMS, 1.031, 33761, 7, [0, 0, 0, 0, 0, 0, 0, 0, 1, 23, 64, 503, 3299, 9312]),
+    (SWEEP_DIMS, None, 65536, 5,
+     [32952, 32910, 32909, 32874, 32690, 32845, 32662, 32768, 32818, 32774, 32692, 32744, 32834, 32853]),
+    (SWEEP_DIMS, None, 31775, 6,
+     [15982, 16061, 15955, 15942, 15967, 16013, 15974, 15964, 15925, 15910, 16002, 15981, 16039, 16014]),
+    (SWEEP_DIMS, None, 33761, 7,
+     [16997, 17058, 17069, 16964, 16964, 17068, 17055, 17042, 17003, 17000, 16991, 16992, 17065, 17010]),
+    (SWEEP_DIMS, None, 100_000, 99,
+     [50064, 50063, 50006, 49847, 49964, 49988, 49878, 49924, 50103, 49924, 49939, 49855, 49935, 49846]),
+    ([13, 7, 32, 9, 8, 7], 1.03, 30001, 3, [0, 0, 2683, 0, 0, 0]),
+    ([13, 7, 32, 9, 8, 7], None, 30001, 3, [15099, 15055, 15201, 15139, 15107, 15055]),
+    ([2, 3, 4, 5] + SWEEP_DIMS, None, 20000, 8,
+     [9976, 9861, 9870, 9879, 9880, 9972, 9998, 9988, 10001, 10015, 10001, 10020, 9997, 9983, 10038, 9996,
+      9980, 9994]),
+]
+
+
+@pytest.fixture
+def shared_chunks(monkeypatch):
+    """Counts the chunks that the shared path serves."""
+    calls = []
+    real = measure_mod._shared_hits
+    monkeypatch.setattr(measure_mod, "_shared_hits", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("ds, n, samples, seed, hits", MC_PINNED_SWEEPS)
+def test_mc_hits_of_a_sweep_are_pinned(shared_chunks, ds, n, samples, seed, hits):
+    assert _mc_hits(ds, _thresholds(ds, n), samples, seed) == hits
+    assert shared_chunks
+
+
+def test_shared_path_serves_chunks_that_enough_dimensions_read(shared_chunks):
+    # at least two dimensions, and one per table level: [7] and [7, 8] need
+    # three levels, [2, 3] two
+    for ds, shared in (([7], False), ([7, 8], False), ([7, 8, 9], True), ([2], False), ([2, 3], True)):
+        shared_chunks.clear()
+        _mc_hits(ds, _median_thresholds(ds), 1000, 1)
+        assert bool(shared_chunks) == shared, ds
+    # a sweep of 7..32 serves its last chunks, read by 27..32 only, directly
+    shared_chunks.clear()
+    _mc_hits(SWEEP_DIMS, _median_thresholds(SWEEP_DIMS), 100_000, 1)
+    chunks = math.ceil(100_000 * 33 / _MC_CHUNK)
+    assert 0 < len(shared_chunks) < chunks
+
+
+def test_mc_hits_counts_a_row_that_sits_on_its_threshold(shared_chunks):
+    # each d's threshold is exactly min/sum of one of its rows, so that row is a
+    # hit; min - h*S~ of that row is rounding noise and only the exact test decides it
+    samples, seed = 3000, 17
+    stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    flat = stream.standard_exponential(samples * (max(SWEEP_DIMS) + 1))
+    hs, expected = [], []
+    for d in SWEEP_DIMS:
+        e = flat[: samples * (d + 1)].reshape(samples, d + 1)
+        ratio = e.min(axis=1) / e.sum(axis=1)
+        h = float(np.sort(ratio)[samples // 2 + d])
+        hs.append(h)
+        expected.append(int(np.count_nonzero(ratio >= h)))
+    assert _mc_hits(SWEEP_DIMS, hs, samples, seed) == expected
+    assert shared_chunks
+
+
+def _pinned_cases():
+    for d, n, samples, seed, hits in MC_PINNED_HITS:
+        # enough copies of d for the shared path: one per table level, at least two
+        copies = max(2, (d + 1).bit_length() - 1)
+        yield [d] * copies, [g_threshold(d, n).g - THRESHOLD_ATOL] * copies, samples, seed, [hits] * copies
+    for ds, n, samples, seed, hits in MC_PINNED_SWEEPS[:1] + [c for c in MC_PINNED_SWEEPS if c[2] < 100_000]:
+        yield ds, _thresholds(ds, n), samples, seed, hits
+
+
+def test_exact_recheck_of_every_row_keeps_every_count(monkeypatch, shared_chunks):
+    # a bound this wide leaves every row unsure, so every row goes to the exact test
+    monkeypatch.setattr(measure_mod, "_MC_BOUND_SLACK", 1e300)
+    for ds, hs, samples, seed, hits in _pinned_cases():
+        shared_chunks.clear()
+        assert _mc_hits(ds, hs, samples, seed) == hits, (ds, samples, seed)
+        assert shared_chunks
+
+
+def test_monte_carlo_refuses_work_beyond_the_limit(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw started before validation")
+
+    monkeypatch.setattr(measure_mod, "_mc_hits", no_draw)
+    limit = measure_mod._MC_MAX_VALUES
+    with pytest.raises(ValidationError, match=str(limit)):
+        delta_monte_carlo(65537, 1.0000152585562425, samples=10**6, seed=0)
+    with pytest.raises(ValidationError, match=str(limit)):
+        delta_monte_carlo(7, 1.15, samples=limit // 8 + 1, seed=0)
+    with pytest.raises(ValidationError, match=str(limit)):
+        sweep([7, 32], 1.03, method="monte_carlo", samples=limit // 33 + 1, seed=0)
+
+
+def test_monte_carlo_work_at_the_limit_is_accepted(monkeypatch):
+    calls = []
+    monkeypatch.setattr(measure_mod, "_mc_hits", lambda ds, hs, samples, seed: calls.append(samples) or [0] * len(ds))
+    limit = measure_mod._MC_MAX_VALUES
+    assert delta_monte_carlo(7, 1.15, samples=limit // 8, seed=0).delta == 0.0
+    sweep([7, 32], 1.03, method="monte_carlo", samples=limit // 33, seed=0)
+    assert calls == [limit // 8, limit // 33]
+
+
+def test_quadrature_refuses_large_dimensions():
+    limit = measure_mod._QUADRATURE_MAX_D
+    assert limit > 32 and factor_prime_power(limit)
+    n = limit / (limit - 0.5)  # inside the interval [d^2/(d^2-1), d/(d-1)]
+    assert delta_quadrature(limit, n).delta == pytest.approx(delta_closed_form(limit, n).delta, rel=1e-12)
+    for d in (103, 1000003):
+        n = d / (d - 0.5)
+        with pytest.raises(ValidationError, match=f"d <= {limit}"):
+            delta_quadrature(d, n)
+    # outside the interval the regime answers first, as before
+    with pytest.raises(RegimeMismatchError):
+        delta_quadrature(1000003, 1.5)
