@@ -4,92 +4,117 @@ The pipeline: factor the dimension as a prime power, build the d+1 mutually
 unbiased bases and their phase unitaries, drive the d+1 input maps with a
 shared decoherence function, mix them with simplex weights, and ask when
 (and how often, over all mixtures) the output map stays invertible.
+
+The public names below are resolved on first access (PEP 562), so importing
+the package, or a module in it such as ``paulimix.cli``, loads no submodule
+it does not read: ``paulimix.<name>`` imports the module that defines the
+name, and only that one.
 """
 
-from .dynmaps import (
-    Cosine,
-    DecoherenceFunction,
-    DualMapResult,
-    Exponential,
-    KrausSet,
-    MixtureMap,
-    Plateau,
-    decay_rate,
-    density_matrix_defects,
-    generator_rates,
-    is_cp,
-    kraus_dagger_dual,
-    mixture_map,
-    numeric_generator,
-    random_density_matrix,
-    to_choi,
-    unvec,
-    validate_density_matrix,
-    vec,
-)
-from .errors import (
-    ComputationError,
-    FieldMismatchError,
-    NegativeTimeError,
-    NonHermitianError,
-    NotPrimePowerError,
-    NotQubitError,
-    PaulimixError,
-    RateSingularError,
-    RegimeMismatchError,
-    SingularAtGridPointError,
-    SingularAtTimeError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
-from .finite_field import (
-    GaloisField,
-    GfElement,
-    PrimePowerDim,
-    factor_prime_power,
-    find_irreducible,
-    galois_field,
-    is_prime_power,
-)
-from .invertibility import (
-    Classification,
-    InvertibilityReport,
-    PropagatorStep,
-    Regime,
-    RegimeKind,
-    analytic_singularity_report,
-    classify_regime,
-    cp_divisibility_check,
-    numeric_singularity_scan,
-    output_invertible,
-    singular_time_cosine,
-    singular_time_exponential,
-    singular_time_plateau,
-)
-from .measure import (
-    MeasureResult,
-    SweepRow,
-    Threshold,
-    delta_closed_form,
-    delta_monte_carlo,
-    delta_quadrature,
-    g_threshold,
-    normalization_check,
-    prime_powers_in,
-    sample_simplex,
-    sweep,
-    sweep_dimensions,
-)
-from .mub import (
-    MubSet,
-    MubVerification,
-    WeylUnitaries,
-    build_mub,
-    build_mub_for,
-    build_unitaries,
-    cached_mub,
-    cached_unitaries,
-    verify_mub,
-)
+import importlib
 
+# module -> the public names this package re-exports from it
+_EXPORTS = {
+    "dynmaps": (
+        "Cosine",
+        "DecoherenceFunction",
+        "DualMapResult",
+        "Exponential",
+        "KrausSet",
+        "MixtureMap",
+        "Plateau",
+        "decay_rate",
+        "density_matrix_defects",
+        "generator_rates",
+        "is_cp",
+        "kraus_dagger_dual",
+        "mixture_map",
+        "numeric_generator",
+        "random_density_matrix",
+        "to_choi",
+        "unvec",
+        "validate_density_matrix",
+        "vec",
+    ),
+    "errors": (
+        "ComputationError",
+        "FieldMismatchError",
+        "NegativeTimeError",
+        "NonHermitianError",
+        "NotPrimePowerError",
+        "NotQubitError",
+        "PaulimixError",
+        "RateSingularError",
+        "RegimeMismatchError",
+        "SingularAtGridPointError",
+        "SingularAtTimeError",
+        "UnsupportedDimensionError",
+        "ValidationError",
+    ),
+    "finite_field": (
+        "GaloisField",
+        "GfElement",
+        "PrimePowerDim",
+        "factor_prime_power",
+        "find_irreducible",
+        "galois_field",
+        "is_prime_power",
+    ),
+    "invertibility": (
+        "Classification",
+        "InvertibilityReport",
+        "PropagatorStep",
+        "analytic_singularity_report",
+        "cp_divisibility_check",
+        "numeric_singularity_scan",
+        "output_invertible",
+        "singular_time_cosine",
+        "singular_time_exponential",
+        "singular_time_plateau",
+    ),
+    "measure": (
+        "MeasureResult",
+        "Regime",
+        "RegimeKind",
+        "SweepRow",
+        "Threshold",
+        "classify_regime",
+        "delta_closed_form",
+        "delta_monte_carlo",
+        "delta_quadrature",
+        "g_threshold",
+        "normalization_check",
+        "prime_powers_in",
+        "sample_simplex",
+        "sweep",
+        "sweep_dimensions",
+    ),
+    "mub": (
+        "MubSet",
+        "MubVerification",
+        "WeylUnitaries",
+        "build_mub",
+        "build_mub_for",
+        "build_unitaries",
+        "cached_mub",
+        "cached_unitaries",
+        "verify_mub",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -5,6 +5,13 @@ with floats at 17 significant digits, so identical invocations are
 byte-identical. Exit codes: 0 success, 1 computation-level failure (e.g. a
 regime mismatch, or running out of memory), 2 usage or validation error,
 which includes every non-finite number.
+
+Each command imports the modules it reads inside its own body, so a process
+loads only what its command uses: ``regime``, ``measure`` and ``sweep`` with
+the closed form or the quadrature never import numpy, and the eigenvalue
+commands (``singular-time``, ``cp-check``, ``generator``) never import
+``paulimix.mub``. A usage error loads nothing beyond click and
+``paulimix.errors``.
 """
 
 from __future__ import annotations
@@ -14,36 +21,16 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
-import numpy as np
 
-from . import measure as measure_mod
-from .dynmaps import (
-    Cosine,
-    DecoherenceFunction,
-    Exponential,
-    Plateau,
-    decay_rate,
-    generator_rates,
-    mixture_map,
-    validate_density_matrix,
-)
 from .errors import PaulimixError, RegimeMismatchError, ValidationError
-from .finite_field import factor_prime_power
-from .invertibility import (
-    analytic_singularity_report,
-    classify_regime,
-    cp_divisibility_check,
-    numeric_singularity_scan,
-)
-from .mub import build_mub_for, cached_mub, mub_from_payload, verify_mub
-from .serialization import (
-    complex_matrix_to_pairs,
-    dumps_canonical,
-    pairs_to_complex_matrix,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dynmaps import DecoherenceFunction
 
 
 def _guard(fn):
@@ -82,6 +69,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _emit_json(payload, output: Optional[str]) -> None:
+    from .serialization import dumps_canonical
+
     _emit(dumps_canonical(payload), output)
 
 
@@ -107,6 +96,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _parse_weights(text: str, d: int) -> np.ndarray:
+    import numpy as np
+
     parts = _parse_floats(text, "weights")
     if len(parts) != d + 1:
         raise ValidationError(f"need {d + 1} comma-separated weights for d={d}, got {len(parts)}")
@@ -129,6 +120,8 @@ def _build_pf(
     omega: float,
     t_sharp: float,
 ) -> DecoherenceFunction:
+    from .dynmaps import Cosine, Exponential, Plateau
+
     if family == "exponential":
         if n is None:
             raise ValidationError("the exponential family requires --n")
@@ -176,9 +169,11 @@ def main() -> None:
 @_guard
 def regime(d: int, n: float, output: Optional[str]) -> None:
     """Classify n against the intermediate interval for dimension d."""
+    from .measure import classify_regime, g_threshold
+
     reg = classify_regime(d, n)
     payload = reg.to_payload()
-    payload["g"] = measure_mod.g_threshold(d, n).g
+    payload["g"] = g_threshold(d, n).g
     _emit_json(payload, output)
 
 
@@ -206,6 +201,9 @@ def singular_time(
     output: Optional[str],
 ) -> None:
     """Per-index singular times: closed form plus numeric confirmation."""
+    from .dynmaps import mixture_map
+    from .invertibility import analytic_singularity_report, numeric_singularity_scan
+
     w = _parse_weights(weights, d)
     pf = _build_pf(family, n, c, omega, t_sharp)
     m = mixture_map(d, w, pf)
@@ -263,6 +261,8 @@ def measure(
     output: Optional[str],
 ) -> None:
     """Invertible fraction of the mixing simplex for the exponential family."""
+    from . import measure as measure_mod
+
     if method == "closed":
         payload = measure_mod.delta_closed_form(d, n).to_payload()
     elif method == "quadrature":
@@ -313,6 +313,8 @@ def sweep_cmd(
     output: Optional[str],
 ) -> None:
     """Invertible fraction per prime-power dimension in [lo, hi] at fixed n."""
+    from . import measure as measure_mod
+
     method_name = {"closed": "closed_form", "quadrature": "quadrature", "mc": "monte_carlo"}[method]
     d_list = measure_mod.sweep_dimensions(lo, hi, n)
     rows = measure_mod.sweep(d_list, n, method=method_name, samples=samples, seed=seed)
@@ -330,6 +332,11 @@ def sweep_cmd(
 
 
 def _initial_state(spec: str, d: int) -> np.ndarray:
+    import numpy as np
+
+    from .dynmaps import validate_density_matrix
+    from .serialization import pairs_to_complex_matrix
+
     if spec == "max-mixed":
         return np.eye(d, dtype=complex) / d
     if spec.startswith("mub:"):
@@ -338,6 +345,8 @@ def _initial_state(spec: str, d: int) -> np.ndarray:
             alpha, j = int(alpha_s), int(j_s)
         except ValueError as exc:
             raise ValidationError(f"state spec {spec!r} is not mub:ALPHA:J") from exc
+        from .mub import cached_mub
+
         bases = cached_mub(d).bases
         if not (0 <= alpha <= d and 0 <= j < d):
             raise ValidationError(f"mub state indices out of range for d={d}: {spec!r}")
@@ -379,6 +388,11 @@ def evolve(
     output: Optional[str],
 ) -> None:
     """Trajectory of a state under the mixture map, with the eigenvalue profile."""
+    import numpy as np
+
+    from .dynmaps import mixture_map
+    from .serialization import complex_matrix_to_pairs
+
     w = _parse_weights(weights, d)
     pf = _build_pf(family, n, c, omega, t_sharp)
     m = mixture_map(d, w, pf)
@@ -425,6 +439,9 @@ def mub_verify(
     output: Optional[str],
 ) -> None:
     """Verify orthonormality and pairwise unbiasedness of a basis set."""
+    from .mub import build_mub_for, mub_from_payload, verify_mub
+    from .serialization import dumps_canonical
+
     if input_path is not None:
         m = _read_json_input(input_path, mub_from_payload, "basis file")
     elif d is not None:
@@ -463,6 +480,11 @@ def cp_check(
     output: Optional[str],
 ) -> None:
     """Complete positivity of the propagators between consecutive grid times."""
+    import numpy as np
+
+    from .dynmaps import mixture_map
+    from .invertibility import cp_divisibility_check
+
     w = _parse_weights(weights, d)
     pf = _build_pf(family, n, c, omega, t_sharp)
     m = mixture_map(d, w, pf)
@@ -504,6 +526,11 @@ def generator(
     output: Optional[str],
 ) -> None:
     """Numeric time-local generator rates versus the analytic profile."""
+    import numpy as np
+
+    from .dynmaps import decay_rate, generator_rates, mixture_map
+    from .finite_field import factor_prime_power
+
     pf = _build_pf(family, n, c, omega, t_sharp)
     single = weights is None
     if single:

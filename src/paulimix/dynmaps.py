@@ -15,6 +15,9 @@ Pauli channel, fixed completely by these d+1 eigenvalues, and they are the
 core of every computation: ``MixtureMap.eigenvalues`` feeds the generator
 rates and the CP checks, and ``MixtureMap.apply`` is d+1 dephasings in the
 MUB bases, since sum_{k=0}^{d-1} U_i^k rho U_i^{-k} = d * dephase_i(rho).
+A ``MixtureMap`` holds no basis: only ``apply`` and the dense oracle fetch
+the (cached) bases or unitaries from ``paulimix.mub``, which the eigenvalue
+routes never import.
 
 The dense d^2 x d^2 representation (``MixtureMap.superoperator``,
 ``to_choi``, ``is_cp``, ``numeric_generator``, ``KrausSet``) is built from
@@ -48,7 +51,6 @@ from .errors import (
     ValidationError,
 )
 from .finite_field import PrimePowerDim, factor_prime_power
-from .mub import WeylUnitaries, cached_unitaries
 
 # --- decoherence functions -------------------------------------------------
 
@@ -242,19 +244,24 @@ def unvec(v: np.ndarray) -> np.ndarray:
 class MixtureMap:
     """A convex mixture of the d+1 dephasing input maps.
 
+    It holds the dimension, the weights and p(t), which fix the d+1
+    eigenvalues. The MUB bases are fetched from ``cached_mub`` only by
+    ``apply``, and the phase unitaries from ``cached_unitaries`` only by the
+    dense oracle, each on first use, so the eigenvalue routes build no basis.
+
     Weights may sit on the boundary of the simplex (zeros allowed), which
     covers the single-input-map limit, so a one-hot weight vector is a
     single input map; they must be finite, nonnegative and sum to one
     within 1e-12.
     """
 
-    unitaries: WeylUnitaries
+    dim: PrimePowerDim
     weights: np.ndarray
     pf: DecoherenceFunction
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        d = self.unitaries.d
+        d = self.d
         if w.shape != (d + 1,):
             raise ValidationError(f"need {d + 1} weights for dimension {d}, got {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -266,12 +273,8 @@ class MixtureMap:
         self.weights = w
 
     @property
-    def dim(self) -> PrimePowerDim:
-        return self.unitaries.dim
-
-    @property
     def d(self) -> int:
-        return self.unitaries.d
+        return self.dim.q
 
     def eigenvalues(self, t: float) -> np.ndarray:
         """lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t), indexed by mixing index i."""
@@ -287,22 +290,31 @@ class MixtureMap:
         d = self.d
         a = self.pf.value(t) * d / (d - 1)
         rho = np.asarray(rho, dtype=complex)
-        # all d+1 bases side by side: column i*d + j is vector j of basis i
-        cols = self.unitaries.bases.transpose(1, 0, 2).reshape(d, -1)
+        cols = self._basis_columns
         populations = np.sum(cols.conj() * (rho @ cols), axis=0)  # <xi_j^i| rho |xi_j^i>
         coefs = np.repeat(self.weights, d) * populations
         return (1.0 - a) * rho + a * ((cols * coefs) @ cols.conj().T)
 
     @cached_property
+    def _basis_columns(self) -> np.ndarray:
+        """All d+1 bases side by side: column i*d + j is vector j of basis i."""
+        from .mub import cached_mub
+
+        return cached_mub(self.d).bases.transpose(1, 0, 2).reshape(self.d, -1)
+
+    @cached_property
     def _conjugation_superop(self) -> np.ndarray:
         """sum_i x_i sum_k conj(U_i^k) kron U_i^k, the t-independent part."""
+        from .mub import cached_unitaries
+
         d = self.d
+        unitaries = cached_unitaries(d).unitaries
         acc = np.zeros((d * d, d * d), dtype=complex)
         for i in range(d + 1):
             x = self.weights[i]
             if x == 0.0:
                 continue
-            U = self.unitaries.unitaries[i]
+            U = unitaries[i]
             Uk = U
             for _ in range(d - 1):
                 acc += x * np.kron(Uk.conj(), Uk)
@@ -321,9 +333,8 @@ class MixtureMap:
 
 
 def mixture_map(d: int, weights, pf: DecoherenceFunction) -> MixtureMap:
-    """Build a mixture map for dimension d, constructing (cached) MUBs."""
-    factor_prime_power(d)
-    return MixtureMap(unitaries=cached_unitaries(d), weights=np.asarray(weights, dtype=float), pf=pf)
+    """Build a mixture map for the prime-power dimension d; builds no basis."""
+    return MixtureMap(dim=factor_prime_power(d), weights=np.asarray(weights, dtype=float), pf=pf)
 
 
 # --- Choi / CP --------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Singular times, regime classification, and CP-divisibility of mixtures.
+"""Singular times, output invertibility, and CP-divisibility of mixtures.
 
 The output map loses invertibility at the first time any eigenvalue
 lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t) hits zero. This module provides
 the closed-form singular times per decoherence family, a family-agnostic
-numeric scan (grid + bisection) that only uses lambda_i(t) values, the
-input/output regime classification in the decoherence parameter n, and a
+numeric scan (grid + bisection) that only uses lambda_i(t) values, and a
 stepwise CP check of the propagators between grid times. Every route works
 on the d+1 eigenvalues; none builds a dense superoperator.
 """
@@ -24,7 +23,6 @@ from .errors import (
     SingularAtGridPointError,
     ValidationError,
 )
-from .finite_field import factor_prime_power
 from .measure import THRESHOLD_ATOL, _check_n, g_threshold
 
 # --- analytic singular times --------------------------------------------------
@@ -99,51 +97,7 @@ def singular_time_plateau(
     return t_sharp
 
 
-# --- regimes ------------------------------------------------------------------
-
-
-class RegimeKind(str, Enum):
-    INVERTIBLE_INPUTS = "invertible_inputs"
-    INTERMEDIATE = "intermediate_noninvertible"
-    ALWAYS_NONINVERTIBLE = "always_noninvertible_output"
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Where n sits relative to the interval [d^2/(d^2-1), d/(d-1))."""
-
-    d: int
-    n: float
-    kind: RegimeKind
-    lower: float  # d^2 / (d^2 - 1), below this every mixture is noninvertible
-    upper: float  # d / (d - 1), at or above this inputs (hence outputs) are invertible
-
-    def to_payload(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "classification": self.kind.value,
-            "interval": {"lower": self.lower, "upper": self.upper},
-        }
-
-
-def classify_regime(d: int, n: float) -> Regime:
-    """Classify n for a prime-power dimension d.
-
-    The lower endpoint n = d^2/(d^2-1) counts as intermediate (the
-    invertible set there is just the equal-mixing point, measure zero).
-    """
-    factor_prime_power(d)
-    _check_n(n)
-    lower = d * d / (d * d - 1.0)
-    upper = d / (d - 1.0)
-    if n >= upper:
-        kind = RegimeKind.INVERTIBLE_INPUTS
-    elif n < lower:
-        kind = RegimeKind.ALWAYS_NONINVERTIBLE
-    else:
-        kind = RegimeKind.INTERMEDIATE
-    return Regime(d=d, n=n, kind=kind, lower=lower, upper=upper)
+# --- output invertibility -----------------------------------------------------
 
 
 def output_invertible(d: int, n: float, weights) -> bool:

@@ -25,14 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from enum import Enum
 from itertools import islice
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, factor_prime_power, is_prime_power
+
+# numpy is imported by the Monte Carlo paths only, and fractions by the
+# quadrature only, so the regime and the closed form run without either
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    import numpy as np
 
 # values of the shared exponential stream drawn per chunk: one reused buffer of
 # this many values, with the shared path's prefix sum and range-minimum table
@@ -55,6 +60,20 @@ _MC_BOUND_SLACK = 2.0
 # for the largest d: the kernel reads 3.5e7-9e7 values/s (one process, 2-core
 # VM), so this is 12-30 s of work, where 10^6 samples at d=32 take 0.4 s
 _MC_MAX_VALUES = 1 << 30
+
+# ... and beyond this many values reduced, samples*(d+1) summed over the
+# dimensions, since each d reduces its own rows: the direct path reduces
+# 6.5e7-1.4e8 values/s, drawing included, so this is 15-33 s of work. A sweep's
+# shared path reduces faster (3.8e8 values/s over 7..32, 2.7e9 over the 1245
+# prime powers in 101..9973), so the limit also refuses some long sweeps that
+# would finish in seconds. Timings: one process, 2-core VM.
+_MC_MAX_REDUCED = 1 << 31
+
+# Monte Carlo is refused beyond this d: the buffer holds two draws of d+1
+# values, and a sweep's shared path adds a prefix sum and a table of that
+# length, so at this d one process peaks at 100 MB (one dimension) to 230 MB (a
+# sweep), where the two draws alone would take 8 GB at d = 5e8
+_MC_MAX_D = 1 << 22
 
 # the exact quadrature is refused beyond this d: its rational coefficients
 # lengthen with d, and the cost grows about as d^4 (0.16 s at d=64, 0.68 s at
@@ -87,6 +106,53 @@ def g_threshold(d: int, n: float) -> Threshold:
     return Threshold(d=d, n=n, g=1.0 - n * (d - 1) / d)
 
 
+def _interval(d: int) -> tuple[float, float]:
+    return d * d / (d * d - 1.0), d / (d - 1.0)
+
+
+class RegimeKind(str, Enum):
+    INVERTIBLE_INPUTS = "invertible_inputs"
+    INTERMEDIATE = "intermediate_noninvertible"
+    ALWAYS_NONINVERTIBLE = "always_noninvertible_output"
+
+
+@dataclass(frozen=True)
+class Regime:
+    """Where n sits relative to the interval [d^2/(d^2-1), d/(d-1))."""
+
+    d: int
+    n: float
+    kind: RegimeKind
+    lower: float  # d^2 / (d^2 - 1), below this every mixture is noninvertible
+    upper: float  # d / (d - 1), at or above this inputs (hence outputs) are invertible
+
+    def to_payload(self) -> dict:
+        return {
+            "d": self.d,
+            "n": self.n,
+            "classification": self.kind.value,
+            "interval": {"lower": self.lower, "upper": self.upper},
+        }
+
+
+def classify_regime(d: int, n: float) -> Regime:
+    """Classify n for a prime-power dimension d.
+
+    The lower endpoint n = d^2/(d^2-1) counts as intermediate (the
+    invertible set there is just the equal-mixing point, measure zero).
+    """
+    factor_prime_power(d)
+    _check_n(n)
+    lower, upper = _interval(d)
+    if n >= upper:
+        kind = RegimeKind.INVERTIBLE_INPUTS
+    elif n < lower:
+        kind = RegimeKind.ALWAYS_NONINVERTIBLE
+    else:
+        kind = RegimeKind.INTERMEDIATE
+    return Regime(d=d, n=n, kind=kind, lower=lower, upper=upper)
+
+
 @dataclass(frozen=True)
 class MeasureResult:
     """An invertible-fraction value with its provenance."""
@@ -111,10 +177,6 @@ class MeasureResult:
         }
 
 
-def _interval(d: int) -> tuple[float, float]:
-    return d * d / (d * d - 1.0), d / (d - 1.0)
-
-
 def delta_closed_form(d: int, n: float) -> MeasureResult:
     """Closed-form invertible fraction; 1 above the interval, 0 below."""
     factor_prime_power(d)
@@ -137,6 +199,8 @@ def _nested_simplex_integral(d: int, g: Fraction) -> Fraction:
     of F_{j+1}, from F_{d-1}(s) = 1 - 2g - s. Each F_j is kept in v = s + (d-1-j) g,
     where the limits are [v, 1 - 2g] at every level, so the integral is O(d^2).
     """
+    from fractions import Fraction
+
     if (d + 1) * g >= 1:
         return Fraction(0)  # the region is empty or a single point
     top = 1 - 2 * g
@@ -168,6 +232,8 @@ def delta_quadrature(d: int, n: float) -> MeasureResult:
         raise ValidationError(
             f"the exact quadrature is limited to d <= {_QUADRATURE_MAX_D}, got d={d}; use the closed form"
         )
+    from fractions import Fraction
+
     g = 1 - Fraction(n) * (d - 1) / d
     delta = float(_nested_simplex_integral(d, g) * math.factorial(d))
     return MeasureResult(d=d, n=n, delta=delta, method="quadrature")
@@ -177,6 +243,8 @@ def normalization_check(d: int) -> float:
     """The same recursion over the whole simplex (g = 0); must equal 1/d!."""
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
+    from fractions import Fraction
+
     return float(_nested_simplex_integral(d, Fraction(0)))
 
 
@@ -186,16 +254,27 @@ def sample_simplex(n_coords: int, samples: int, rng: np.random.Generator) -> np.
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_mc(samples: int, seed: int, d: int) -> None:
-    """Refuses a Monte Carlo run of ``samples`` draws up to dimension ``d`` that is malformed or too long."""
+def _check_mc(samples: int, seed: int, ds: list[int]) -> None:
+    """Refuses a Monte Carlo run of ``samples`` draws at dimensions ``ds`` that is malformed, too long or too large."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    d = max(ds, default=0)
+    if d > _MC_MAX_D:
+        raise ValidationError(
+            f"Monte Carlo is limited to d <= {_MC_MAX_D}, got d={d}: its buffer holds two draws of d+1 values"
+        )
     if samples * (d + 1) > _MC_MAX_VALUES:
         raise ValidationError(
             f"Monte Carlo of {samples} samples at d={d} reads {samples * (d + 1)} values, "
             f"over the limit of {_MC_MAX_VALUES}; use fewer samples"
+        )
+    reduced = samples * (sum(ds) + len(ds))
+    if reduced > _MC_MAX_REDUCED:
+        raise ValidationError(
+            f"Monte Carlo of {samples} samples at {len(ds)} dimensions reduces {reduced} values, "
+            f"over the limit of {_MC_MAX_REDUCED}; use fewer samples or dimensions"
         )
 
 
@@ -252,6 +331,8 @@ def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[in
     """
     if not ds:
         return []
+    import numpy as np  # once per run; the per-chunk helpers take it as their first argument
+
     width = max(ds) + 1
     total = samples * width
     tail = width - 1
@@ -282,10 +363,10 @@ def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[in
         while entries[live][0] * samples <= start:
             live += 1
         if len(entries) - live >= share_from:
-            _shared_hits(buf, start, size, tail, samples, entries[live:], scratch, hits)
+            _shared_hits(np, buf, start, size, tail, samples, entries[live:], scratch, hits)
         else:
             for row, k, h in entries[live:]:
-                hits[k] += _direct_hits(buf, start, size, tail, row, samples, h)
+                hits[k] += _direct_hits(np, buf, start, size, tail, row, samples, h)
     return hits
 
 
@@ -295,7 +376,7 @@ def _first_row(start: int, size: int, tail: int, row: int, samples: int) -> tupl
     return first * row - start + tail, min((start + size) // row, samples) - first
 
 
-def _direct_hits(buf: np.ndarray, start: int, size: int, tail: int, row: int, samples: int, h: float) -> int:
+def _direct_hits(np, buf: np.ndarray, start: int, size: int, tail: int, row: int, samples: int, h: float) -> int:
     """Hits among the rows of length ``row`` that end in the chunk, by numpy's row minimum and sum."""
     offset, rows = _first_row(start, size, tail, row, samples)
     e = buf[offset : offset + rows * row].reshape(-1, row)
@@ -309,7 +390,7 @@ def _direct_hits(buf: np.ndarray, start: int, size: int, tail: int, row: int, sa
     return int(np.count_nonzero(low >= h))
 
 
-def _shared_hits(buf, start, size, tail, samples, entries, scratch, hits) -> None:
+def _shared_hits(np, buf, start, size, tail, samples, entries, scratch, hits) -> None:
     """Adds the hits among the rows of ``entries`` (ascending row length) that end in the chunk to ``hits``."""
     prefix, table, margins, sums, flags = scratch
     n = tail + size
@@ -344,9 +425,11 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
 
     Deterministic for a fixed seed. The draws come from the first stream
     spawned from the seed, not from the seed itself, so a seed gives the
-    same numbers as in earlier releases.
+    same numbers as in earlier releases. Refused, like the closed form, when
+    d is not a prime power.
     """
-    _check_mc(samples, seed, d)
+    factor_prime_power(d)
+    _check_mc(samples, seed, [d])
     g = g_threshold(d, n).g
     delta = _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed)[0] / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
@@ -475,7 +558,7 @@ def sweep(
     elif method == "quadrature":
         deltas = [delta_quadrature(d, n).delta for d in ds]
     else:
-        _check_mc(samples, seed, max(ds, default=0))
+        _check_mc(samples, seed, ds)
         hs = [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds]
         deltas = [k / samples for k in _mc_hits(ds, hs, samples, seed)]
     rows = []

@@ -3,15 +3,17 @@
 Every float is emitted with 17 significant digits so identical inputs
 produce byte-identical output. Complex matrices travel as nested lists of
 [re, im] pairs; this is the wire format shared by the CLI commands.
+Writing JSON needs no numpy, so only the pair codecs import it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -33,11 +35,11 @@ def dumps_canonical(obj: Any) -> str:
 def _write(obj: Any, out: list[str]) -> None:
     if obj is None:
         out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -50,20 +52,24 @@ def _write(obj: Any, out: list[str]) -> None:
             out.append(": ")
             _write(value, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
-        for idx, value in enumerate(seq):
+        for idx, value in enumerate(obj):
             if idx:
                 out.append(", ")
             _write(value, out)
         out.append("]")
+    elif hasattr(obj, "tolist"):
+        # numpy scalars and arrays, as the Python bool, int, float or nested list they hold
+        _write(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def complex_matrix_to_pairs(mat: np.ndarray) -> list:
     """Encode a complex array as nested lists of [re, im] pairs."""
+    import numpy as np
+
     arr = np.asarray(mat, dtype=complex)
     stacked = np.stack([arr.real, arr.imag], axis=-1)
     return stacked.tolist()
@@ -71,6 +77,8 @@ def complex_matrix_to_pairs(mat: np.ndarray) -> list:
 
 def pairs_to_complex_matrix(obj: Any) -> np.ndarray:
     """Decode nested [re, im] pairs back into a complex array."""
+    import numpy as np
+
     arr = np.asarray(obj, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError("expected nested lists of [re, im] pairs")

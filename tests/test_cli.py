@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,45 @@ def test_measure_refuses_work_beyond_its_limit_at_once(runner, args, limit):
     assert result.exit_code == 2, result.output
     assert str(limit) in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("method", ["mc", "all"])
+def test_measure_refuses_a_non_prime_power(runner, method):
+    result = runner.invoke(main, ["measure", "--d", "6", "--n", "1.3", "--method", method, "--samples", "1000"])
+    assert result.exit_code == 2, result.output
+    assert "6 is not a prime power" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["sweep", "--lo", "101", "--hi", "9973", "--n", "1.0001", "--method", "mc", "--samples", "100000"],
+         measure_mod._MC_MAX_REDUCED),
+        (["measure", "--d", "500000003", "--n", "1.5", "--method", "mc", "--samples", "2"], measure_mod._MC_MAX_D),
+    ],
+    ids=["sweep-101-9973", "mc-d-500000003"],
+)
+def test_monte_carlo_refuses_work_and_memory_beyond_its_limits_at_once(runner, monkeypatch, args, limit):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw started before validation")
+
+    monkeypatch.setattr(measure_mod, "_mc_hits", no_draw)
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 3.0
+    assert result.exit_code == 2, result.output
+    assert str(limit) in result.stderr
+    assert result.stdout == ""
+    # again under tracemalloc, which slows the range enumeration too much to time
+    tracemalloc.start()
+    try:
+        again = runner.invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again.stderr == result.stderr
+    assert peak < 2**20  # bytes: the refusal allocates no buffer
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from paulimix.errors import (
     SingularAtTimeError,
     ValidationError,
 )
-from paulimix.mub import cached_mub
+from paulimix.mub import cached_mub, cached_unitaries
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,7 +56,7 @@ def dense_generator_rates(m, t, h):
     """Rates read off the dense numeric generator on the eigenoperators U_i."""
     gen = numeric_generator(m, t, h)
     rates = np.empty(m.d + 1)
-    for i, U in enumerate(m.unitaries.unitaries):
+    for i, U in enumerate(cached_unitaries(m.d).unitaries):
         v = vec(U)
         rates[i] = float(np.real(np.vdot(v, gen @ v) / np.vdot(v, v)))
     return rates

@@ -14,9 +14,7 @@ from paulimix.errors import (
 )
 from paulimix.invertibility import (
     Classification,
-    RegimeKind,
     analytic_singularity_report,
-    classify_regime,
     cp_divisibility_check,
     numeric_singularity_scan,
     output_invertible,
@@ -24,7 +22,7 @@ from paulimix.invertibility import (
     singular_time_exponential,
     singular_time_plateau,
 )
-from paulimix.measure import g_threshold
+from paulimix.measure import RegimeKind, classify_regime, g_threshold
 
 
 # --- analytic singular times -----------------------------------------------------

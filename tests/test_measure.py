@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from paulimix import measure as measure_mod
 from paulimix.errors import NotPrimePowerError, RegimeMismatchError, ValidationError
 from paulimix.finite_field import factor_prime_power
-from paulimix.invertibility import classify_regime, output_invertible, singular_time_exponential
+from paulimix.invertibility import output_invertible, singular_time_exponential
 from paulimix.measure import (
     _MC_CHUNK,
     THRESHOLD_ATOL,
     _mc_hits,
+    classify_regime,
     delta_closed_form,
     delta_monte_carlo,
     delta_quadrature,
@@ -559,6 +560,31 @@ def test_monte_carlo_work_at_the_limit_is_accepted(monkeypatch):
     assert delta_monte_carlo(7, 1.15, samples=limit // 8, seed=0).delta == 0.0
     sweep([7, 32], 1.03, method="monte_carlo", samples=limit // 33, seed=0)
     assert calls == [limit // 8, limit // 33]
+
+
+def test_monte_carlo_refuses_a_non_prime_power(monkeypatch):
+    monkeypatch.setattr(measure_mod, "_mc_hits", lambda *args: pytest.fail("a draw started before validation"))
+    with pytest.raises(NotPrimePowerError, match="6 is not a prime power"):
+        delta_monte_carlo(6, 1.3, samples=1000, seed=0)
+
+
+def test_monte_carlo_bounds_the_values_reduced_and_the_dimension(monkeypatch):
+    calls = []
+    monkeypatch.setattr(measure_mod, "_mc_hits", lambda ds, hs, samples, seed: calls.append(samples) or [0] * len(ds))
+    reduced, max_d = measure_mod._MC_MAX_REDUCED, measure_mod._MC_MAX_D
+    # 7, 8, 9, 11 and 13 read 8 + 9 + 10 + 12 + 14 = 53 values a sample
+    ds = [7, 8, 9, 11, 13]
+    sweep(ds, 1.05, method="monte_carlo", samples=reduced // 53, seed=0)
+    with pytest.raises(ValidationError, match=str(reduced)):
+        sweep(ds, 1.05, method="monte_carlo", samples=reduced // 53 + 1, seed=0)
+    # d = 2^22 is allowed; 4194319, the next prime power, is not
+    assert factor_prime_power(max_d)
+    assert delta_monte_carlo(max_d, 1.5, samples=2, seed=0).delta == 0.0
+    with pytest.raises(ValidationError, match=f"d <= {max_d}"):
+        delta_monte_carlo(4194319, 1.5, samples=2, seed=0)
+    with pytest.raises(ValidationError, match=f"d <= {max_d}"):
+        delta_monte_carlo(500000003, 1.5, samples=2, seed=0)
+    assert calls == [reduced // 53, 2]
 
 
 def test_quadrature_refuses_large_dimensions():
