@@ -7,11 +7,25 @@ regime mismatch, or running out of memory), 2 usage or validation error,
 which includes every non-finite number.
 
 Each command imports the modules it reads inside its own body, so a process
-loads only what its command uses: ``regime``, ``measure`` and ``sweep`` with
-the closed form or the quadrature never import numpy, and the eigenvalue
-commands (``singular-time``, ``cp-check``, ``generator``) never import
-``paulimix.mub``. A usage error loads nothing beyond click and
-``paulimix.errors``.
+loads only what its command uses. ``regime``, ``measure`` and ``sweep`` with
+the closed form or the quadrature, and the eigenvalue commands
+(``singular-time``, ``cp-check``, ``generator``), which work on the d+1
+eigenvalues as Python floats, never import numpy; the eigenvalue commands
+never import ``paulimix.mub`` either. numpy is loaded by ``evolve`` (after
+its weights and family are validated), ``mub verify`` and the Monte Carlo
+draws. A usage error loads nothing beyond click and ``paulimix.errors``.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, before any command imports numpy: up to d = 32 no command multiplies
+matrices larger than 32 x 1056, and OpenBLAS would otherwise start a
+spinning thread per core in every process that loads numpy. A value the
+user sets is kept.
+
+The eigenvalue commands and ``evolve`` refuse, before their work per time
+starts, to compute more than ``_MAX_VALUES`` values: the d+1 eigenvalues at each of the
+``--steps`` + 1 times of ``cp-check``, the ``--grid`` times of
+``singular-time`` and the five times of a single-map ``generator``, and for
+``evolve`` the eigenvalues and the d*d state entries at each time.
 """
 
 from __future__ import annotations
@@ -19,18 +33,39 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-import click
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import PaulimixError, RegimeMismatchError, ValidationError
+import click  # noqa: E402
+
+from .errors import PaulimixError, RegimeMismatchError, ValidationError  # noqa: E402
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .dynmaps import DecoherenceFunction
+
+# the eigenvalue commands and evolve are refused beyond this many values,
+# times * (values per time). One value costs 0.35-0.5 us in the singular-time
+# scan, 1.6 us in cp-check at d=32, and 11-15 us in cp-check and evolve at d=2,
+# where the JSON of each time dominates; so this is 0.4-16 s of work, and
+# 130-430 MB at the top (one process, 2-core VM). singular-time's default grid
+# of 4001 points fits up to d = 261.
+_MAX_VALUES = 1 << 20
+
+
+def _check_work(times: int, per_time: int) -> None:
+    """Refuses a command that would compute ``per_time`` values at each of ``times`` times."""
+    work = times * per_time
+    if work > _MAX_VALUES:
+        raise ValidationError(
+            f"{times} times of {per_time} values each make {work} values, over the limit of {_MAX_VALUES}; "
+            "use fewer steps, times or grid points"
+        )
 
 
 def _guard(fn):
@@ -95,9 +130,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _parse_weights(text: str, d: int) -> np.ndarray:
-    import numpy as np
-
+def _parse_weights(text: str, d: int) -> list[float]:
     parts = _parse_floats(text, "weights")
     if len(parts) != d + 1:
         raise ValidationError(f"need {d + 1} comma-separated weights for d={d}, got {len(parts)}")
@@ -110,7 +143,7 @@ def _parse_weights(text: str, d: int) -> np.ndarray:
         raise ValidationError(f"weights must sum to 1 (got {total!r})")
     if abs(total - 1.0) > 1e-9:
         click.echo(f"warning: weights sum to {total!r}; renormalizing", err=True)
-    return np.array(parts) / total
+    return [x / total for x in parts]
 
 
 def _build_pf(
@@ -207,6 +240,7 @@ def singular_time(
     w = _parse_weights(weights, d)
     pf = _build_pf(family, n, c, omega, t_sharp)
     m = mixture_map(d, w, pf)
+    _check_work(grid, d + 1)
     if t_max is None:
         if family == "exponential":
             t_max = 50.0 / c
@@ -219,11 +253,11 @@ def singular_time(
     payload = {
         "d": d,
         "family": pf.describe(),
-        "weights": [float(x) for x in w],
+        "weights": w,
         "entries": [
             {
                 "i": i,
-                "x": float(w[i]),
+                "x": w[i],
                 "t_star_analytic": analytic.singular_times[i],
                 "t_star_numeric": numeric.singular_times[i],
             }
@@ -316,8 +350,7 @@ def sweep_cmd(
     from . import measure as measure_mod
 
     method_name = {"closed": "closed_form", "quadrature": "quadrature", "mc": "monte_carlo"}[method]
-    d_list = measure_mod.sweep_dimensions(lo, hi, n)
-    rows = measure_mod.sweep(d_list, n, method=method_name, samples=samples, seed=seed)
+    rows = measure_mod.sweep_range(lo, hi, n, method=method_name, samples=samples, seed=seed)
     if fmt == "csv":
         lines = ["d,delta,log10_delta"]
         for row in rows:
@@ -388,29 +421,29 @@ def evolve(
     output: Optional[str],
 ) -> None:
     """Trajectory of a state under the mixture map, with the eigenvalue profile."""
-    import numpy as np
-
-    from .dynmaps import mixture_map
+    from .dynmaps import _linspace, mixture_map
     from .serialization import complex_matrix_to_pairs
 
     w = _parse_weights(weights, d)
     pf = _build_pf(family, n, c, omega, t_sharp)
     m = mixture_map(d, w, pf)
-    rho0 = _initial_state(state, d)
+    rho0 = _initial_state(state, d)  # the first to import numpy
     if times is not None:
         ts = _parse_floats(times, "times")
+        _check_work(len(ts), d * d + d + 1)
     else:
         if steps < 1:
             raise ValidationError(f"steps must be >= 1, got {steps}")
-        ts = list(np.linspace(0.0, t_max, steps + 1))
+        _check_work(steps + 1, d * d + d + 1)
+        ts = _linspace(0.0, t_max, steps + 1)
     if any(t < 0 for t in ts):
         raise ValidationError("times must be nonnegative")
     payload = {
         "d": d,
         "family": pf.describe(),
-        "weights": [float(x) for x in w],
+        "weights": w,
         "times": ts,
-        "eigenvalues": [[float(v) for v in m.eigenvalues(t)] for t in ts],
+        "eigenvalues": [m.eigenvalues(t) for t in ts],
         "states": [complex_matrix_to_pairs(m.apply(t, rho0)) for t in ts],
     }
     _emit_json(payload, output)
@@ -480,9 +513,7 @@ def cp_check(
     output: Optional[str],
 ) -> None:
     """Complete positivity of the propagators between consecutive grid times."""
-    import numpy as np
-
-    from .dynmaps import mixture_map
+    from .dynmaps import _linspace, mixture_map
     from .invertibility import cp_divisibility_check
 
     w = _parse_weights(weights, d)
@@ -490,11 +521,12 @@ def cp_check(
     m = mixture_map(d, w, pf)
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    records = cp_divisibility_check(m, np.linspace(0.0, t_max, steps + 1), tol=tol)
+    _check_work(steps + 1, d + 1)
+    records = cp_divisibility_check(m, _linspace(0.0, t_max, steps + 1), tol=tol)
     payload = {
         "d": d,
         "family": pf.describe(),
-        "weights": [float(x) for x in w],
+        "weights": w,
         "tol": tol,
         "steps": [r.to_payload() for r in records],
         "all_cp": all(r.cp for r in records),
@@ -526,8 +558,6 @@ def generator(
     output: Optional[str],
 ) -> None:
     """Numeric time-local generator rates versus the analytic profile."""
-    import numpy as np
-
     from .dynmaps import decay_rate, generator_rates, mixture_map
     from .finite_field import factor_prime_power
 
@@ -535,8 +565,8 @@ def generator(
     single = weights is None
     if single:
         factor_prime_power(d)  # d sizes the one-hot weights
-        w = np.zeros(d + 1)
-        w[0] = 1.0
+        _check_work(5, d + 1)  # lambda(t) twice and the stencil's two or three times
+        w = [1.0] + [0.0] * d
     else:
         w = _parse_weights(weights, d)
     if h is None:
@@ -548,12 +578,12 @@ def generator(
     entries = []
     for i in range(d + 1):
         analytic = -(d / (d - 1)) * (1.0 - w[i]) * dp / lam[i]
-        num = float(numeric[i])
+        num = numeric[i]
         denom = max(abs(analytic), 1e-30)
         entries.append(
             {
                 "i": i,
-                "x": float(w[i]),
+                "x": w[i],
                 "rate_numeric": num,
                 "rate_analytic": analytic,
                 "rel_diff": abs(num - analytic) / denom,
@@ -568,7 +598,7 @@ def generator(
     }
     if single and d == 2 and family in ("exponential", "cosine"):
         gamma_analytic = decay_rate(pf, t)
-        gamma_numeric = -float(numeric[1]) / 2.0
+        gamma_numeric = -numeric[1] / 2.0
         payload["gamma"] = {
             "analytic": gamma_analytic,
             "numeric": gamma_numeric,

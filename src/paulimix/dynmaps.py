@@ -19,6 +19,14 @@ A ``MixtureMap`` holds no basis: only ``apply`` and the dense oracle fetch
 the (cached) bases or unitaries from ``paulimix.mub``, which the eigenvalue
 routes never import.
 
+The core is Python floats: the weights are a tuple, ``eigenvalues`` and
+``generator_rates`` return tuples, and none of it imports numpy, so the
+eigenvalue commands run without it. Where the core sums or spaces values
+the way numpy did, ``_pairwise_sum`` and ``_linspace`` reproduce numpy's
+results bit for bit. Everything that works on matrices (``apply``, the
+density-matrix helpers, ``vec``/``unvec``, Choi/Kraus and the dense oracle)
+imports numpy inside its own body.
+
 The dense d^2 x d^2 representation (``MixtureMap.superoperator``,
 ``to_choi``, ``is_cp``, ``numeric_generator``, ``KrausSet``) is built from
 the definition, independently of the eigenvalues, and serves as the oracle
@@ -39,9 +47,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import (
     NegativeTimeError,
@@ -51,6 +57,65 @@ from .errors import (
     ValidationError,
 )
 from .finite_field import PrimePowerDim, factor_prime_power
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+# --- float helpers that match numpy bit for bit ------------------------------
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of ``values`` in the order of numpy's float64 add-reduce, bit for bit.
+
+    numpy adds fewer than 8 values in one loop, up to 128 in eight
+    interleaved accumulators, and splits longer runs in two at a multiple
+    of 8 (``pairwise_sum`` in numpy/_core/src/umath/loops_utils.h.src); the
+    reduction starts from 0.0. Python's ``sum`` and ``math.fsum`` round
+    differently, and ``sum`` differs between Python versions.
+    """
+    return 0.0 + _pairwise(values)
+
+
+def _pairwise(a: Sequence[float]) -> float:
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for x in a:
+            res += x
+        return res
+    if n <= 128:
+        r = list(a[:8])
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[stop:]:
+            res += x
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a[:half]) + _pairwise(a[half:])
+
+
+def _linspace(a: float, b: float, num: int) -> list[float]:
+    """``np.linspace(a, b, num)`` for num >= 2, as floats, bit for bit.
+
+    Value i is i*step + a with step = (b - a)/(num - 1), and the last value
+    is b itself; when the step underflows to zero, numpy takes
+    (i/(num - 1))*(b - a) + a instead, and so does this.
+    """
+    div = num - 1
+    delta = b - a
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + a for i in range(num)]
+    else:
+        values = [i * step + a for i in range(num)]
+    values[-1] = b
+    return values
+
 
 # --- decoherence functions -------------------------------------------------
 
@@ -193,6 +258,8 @@ class Plateau(DecoherenceFunction):
 
 def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
     """(hermiticity defect, |trace - 1|, min eigenvalue) of a candidate state."""
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     tr = abs(complex(np.trace(rho)) - 1.0)
@@ -201,6 +268,8 @@ def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
@@ -218,6 +287,8 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     """Ginibre-induced random full-rank state."""
+    import numpy as np
+
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -228,10 +299,14 @@ def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
+    import numpy as np
+
     return np.asarray(mat).T.reshape(-1)
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(v)
     d = int(round(math.sqrt(v.size)))
     return v.reshape(d, d).T
@@ -252,34 +327,35 @@ class MixtureMap:
     Weights may sit on the boundary of the simplex (zeros allowed), which
     covers the single-input-map limit, so a one-hot weight vector is a
     single input map; they must be finite, nonnegative and sum to one
-    within 1e-12.
+    within 1e-12. They are kept as a tuple of floats.
     """
 
     dim: PrimePowerDim
-    weights: np.ndarray
+    weights: tuple[float, ...]
     pf: DecoherenceFunction
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
         d = self.d
-        if w.shape != (d + 1,):
-            raise ValidationError(f"need {d + 1} weights for dimension {d}, got {w.shape}")
-        if not np.all(np.isfinite(w)):
+        w = _weight_tuple(self.weights, d)
+        if not all(map(math.isfinite, w)):
             raise ValidationError("weights must be finite numbers")
-        if np.any(w < 0):
+        if any(x < 0 for x in w):
             raise ValidationError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValidationError(f"weights must sum to 1, got {w.sum()!r}")
+        total = _pairwise_sum(w)
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"weights must sum to 1, got {total!r}")
         self.weights = w
 
     @property
     def d(self) -> int:
         return self.dim.q
 
-    def eigenvalues(self, t: float) -> np.ndarray:
+    def eigenvalues(self, t: float) -> tuple[float, ...]:
         """lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t), indexed by mixing index i."""
         d = self.d
-        return 1.0 - (d / (d - 1)) * (1.0 - self.weights) * self.pf.value(t)
+        scale = d / (d - 1)
+        p = self.pf.value(t)
+        return tuple(1.0 - scale * (1.0 - x) * p for x in self.weights)
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         """Evolve a state: (1 - a) rho + a sum_i x_i dephase_i(rho), a = p d/(d-1).
@@ -287,6 +363,8 @@ class MixtureMap:
         dephase_i(rho) = B_i diag(B_i^dag rho B_i) B_i^dag keeps the diagonal
         of rho in basis i; all d+1 of them come from two d x d(d+1) products.
         """
+        import numpy as np
+
         d = self.d
         a = self.pf.value(t) * d / (d - 1)
         rho = np.asarray(rho, dtype=complex)
@@ -305,6 +383,8 @@ class MixtureMap:
     @cached_property
     def _conjugation_superop(self) -> np.ndarray:
         """sum_i x_i sum_k conj(U_i^k) kron U_i^k, the t-independent part."""
+        import numpy as np
+
         from .mub import cached_unitaries
 
         d = self.d
@@ -327,6 +407,8 @@ class MixtureMap:
         Built from the definition as an independent oracle for the
         eigenvalue core; no command computes it.
         """
+        import numpy as np
+
         d = self.d
         p = self.pf.value(t)
         return (1.0 - p) * np.eye(d * d, dtype=complex) + (p / (d - 1)) * self._conjugation_superop
@@ -334,7 +416,18 @@ class MixtureMap:
 
 def mixture_map(d: int, weights, pf: DecoherenceFunction) -> MixtureMap:
     """Build a mixture map for the prime-power dimension d; builds no basis."""
-    return MixtureMap(dim=factor_prime_power(d), weights=np.asarray(weights, dtype=float), pf=pf)
+    return MixtureMap(dim=factor_prime_power(d), weights=weights, pf=pf)
+
+
+def _weight_tuple(weights, d: int) -> tuple[float, ...]:
+    """The d+1 weights of dimension d as floats; refuses any other number of them."""
+    try:
+        w = tuple(map(float, weights))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"need {d + 1} weights for dimension {d}: {exc}") from exc
+    if len(w) != d + 1:
+        raise ValidationError(f"need {d + 1} weights for dimension {d}, got ({len(w)},)")
+    return w
 
 
 # --- Choi / CP --------------------------------------------------------------
@@ -346,6 +439,8 @@ def to_choi(superop: np.ndarray) -> np.ndarray:
     With S = sum_r conj(K_r) kron K_r this returns
     sum_r vec(K_r) vec(K_r)^dag (trace d for trace-preserving maps).
     """
+    import numpy as np
+
     s = np.asarray(superop)
     d = int(round(math.sqrt(s.shape[0])))
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
@@ -356,6 +451,8 @@ def is_cp(choi: np.ndarray, tol: float = 1e-10, herm_tol: float = 1e-10) -> tupl
 
     Raises NonHermitianError when the input is not Hermitian within herm_tol.
     """
+    import numpy as np
+
     c = np.asarray(choi)
     herm = float(np.max(np.abs(c - c.conj().T)))
     if herm > herm_tol:
@@ -374,6 +471,8 @@ class KrausSet:
     operators: list[np.ndarray]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not self.operators:
             raise ValidationError("a Kraus set needs at least one operator")
         self.operators = [np.asarray(k, dtype=complex) for k in self.operators]
@@ -387,16 +486,22 @@ class KrausSet:
 
     def completeness_defect(self) -> float:
         """max |sum K^dag K - I|; zero for trace-preserving maps."""
+        import numpy as np
+
         acc = sum(k.conj().T @ k for k in self.operators)
         return float(np.max(np.abs(acc - np.eye(self.d))))
 
     def to_superoperator(self) -> np.ndarray:
+        import numpy as np
+
         acc = np.zeros((self.d**2, self.d**2), dtype=complex)
         for k in self.operators:
             acc += np.kron(k.conj(), k)
         return acc
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         rho = np.asarray(rho, dtype=complex)
         return sum(k @ rho @ k.conj().T for k in self.operators)
 
@@ -460,25 +565,26 @@ def decay_rate(pf: DecoherenceFunction, t: float) -> float:
     raise ValidationError(f"decay rate has no closed form for the {pf.family} family")
 
 
-def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> np.ndarray:
+def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:
     """lambda(t), after checking the step and that the map is invertible at t."""
     if h <= 0:
         raise ValidationError(f"step must be > 0, got {h}")
     lam = m.eigenvalues(t)
-    if np.min(np.abs(lam)) < 1e-12:
+    if min(map(abs, lam)) < 1e-12:
         raise SingularAtTimeError(f"map has a zero eigenvalue at t={t}")
     return lam
 
 
-def _time_derivative(f: Callable[[float], np.ndarray], t: float, h: float) -> np.ndarray:
-    """df/dt at t with step h.
+def _time_derivative(f: Callable[[float], Sequence], t: float, h: float) -> list:
+    """df/dt at t with step h, entry by entry of the sequence f returns.
 
     Central differences away from t = 0; a second-order forward stencil
-    when t < h keeps the O(h^2) accuracy without negative times.
+    when t < h keeps the O(h^2) accuracy without negative times. An entry
+    may be a float or a numpy row.
     """
     if t - h >= 0:
-        return (f(t + h) - f(t - h)) / (2 * h)
-    return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2 * h)) / (2 * h)
+        return [(a - b) / (2 * h) for a, b in zip(f(t + h), f(t - h))]
+    return [(-3.0 * a + 4.0 * b - c) / (2 * h) for a, b, c in zip(f(t), f(t + h), f(t + 2 * h))]
 
 
 def numeric_generator(m: MixtureMap, t: float, h: float) -> np.ndarray:
@@ -487,11 +593,13 @@ def numeric_generator(m: MixtureMap, t: float, h: float) -> np.ndarray:
     The dense oracle for ``generator_rates``. Raises SingularAtTimeError
     when the map is not invertible at t.
     """
+    import numpy as np
+
     _invertible_eigenvalues(m, t, h)
-    return _time_derivative(m.superoperator, t, h) @ np.linalg.inv(m.superoperator(t))
+    return np.array(_time_derivative(m.superoperator, t, h)) @ np.linalg.inv(m.superoperator(t))
 
 
-def generator_rates(m: MixtureMap, t: float, h: float) -> np.ndarray:
+def generator_rates(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:
     """Per-index eigenvalue rates lambda_i'(t)/lambda_i(t) of the generator.
 
     The generator is diagonal on the eigenoperators U_i^k, so its rates are
@@ -499,4 +607,4 @@ def generator_rates(m: MixtureMap, t: float, h: float) -> np.ndarray:
     Raises SingularAtTimeError when the map is not invertible at t.
     """
     lam = _invertible_eigenvalues(m, t, h)
-    return _time_derivative(m.eigenvalues, t, h) / lam
+    return tuple(s / x for s, x in zip(_time_derivative(m.eigenvalues, t, h), lam))

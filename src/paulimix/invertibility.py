@@ -5,7 +5,11 @@ lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t) hits zero. This module provides
 the closed-form singular times per decoherence family, a family-agnostic
 numeric scan (grid + bisection) that only uses lambda_i(t) values, and a
 stepwise CP check of the propagators between grid times. Every route works
-on the d+1 eigenvalues; none builds a dense superoperator.
+on the d+1 eigenvalues as Python floats; none builds a dense superoperator,
+and none imports numpy. The grids are numpy's ``linspace`` and the CP
+check's sums numpy's pairwise sums, reproduced bit for bit by
+``dynmaps._linspace`` and ``dynmaps._pairwise_sum``, so every result is the
+one the numpy version of this module gave.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import sub
 from typing import Callable, Optional
 
-import numpy as np
-
-from .dynmaps import Cosine, Exponential, MixtureMap, Plateau
+from .dynmaps import Cosine, Exponential, MixtureMap, Plateau, _linspace, _pairwise_sum, _weight_tuple
 from .errors import (
     NotQubitError,
     SingularAtGridPointError,
@@ -105,11 +108,9 @@ def output_invertible(d: int, n: float, weights) -> bool:
 
     The boundary x_i = g counts as invertible: the singular time diverges.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (d + 1,):
-        raise ValidationError(f"need {d + 1} weights for dimension {d}, got {w.shape}")
+    w = _weight_tuple(weights, d)
     g = g_threshold(d, n).g
-    return bool(np.all(w >= g - THRESHOLD_ATOL))
+    return all(x >= g - THRESHOLD_ATOL for x in w)
 
 
 # --- reports ------------------------------------------------------------------
@@ -147,10 +148,8 @@ def _is_semigroup_point(m: MixtureMap) -> bool:
         return False
     d = m.d
     magic = d * d / (d * d - 1.0)
-    return (
-        abs(m.pf.n - magic) <= 1e-12
-        and float(np.max(np.abs(m.weights - 1.0 / (d + 1)))) <= 1e-12
-    )
+    equal = 1.0 / (d + 1)
+    return abs(m.pf.n - magic) <= 1e-12 and max(abs(x - equal) for x in m.weights) <= 1e-12
 
 
 def _build_report(
@@ -190,12 +189,12 @@ def analytic_singularity_report(m: MixtureMap) -> InvertibilityReport:
     times: list[Optional[float]] = []
     for x in m.weights:
         if isinstance(m.pf, Exponential):
-            times.append(singular_time_exponential(d, m.pf.n, m.pf.c, float(x)))
+            times.append(singular_time_exponential(d, m.pf.n, m.pf.c, x))
         elif isinstance(m.pf, Cosine):
-            times.append(singular_time_cosine(m.pf.omega, float(x), d))
+            times.append(singular_time_cosine(m.pf.omega, x, d))
         elif isinstance(m.pf, Plateau):
             if d == 2:
-                times.append(singular_time_plateau(m.pf.ramp, m.pf.t_sharp, float(x)))
+                times.append(singular_time_plateau(m.pf.ramp, m.pf.t_sharp, x))
             else:
                 # p <= 1/2 < (d-1)/(d(1-x)) for every d > 2 and x >= 0
                 times.append(None)
@@ -264,7 +263,8 @@ def numeric_singularity_scan(
     minima and accepting |lambda| <= tol. Cosine-family scans are clamped
     to one period by default since the roots repeat. A GridTooCoarse
     advisory is attached when consecutive grid values jump by more than
-    ``coarse_threshold``.
+    ``coarse_threshold``. The (d+1) x grid table of eigenvalues is built
+    one row at a time.
     """
     if t_max <= 0:
         raise ValidationError(f"t_max must be > 0, got {t_max}")
@@ -273,52 +273,51 @@ def numeric_singularity_scan(
     if restrict_to_period and isinstance(m.pf, Cosine):
         t_max = min(t_max, 2 * math.pi / m.pf.omega)
 
-    grid = np.linspace(0.0, t_max, grid_points)
-    p_vals = np.array([m.pf.value(t) for t in grid])
+    grid = _linspace(0.0, t_max, grid_points)
+    p_vals = [m.pf.value(t) for t in grid]
     d = m.d
-    coefs = (d / (d - 1)) * (1.0 - m.weights)
-    lam_grid = 1.0 - coefs[:, None] * p_vals[None, :]  # (d+1, grid)
+    scale = d / (d - 1)
 
-    warnings: list[str] = []
-    jump = float(np.max(np.abs(np.diff(lam_grid, axis=1)))) if grid_points > 1 else 0.0
-    if jump > coarse_threshold:
-        warnings.append(
-            f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "
-            "double roots may be missed"
-        )
-
+    jump = 0.0
     times: list[Optional[float]] = []
-    for i in range(d + 1):
-        coef = coefs[i]
-        lam = lam_grid[i]
+    for x in m.weights:
+        coef = scale * (1.0 - x)
+        lam = [1.0 - coef * p for p in p_vals]
+        jump = max(jump, max(map(abs, map(sub, lam[1:], lam))))
 
         def f(t: float, coef: float = coef) -> float:
             return 1.0 - coef * m.pf.value(t)
 
         root: Optional[float] = None
+        low = min(lam)
         # transversal roots must be certified by genuinely negative values;
         # near the divergence threshold the eigenvalue can underflow to a
         # zero-ish float without ever crossing, which is not a singularity
-        below = np.flatnonzero(lam < -tol)
-        if below.size:
-            j_neg = int(below[0])
-            positives = np.flatnonzero(lam[:j_neg] > tol)
-            j_pos = int(positives[-1]) if positives.size else 0
-            root = _bisect_root(f, float(grid[j_pos]), float(grid[j_neg]))
+        if low < -tol:
+            j_neg = next(j for j, v in enumerate(lam) if v < -tol)
+            j_pos = next((j for j in range(j_neg - 1, -1, -1) if lam[j] > tol), 0)
+            root = _bisect_root(f, grid[j_pos], grid[j_neg])
         else:
             # tangential dip (double root): refine around a strict interior
             # minimum; a flat run of zero-ish values is precision underflow
             # at the divergence threshold, not a singularity
-            j = int(np.argmin(lam))
+            j = lam.index(low)
             if (
                 0 < j < grid_points - 1
-                and lam[j] < min(lam[0], coarse_threshold)
-                and lam[j - 1] > lam[j] < lam[j + 1]
+                and low < min(lam[0], coarse_threshold)
+                and lam[j - 1] > low < lam[j + 1]
             ):
-                t_min, f_min = _refine_minimum(f, float(grid[j - 1]), float(grid[j + 1]))
+                t_min, f_min = _refine_minimum(f, grid[j - 1], grid[j + 1])
                 if abs(f_min) <= tol:
                     root = t_min
         times.append(root)
+
+    warnings: list[str] = []
+    if jump > coarse_threshold:
+        warnings.append(
+            f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "
+            "double roots may be missed"
+        )
     return _build_report(m, times, method="numeric", warnings=warnings)
 
 
@@ -358,30 +357,34 @@ def cp_divisibility_check(
     flag. The tests check it against the dense Choi matrix of K. Raises
     SingularAtGridPointError when the map is singular at any grid time.
     """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 2:
+    try:
+        ts = [float(t) for t in times]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("need an increasing grid of at least two times") from exc
+    if len(ts) < 2:
         raise ValidationError("need an increasing grid of at least two times")
-    if not np.all(np.isfinite(ts)):
+    if not all(map(math.isfinite, ts)):
         raise ValidationError("times must be finite")
-    if np.any(np.diff(ts) < 0):
+    if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValidationError("times must be nondecreasing")
-    lams = [m.eigenvalues(float(t)) for t in ts]
+    lams = [m.eigenvalues(t) for t in ts]
     for t, lam in zip(ts, lams):
-        if float(np.min(np.abs(lam))) < 1e-12:
+        if min(map(abs, lam)) < 1e-12:
             raise SingularAtGridPointError(f"map is singular at grid time t={t}")
 
     d = m.d
+    scale = (d - 1) / d**2
     steps: list[PropagatorStep] = []
-    for t_prev, t_next, lam_prev, lam_next in zip(ts[:-1], ts[1:], lams[:-1], lams[1:]):
-        mu = lam_next / lam_prev
-        total = float(np.sum(mu))
+    for t_prev, t_next, lam_prev, lam_next in zip(ts, ts[1:], lams, lams[1:]):
+        mu = [b / a for a, b in zip(lam_prev, lam_next)]
+        total = _pairwise_sum(mu)
         p0 = (1.0 + (d - 1) * total) / d**2
-        p = (d - 1) / d**2 * (1.0 + d * mu - total)
-        lam_min = d * min(p0, float(np.min(p)) / (d - 1))
+        p_min = min(scale * (1.0 + d * x - total) for x in mu)
+        lam_min = d * min(p0, p_min / (d - 1))
         steps.append(
             PropagatorStep(
-                t_start=float(t_prev),
-                t_end=float(t_next),
+                t_start=t_prev,
+                t_end=t_next,
                 choi_min_eigenvalue=lam_min,
                 cp=lam_min >= -tol,
             )

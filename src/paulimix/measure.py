@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice
 from typing import TYPE_CHECKING, Optional
 
 from .errors import RegimeMismatchError, ValidationError
-from .finite_field import _MR_EXACT_BELOW, factor_prime_power, is_prime_power
+from .finite_field import _MR_EXACT_BELOW, _int_root, _is_prime, factor_prime_power, is_prime_power
 
 # numpy is imported by the Monte Carlo paths only, and fractions by the
 # quadrature only, so the regime and the closed form run without either
@@ -79,6 +79,19 @@ _MC_MAX_D = 1 << 22
 # lengthen with d, and the cost grows about as d^4 (0.16 s at d=64, 0.68 s at
 # d=101, 1.6 s at d=128, one process on a 2-core VM)
 _QUADRATURE_MAX_D = 101
+
+# a sweep is refused beyond this many integers in its range, hi - lo + 1:
+# where sqrt(hi) is in the sieve's reach, a range this wide is sieved in 0.1 s
+# and `sweep --lo 1000 --hi 1000000` (78k closed-form rows) takes 0.9 s as one
+# process; near the top of the exact primality test (hi ~ 1e20..3e24) each
+# prime left by the sieve takes 13 Miller-Rabin rounds, and a range this wide
+# takes 8-10 s (one process, 2-core VM)
+_SWEEP_MAX_WIDTH = 1 << 20
+
+# the range of a sweep is sieved by the primes up to this bound, or up to
+# sqrt(hi) if that is smaller; above it, what the sieve leaves is tested with
+# the exact Miller-Rabin test one number at a time
+_SIEVE_MAX_PRIME = 1 << 20
 
 # weights this close to the threshold g(d, n) count as on the boundary, which
 # is invertible (the singular time diverges); absorbs float noise in g itself
@@ -181,14 +194,16 @@ def delta_closed_form(d: int, n: float) -> MeasureResult:
     """Closed-form invertible fraction; 1 above the interval, 0 below."""
     factor_prime_power(d)
     _check_n(n)
+    return MeasureResult(d=d, n=n, delta=_closed_form_delta(d, n), method="closed_form")
+
+
+def _closed_form_delta(d: int, n: float) -> float:
     lower, upper = _interval(d)
     if n >= upper:
-        delta = 1.0
-    elif n <= lower:
-        delta = 0.0
-    else:
-        delta = ((d * d * (n - 1.0) - n) / d) ** d
-    return MeasureResult(d=d, n=n, delta=delta, method="closed_form")
+        return 1.0
+    if n <= lower:
+        return 0.0
+    return ((d * d * (n - 1.0) - n) / d) ** d
 
 
 def _nested_simplex_integral(d: int, g: Fraction) -> Fraction:
@@ -445,9 +460,38 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
 
 
 def prime_powers_in(lo: int, hi: int) -> list[int]:
-    """All prime powers in [lo, hi], ascending."""
+    """All prime powers in [lo, hi], ascending, by a sieve of the range.
+
+    The primes are what is left of [lo, hi] once the multiples of every
+    prime up to sqrt(hi) are struck out (Eratosthenes, segmented); past
+    ``_SIEVE_MAX_PRIME``^2 the sieve stops at that bound and the exact
+    primality test decides what it leaves. The powers p^k, k >= 2, come from
+    the integer k-th roots of lo - 1 and hi. Refused (ValidationError) for a
+    range wider than ``_SWEEP_MAX_WIDTH``.
+    """
     _check_range(lo, hi)
-    return [d for d in range(lo, hi + 1) if is_prime_power(d)]
+    if hi - lo + 1 > _SWEEP_MAX_WIDTH:
+        raise ValidationError(
+            f"a sweep is limited to {_SWEEP_MAX_WIDTH} integers, got [{lo}, {hi}] with {hi - lo + 1}"
+        )
+    bound = min(math.isqrt(hi), _SIEVE_MAX_PRIME)
+    small = bytearray([1]) * (bound + 1)
+    small[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if small[p]:
+            small[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    # sieve[i] says whether lo + i may be prime
+    sieve = bytearray([1]) * (hi - lo + 1)
+    for p in compress(range(bound + 1), small):
+        first = max(p * p, -(-lo // p) * p)
+        if first <= hi:
+            sieve[first - lo :: p] = bytes(len(range(first, hi + 1, p)))
+    found = [d for d in compress(range(lo, hi + 1), sieve) if d >= 2]
+    if bound < math.isqrt(hi):
+        found = [d for d in found if _is_prime(d)]
+    for k in range(2, hi.bit_length()):
+        found += [p**k for p in range(_int_root(lo - 1, k) + 1, _int_root(hi, k) + 1) if _is_prime(p)]
+    return sorted(found)
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -525,6 +569,9 @@ class SweepRow:
         return {"d": self.d, "delta": self.delta, "log10_delta": self.log10_delta}
 
 
+_SWEEP_METHODS = ("closed_form", "quadrature", "monte_carlo")
+
+
 def sweep(
     d_list,
     n: float,
@@ -540,7 +587,7 @@ def sweep(
     stream of the seed in a single pass, and each row's delta is exactly
     ``delta_monte_carlo(d, n, samples, seed).delta``.
     """
-    if method not in ("closed_form", "quadrature", "monte_carlo"):
+    if method not in _SWEEP_METHODS:
         raise ValidationError(f"unknown method {method!r}")
     _check_n(n)
     ds = [int(d) for d in d_list]
@@ -553,8 +600,32 @@ def sweep(
     if offenders:
         more = len(offenders) - _LISTED_OFFENDERS
         raise _regime_mismatch(n, offenders[:_LISTED_OFFENDERS], f"{more} more" if more > 0 else "")
+    return _sweep_rows(ds, n, method, samples, seed)
+
+
+def sweep_range(
+    lo: int,
+    hi: int,
+    n: float,
+    method: str = "closed_form",
+    samples: int = 10**6,
+    seed: int = 0,
+) -> list[SweepRow]:
+    """``sweep(sweep_dimensions(lo, hi, n), n, ...)``, without checking its prime powers again.
+
+    ``sweep_dimensions`` has found them by the sieve and checked n against
+    both ends of the range, so no row is factored or classified twice.
+    """
+    ds = sweep_dimensions(lo, hi, n)
+    if method not in _SWEEP_METHODS:
+        raise ValidationError(f"unknown method {method!r}")
+    return _sweep_rows(ds, n, method, samples, seed)
+
+
+def _sweep_rows(ds: list[int], n: float, method: str, samples: int, seed: int) -> list[SweepRow]:
+    """The rows of ``sweep`` for prime powers ``ds`` whose intervals all hold n."""
     if method == "closed_form":
-        deltas = [delta_closed_form(d, n).delta for d in ds]
+        deltas = [_closed_form_delta(d, n) for d in ds]
     elif method == "quadrature":
         deltas = [delta_quadrature(d, n).delta for d in ds]
     else:

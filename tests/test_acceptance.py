@@ -168,7 +168,7 @@ def test_07_semigroup_point():
         m = mixture_map(d, np.full(d + 1, 1.0 / (d + 1)), Exponential(n=n, c=c))
         times = np.linspace(0.1, 3.0, 10)
         for t in times:
-            lam = m.eigenvalues(float(t))
+            lam = np.asarray(m.eigenvalues(float(t)))
             assert np.max(np.abs(lam - math.exp(-c * t))) <= 1e-12, (d, t)
         rate_samples = np.array([generator_rates(m, float(t), h=1e-5) for t in times])
         assert np.max(np.abs(rate_samples + c)) <= 1e-6, d

@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paulimix import cli as cli_mod
+from paulimix import dynmaps, invertibility
 from paulimix import measure as measure_mod
 from paulimix.cli import main
 from paulimix.dynmaps import random_density_matrix
@@ -186,6 +188,69 @@ def test_monte_carlo_refuses_work_and_memory_beyond_its_limits_at_once(runner, m
         tracemalloc.stop()
     assert again.stderr == result.stderr
     assert peak < 2**20  # bytes: the refusal allocates no buffer
+
+
+# one call per command whose work is over the limit: (argv, the function doing the work)
+_OVER_THE_WORK_LIMIT = {
+    "cp-check-steps": (["cp-check", "--d", "2", "--n", "1.5", "--weights", "0.5,0.3,0.2", "--steps", "1000000"],
+                       (invertibility, "cp_divisibility_check")),
+    "singular-time-grid": (["singular-time", "--d", "32", "--n", "1.03", "--weights", ",".join([repr(1 / 33)] * 33),
+                            "--grid", "40000"], (invertibility, "numeric_singularity_scan")),
+    "evolve-steps": (["evolve", "--d", "32", "--n", "1.03", "--weights", ",".join([repr(1 / 33)] * 33),
+                      "--steps", "1000"], (dynmaps.MixtureMap, "apply")),
+    "evolve-times": (["evolve", "--d", "2", "--n", "1.5", "--weights", "0.5,0.3,0.2",
+                      "--times", ",".join(["1.0"] * 150000)], (dynmaps.MixtureMap, "apply")),
+    "generator-d": (["generator", "--d", "1000003", "--n", "1.5", "--t", "0.5"], (dynmaps, "generator_rates")),
+}
+
+
+@pytest.mark.parametrize("args, worker", _OVER_THE_WORK_LIMIT.values(), ids=_OVER_THE_WORK_LIMIT.keys())
+def test_map_commands_refuse_work_beyond_their_limit_at_once(runner, monkeypatch, args, worker):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the refusal")
+
+    monkeypatch.setattr(*worker, no_work)
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 3.0
+    assert result.exit_code == 2, result.output
+    assert f"over the limit of {cli_mod._MAX_VALUES}" in result.stderr
+    assert result.stdout == ""
+    if args[0] == "generator":  # the one-hot weights of a large d are never built
+        tracemalloc.start()
+        try:
+            runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_map_commands_answer_up_to_their_limit(runner):
+    # singular-time's default grid at d = 257: (d+1) * 4001 values, just under the limit
+    weights = ",".join([repr(1 / 258)] * 258)
+    payload = run_ok(runner, ["singular-time", "--d", "257", "--n", "1.004", "--weights", weights])
+    assert len(payload["entries"]) == 258
+    grid = cli_mod._MAX_VALUES // 3  # grid * (d + 1) values at d = 2
+    args = ["singular-time", "--d", "2", "--n", "1.5", "--weights", "0.5,0.3,0.2", "--grid"]
+    assert runner.invoke(main, args + [str(grid)]).exit_code == 0
+    assert runner.invoke(main, args + [str(grid + 1)]).exit_code == 2
+
+
+def test_sweep_refuses_a_range_wider_than_its_limit(runner):
+    width = measure_mod._SWEEP_MAX_WIDTH
+    start = time.perf_counter()
+    result = runner.invoke(main, ["sweep", "--lo", "100000000", "--hi", "1000000000", "--n", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert f"limited to {width} integers" in result.stderr
+    assert result.stdout == ""
+    # n = 1 + 1e-6 lies in the interval of every d in [1000, 1e6]
+    result = runner.invoke(main, ["sweep", "--lo", "1000", "--hi", "1000000", "--n", "1.00000100001"])
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 + len(measure_mod.prime_powers_in(1000, 1000000))
+    assert lines[1].startswith("1009,") and lines[-1].startswith("999983,")
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from paulimix import measure as measure_mod
 from paulimix.errors import NotPrimePowerError, RegimeMismatchError, ValidationError
-from paulimix.finite_field import factor_prime_power
+from paulimix.finite_field import factor_prime_power, is_prime_power
 from paulimix.invertibility import output_invertible, singular_time_exponential
 from paulimix.measure import (
     _MC_CHUNK,
@@ -24,6 +24,7 @@ from paulimix.measure import (
     sample_simplex,
     sweep,
     sweep_dimensions,
+    sweep_range,
 )
 
 
@@ -319,6 +320,34 @@ def test_prime_powers_in_examples():
     assert prime_powers_in(33, 36) == []
     with pytest.raises(ValidationError):
         prime_powers_in(1, 5)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(2, 20000), (10**6 - 3000, 10**6 + 3000), (2**40 - 2000, 2**40 + 2000),
+     (10**18 - 1500, 10**18 + 1500), (3 * 10**24, 3 * 10**24 + 1000)],
+)
+def test_prime_powers_in_is_the_prime_power_filter(lo, hi):
+    # the last three ranges lie beyond the square of the sieve's largest prime
+    assert prime_powers_in(lo, hi) == [d for d in range(lo, hi + 1) if is_prime_power(d)]
+
+
+def test_a_sweep_wider_than_its_limit_is_refused():
+    width = measure_mod._SWEEP_MAX_WIDTH
+    assert len(prime_powers_in(10**12, 10**12 + width - 1)) > 0
+    with pytest.raises(ValidationError, match=f"limited to {width} integers"):
+        prime_powers_in(10**12, 10**12 + width)
+    # n = 1.0 lies in the interval of every d above 1e8, so the regime lets the range through
+    with pytest.raises(ValidationError, match=f"limited to {width} integers"):
+        sweep_range(10**9, 10**12, 1.0)
+
+
+def test_sweep_range_is_sweep_of_the_dimensions():
+    for lo, hi, n in ((7, 32, 1.03), (200, 5000, 1.0002), (1000, 100000, 1.000001)):
+        assert sweep_range(lo, hi, n) == sweep(sweep_dimensions(lo, hi, n), n)
+    assert sweep_range(7, 32, 1.03, method="monte_carlo", samples=500, seed=4) == sweep(
+        prime_powers_in(7, 32), 1.03, method="monte_carlo", samples=500, seed=4
+    )
 
 
 def test_sweep_reproduces_superexponential_growth():

@@ -53,6 +53,11 @@ def _run_isolated(args, tmp_path):
 _WEIGHTS = "0.3,0.3,0.2,0.2"
 
 # command -> (argv, exit code)
+WITHOUT_MUB = {
+    "cp-check": (["cp-check", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS, "--steps", "3"], 0),
+    "generator": (["generator", "--d", "3", "--n", "1.5", "--t", "0.5", "--weights", _WEIGHTS], 0),
+    "singular-time": (["singular-time", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS], 0),
+}
 WITHOUT_NUMPY = {
     "regime": (["regime", "--d", "7", "--n", "1.03"], 0),
     "regime-refused": (["regime", "--d", "6", "--n", "1.1"], 2),
@@ -61,11 +66,11 @@ WITHOUT_NUMPY = {
     "sweep-closed": (["sweep", "--lo", "7", "--hi", "32", "--n", "1.03", "--method", "closed"], 0),
     "sweep-quadrature": (["sweep", "--lo", "7", "--hi", "32", "--n", "1.03", "--method", "quadrature"], 0),
     "usage-error": (["measure", "--d", "seven", "--n", "1.1"], 2),
-}
-WITHOUT_MUB = {
-    "cp-check": (["cp-check", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS, "--steps", "3"], 0),
-    "generator": (["generator", "--d", "3", "--n", "1.5", "--t", "0.5", "--weights", _WEIGHTS], 0),
-    "singular-time": (["singular-time", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS], 0),
+    **WITHOUT_MUB,
+    "single-map-generator": (["generator", "--d", "2", "--n", "3", "--t", "0.5"], 0),
+    "cosine-singular-time": (
+        ["singular-time", "--d", "4", "--family", "cosine", "--weights", "0.1,0.2,0.3,0.2,0.2"], 0),
+    "evolve-weight-count": (["evolve", "--d", "3", "--n", "2.0", "--weights", "0.5,0.5"], 2),
 }
 
 
@@ -97,6 +102,22 @@ def test_eigenvalue_commands_never_ask_for_a_basis(monkeypatch):
     # the probe sees the commands that do read a basis
     assert CliRunner().invoke(main, ["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS]).exit_code == 0
     assert "cached_mub" in calls
+
+
+# prints the OpenBLAS thread count the environment holds once paulimix.cli is imported
+_BLAS_PROBE = """
+import os, paulimix.cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+def test_the_cli_starts_openblas_with_one_thread_unless_told_otherwise(monkeypatch, preset, seen):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert _python(_BLAS_PROBE).stdout.decode().strip() == seen
 
 
 def test_mub_verify_loads_no_map_or_measure_module(tmp_path):
