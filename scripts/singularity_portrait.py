@@ -47,7 +47,7 @@ def main() -> None:
         print(f"{t:6.2f}  " + "  ".join(f"{v:+.3f}" for v in lam))
 
     analytic = analytic_singularity_report(m)
-    numeric = numeric_singularity_scan(m, t_max=50.0 / args.c, grid_points=4001)
+    numeric = numeric_singularity_scan(m, t_max=m.pf.horizon(), grid_points=4001)
     print(f"\nclassification: {numeric.classification.value}")
     for i in range(d + 1):
         ta, tn = analytic.singular_times[i], numeric.singular_times[i]

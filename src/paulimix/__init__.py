@@ -23,7 +23,6 @@ _EXPORTS = {
         "KrausSet",
         "MixtureMap",
         "Plateau",
-        "decay_rate",
         "density_matrix_defects",
         "generator_rates",
         "is_cp",
@@ -42,7 +41,6 @@ _EXPORTS = {
         "NegativeTimeError",
         "NonHermitianError",
         "NotPrimePowerError",
-        "NotQubitError",
         "PaulimixError",
         "RateSingularError",
         "RegimeMismatchError",
@@ -68,9 +66,6 @@ _EXPORTS = {
         "cp_divisibility_check",
         "numeric_singularity_scan",
         "output_invertible",
-        "singular_time_cosine",
-        "singular_time_exponential",
-        "singular_time_plateau",
     ),
     "measure": (
         "MeasureResult",
@@ -94,7 +89,6 @@ _EXPORTS = {
         "MubVerification",
         "WeylUnitaries",
         "build_mub",
-        "build_mub_for",
         "build_unitaries",
         "cached_mub",
         "cached_unitaries",

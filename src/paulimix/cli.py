@@ -242,12 +242,7 @@ def singular_time(
     m = mixture_map(d, w, pf)
     _check_work(grid, d + 1)
     if t_max is None:
-        if family == "exponential":
-            t_max = 50.0 / c
-        elif family == "cosine":
-            t_max = 2 * math.pi / omega
-        else:
-            t_max = 100.0 * t_sharp
+        t_max = pf.horizon()
     analytic = analytic_singularity_report(m)
     numeric = numeric_singularity_scan(m, t_max=t_max, grid_points=grid)
     payload = {
@@ -472,13 +467,14 @@ def mub_verify(
     output: Optional[str],
 ) -> None:
     """Verify orthonormality and pairwise unbiasedness of a basis set."""
-    from .mub import build_mub_for, mub_from_payload, verify_mub
+    from .finite_field import factor_prime_power
+    from .mub import build_mub, mub_from_payload, verify_mub
     from .serialization import dumps_canonical
 
     if input_path is not None:
         m = _read_json_input(input_path, mub_from_payload, "basis file")
     elif d is not None:
-        m = build_mub_for(d)
+        m = build_mub(factor_prime_power(d))
     else:
         raise ValidationError("provide --d or --input")
     report = verify_mub(m, tol=tol)
@@ -558,7 +554,7 @@ def generator(
     output: Optional[str],
 ) -> None:
     """Numeric time-local generator rates versus the analytic profile."""
-    from .dynmaps import decay_rate, generator_rates, mixture_map
+    from .dynmaps import generator_rates, mixture_map
     from .finite_field import factor_prime_power
 
     pf = _build_pf(family, n, c, omega, t_sharp)
@@ -571,6 +567,8 @@ def generator(
         w = _parse_weights(weights, d)
     if h is None:
         h = 1e-5 / c if family == "exponential" else 1e-5
+        if not math.isfinite(h):
+            raise ValidationError(f"the default step 1e-5/c overflows at c={c}; pass --h")
     m = mixture_map(d, w, pf)
     numeric = generator_rates(m, t, h)
     lam = m.eigenvalues(t)
@@ -597,13 +595,17 @@ def generator(
         "rates": entries,
     }
     if single and d == 2 and family in ("exponential", "cosine"):
-        gamma_analytic = decay_rate(pf, t)
+        gamma_analytic = pf.decay_rate(t)
         gamma_numeric = -numeric[1] / 2.0
         payload["gamma"] = {
             "analytic": gamma_analytic,
             "numeric": gamma_numeric,
             "rel_diff": abs(gamma_numeric - gamma_analytic) / max(abs(gamma_analytic), 1e-30),
         }
+    numbers = [v for entry in entries for v in entry.values()] + list(payload.get("gamma", {}).values())
+    if not all(map(math.isfinite, numbers)):
+        scales = ", ".join(f"{k}={v}" for k, v in pf.describe().items() if isinstance(v, float))
+        raise ValidationError(f"the rates overflow a float at t={t}, h={h} with {scales}")
     _emit_json(payload, output)
 
 

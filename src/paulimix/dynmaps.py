@@ -19,6 +19,9 @@ A ``MixtureMap`` holds no basis: only ``apply`` and the dense oracle fetch
 the (cached) bases or unitaries from ``paulimix.mub``, which the eigenvalue
 routes never import.
 
+The closed forms that depend on p(t) alone (singular times, the decay rate
+of a single input map, the default scan span) are methods of each family.
+
 The core is Python floats: the weights are a tuple, ``eigenvalues`` and
 ``generator_rates`` return tuples, and none of it imports numpy, so the
 eigenvalue commands run without it. Where the core sums or spaces values
@@ -126,28 +129,71 @@ def _check_finite(**values: float) -> None:
             raise ValidationError(f"{name} must be a finite number, got {value}")
 
 
+def _finite(value: float, what: str, **params: float) -> float:
+    """``value`` if it is finite; else a ValidationError naming the parameters it overflows at."""
+    if not math.isfinite(value):
+        at = ", ".join(f"{name}={v}" for name, v in params.items())
+        raise ValidationError(f"{what} overflows at {at}")
+    return value
+
+
 class DecoherenceFunction(ABC):
-    """A decoherence profile p(t) with p(0) = 0 and values in [0, 1]."""
+    """A decoherence profile p(t) with p(0) = 0 and values in [0, 1].
+
+    Each family also gives its closed forms: ``singular_time``,
+    ``decay_rate`` and ``horizon``, the default span of a singular-time
+    scan. A ``periodic`` p repeats after its horizon, so no scan goes past it.
+    """
 
     family: str
+    periodic = False
 
     def value(self, t: float) -> float:
         if t < 0:
             raise NegativeTimeError(f"p(t) is defined for t >= 0, got t={t}")
         return self._value(t)
 
-    __call__ = value
-
     def derivative(self, t: float) -> float:
         if t < 0:
             raise NegativeTimeError(f"p'(t) is defined for t >= 0, got t={t}")
         return self._derivative(t)
+
+    def singular_time(self, d: int, x: float) -> Optional[float]:
+        """First zero of lambda(t) = 1 - d/(d-1) (1 - x) p(t), where p reaches (d-1)/(d(1-x)).
+
+        None if lambda never vanishes; ValidationError for d < 2, for x
+        outside [0, 1], and where the time overflows.
+        """
+        if d < 2:
+            raise ValidationError(f"dimension must be >= 2, got {d}")
+        if not 0.0 <= x <= 1.0:
+            raise ValidationError(f"mixing weight must lie in [0, 1], got {x}")
+        return self._singular_time(d, x)
+
+    def decay_rate(self, t: float) -> float:
+        """Closed-form decay rate gamma(t) of a single input map.
+
+        RateSingularError where it diverges; ValidationError for a family without one.
+        """
+        if t < 0:
+            raise NegativeTimeError(f"decay rate defined for t >= 0, got {t}")
+        return self._decay_rate(t)
+
+    def _decay_rate(self, t: float) -> float:
+        raise ValidationError(f"decay rate has no closed form for the {self.family} family")
+
+    @abstractmethod
+    def horizon(self) -> float:
+        """The default span [0, horizon] of a singular-time scan; ValidationError if it overflows."""
 
     @abstractmethod
     def _value(self, t: float) -> float: ...
 
     @abstractmethod
     def _derivative(self, t: float) -> float: ...
+
+    @abstractmethod
+    def _singular_time(self, d: int, x: float) -> Optional[float]: ...
 
     @abstractmethod
     def describe(self) -> dict: ...
@@ -174,6 +220,34 @@ class Exponential(DecoherenceFunction):
     def _derivative(self, t: float) -> float:
         return self.c * math.exp(-self.c * t) / self.n
 
+    def _singular_time(self, d: int, x: float) -> Optional[float]:
+        """t* = (1/c) ln[ d(1-x) / (d(1-x) - n(d-1)) ] when the denominator is positive.
+
+        At or above the threshold x = 1 - n(d-1)/d the eigenvalue never
+        vanishes (the would-be singular time diverges).
+        """
+        from .measure import THRESHOLD_ATOL
+
+        numer = d * (1.0 - x)
+        denom = numer - self.n * (d - 1)
+        # a relative guard absorbs float noise at the boundary x = 1 - n(d-1)/d,
+        # where the singular time diverges
+        if denom <= THRESHOLD_ATOL * numer:
+            return None
+        return _finite(math.log(numer / denom) / self.c, "the singular time", c=self.c)
+
+    def _decay_rate(self, t: float) -> float:
+        """gamma = c / ((n - 2) e^{c t} + 2)."""
+        scale = abs(self.n - 2.0) * math.exp(self.c * t) + 2.0
+        denom = (self.n - 2.0) * math.exp(self.c * t) + 2.0
+        if abs(denom) < 1e-12 * scale:
+            raise RateSingularError(f"decay rate diverges at t={t}")
+        return self.c / denom
+
+    def horizon(self) -> float:
+        """50/c, by which e^{-ct} has fallen below 2e-22."""
+        return _finite(50.0 / self.c, "the scan horizon 50/c", c=self.c)
+
     def describe(self) -> dict:
         return {"family": self.family, "n": self.n, "c": self.c}
 
@@ -184,6 +258,7 @@ class Cosine(DecoherenceFunction):
 
     omega: float
     family = "cosine"
+    periodic = True
 
     def __post_init__(self) -> None:
         _check_finite(omega=self.omega)
@@ -201,6 +276,32 @@ class Cosine(DecoherenceFunction):
 
     def _derivative(self, t: float) -> float:
         return 0.5 * self.omega * math.sin(self._phase(t))
+
+    def _singular_time(self, d: int, x: float) -> Optional[float]:
+        """t* = arccos(1 - 2(d-1)/(d(1-x))) / omega when the argument is at least -1.
+
+        For d = 2 this is lambda(t) = x + (1 - x) cos(omega t) with
+        t* = arccos(x / (x - 1)) / omega, which exists iff x <= 1/2.
+        """
+        from .measure import THRESHOLD_ATOL
+
+        if x == 1.0:
+            return None
+        target = 1.0 - 2.0 * (d - 1) / (d * (1.0 - x))
+        if target < -1.0 - THRESHOLD_ATOL:
+            return None
+        return _finite(math.acos(max(target, -1.0)) / self.omega, "the singular time", omega=self.omega)
+
+    def _decay_rate(self, t: float) -> float:
+        """gamma = omega/2 * tan(omega t)."""
+        cos = math.cos(self.omega * t)
+        if abs(cos) < 1e-12:
+            raise RateSingularError(f"decay rate diverges at t={t}")
+        return 0.5 * self.omega * math.tan(self.omega * t)
+
+    def horizon(self) -> float:
+        """One period, 2 pi/omega; the singular times repeat after it."""
+        return _finite(2 * math.pi / self.omega, "the period 2*pi/omega", omega=self.omega)
 
     def describe(self) -> dict:
         return {"family": self.family, "omega": self.omega}
@@ -244,6 +345,20 @@ class Plateau(DecoherenceFunction):
         h = 1e-7 * self.t_sharp
         lo, hi = max(0.0, t - h), min(self.t_sharp, t + h)
         return (self._ramp_value(hi) - self._ramp_value(lo)) / (hi - lo)
+
+    def _singular_time(self, d: int, x: float) -> Optional[float]:
+        """p tops out at 1/2, and the target (d-1)/(d(1-x)) is 1/2 only at d = 2, x = 0.
+
+        That single-map corner is singular exactly at t_sharp, where a
+        monotone ramp first reaches 1/2; every other (d, x) gives None.
+        """
+        if d > 2 or x > 0.0:
+            return None
+        return self.t_sharp
+
+    def horizon(self) -> float:
+        """100 t_sharp, far into the plateau."""
+        return _finite(100.0 * self.t_sharp, "the scan horizon 100*t_sharp", t_sharp=self.t_sharp)
 
     def describe(self) -> dict:
         return {
@@ -539,30 +654,7 @@ def kraus_dagger_dual(k: KrausSet, tol: float = 1e-10) -> DualMapResult:
     )
 
 
-# --- decay rates and the time-local generator --------------------------------
-
-
-def decay_rate(pf: DecoherenceFunction, t: float) -> float:
-    """Single-input-map decay rate gamma(t) for the analytic families.
-
-    Exponential: gamma = c / ((n - 2) e^{c t} + 2); cosine:
-    gamma = omega/2 * tan(omega t). Raises RateSingularError where the
-    denominator vanishes and ValidationError for the plateau family.
-    """
-    if t < 0:
-        raise NegativeTimeError(f"decay rate defined for t >= 0, got {t}")
-    if isinstance(pf, Exponential):
-        scale = abs(pf.n - 2.0) * math.exp(pf.c * t) + 2.0
-        denom = (pf.n - 2.0) * math.exp(pf.c * t) + 2.0
-        if abs(denom) < 1e-12 * scale:
-            raise RateSingularError(f"decay rate diverges at t={t}")
-        return pf.c / denom
-    if isinstance(pf, Cosine):
-        cos = math.cos(pf.omega * t)
-        if abs(cos) < 1e-12:
-            raise RateSingularError(f"decay rate diverges at t={t}")
-        return 0.5 * pf.omega * math.tan(pf.omega * t)
-    raise ValidationError(f"decay rate has no closed form for the {pf.family} family")
+# --- the time-local generator ---------------------------------------------
 
 
 def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:

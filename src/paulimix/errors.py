@@ -30,10 +30,6 @@ class NegativeTimeError(ValidationError):
     """Decoherence functions are defined for t >= 0 only."""
 
 
-class NotQubitError(ValidationError):
-    """Operation defined for d = 2 only."""
-
-
 class NonHermitianError(ValidationError):
     """A matrix that must be Hermitian is not, beyond tolerance."""
 

@@ -1,15 +1,17 @@
 """Singular times, output invertibility, and CP-divisibility of mixtures.
 
 The output map loses invertibility at the first time any eigenvalue
-lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t) hits zero. This module provides
-the closed-form singular times per decoherence family, a family-agnostic
-numeric scan (grid + bisection) that only uses lambda_i(t) values, and a
-stepwise CP check of the propagators between grid times. Every route works
-on the d+1 eigenvalues as Python floats; none builds a dense superoperator,
-and none imports numpy. The grids are numpy's ``linspace`` and the CP
-check's sums numpy's pairwise sums, reproduced bit for bit by
-``dynmaps._linspace`` and ``dynmaps._pairwise_sum``, so every result is the
-one the numpy version of this module gave.
+lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t) hits zero. Each decoherence
+family gives that time in closed form (``DecoherenceFunction.singular_time``
+in ``paulimix.dynmaps``). This module gathers those times into a report,
+next to a family-agnostic numeric scan (grid + bisection) that only uses
+lambda_i(t) values, and a stepwise CP check of the propagators between grid
+times. Every route works on the d+1 eigenvalues as Python floats; none
+builds a dense superoperator, and none imports numpy. The grids are
+numpy's ``linspace`` and the CP check's sums numpy's pairwise sums,
+reproduced bit for bit by ``dynmaps._linspace`` and
+``dynmaps._pairwise_sum``, so every result is the one the numpy version of
+this module gave.
 """
 
 from __future__ import annotations
@@ -20,85 +22,15 @@ from enum import Enum
 from operator import sub
 from typing import Callable, Optional
 
-from .dynmaps import Cosine, Exponential, MixtureMap, Plateau, _linspace, _pairwise_sum, _weight_tuple
-from .errors import (
-    NotQubitError,
-    SingularAtGridPointError,
-    ValidationError,
-)
-from .measure import THRESHOLD_ATOL, _check_n, g_threshold
+from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _weight_tuple
+from .errors import SingularAtGridPointError, ValidationError
+from .measure import THRESHOLD_ATOL, g_threshold
 
-# --- analytic singular times --------------------------------------------------
-
-
-def _check_weight(x_i: float) -> None:
-    if not 0.0 <= x_i <= 1.0:
-        raise ValidationError(f"mixing weight must lie in [0, 1], got {x_i}")
-
-
-def singular_time_exponential(d: int, n: float, c: float, x_i: float) -> Optional[float]:
-    """First zero of lambda_i for p(t) = (1 - e^{-ct})/n, or None.
-
-    t* = (1/c) ln[ d(1-x_i) / (d(1-x_i) - n(d-1)) ] when the denominator is
-    positive; at or above the threshold x_i = 1 - n(d-1)/d the eigenvalue
-    never vanishes (the would-be singular time diverges).
-    """
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
-    _check_n(n)
-    if c <= 0:
-        raise ValidationError(f"decay factor must be > 0, got {c}")
-    _check_weight(x_i)
-    numer = d * (1.0 - x_i)
-    denom = numer - n * (d - 1)
-    # a relative guard absorbs float noise at the boundary x_i = 1 - n(d-1)/d,
-    # where the singular time diverges
-    if denom <= THRESHOLD_ATOL * numer:
-        return None
-    return math.log(numer / denom) / c
-
-
-def singular_time_cosine(omega: float, x_i: float, d: int = 2) -> Optional[float]:
-    """First zero of lambda_i for p(t) = (1 - cos(omega t))/2, or None.
-
-    lambda_i vanishes where cos(omega t) = 1 - 2(d-1)/(d(1-x_i)), so
-    t* = arccos(1 - 2(d-1)/(d(1-x_i))) / omega when the right-hand side is
-    at least -1. For d = 2 this is lambda_i(t) = x_i + (1 - x_i) cos(omega t)
-    with t* = arccos(x_i / (x_i - 1)) / omega, which exists iff x_i <= 1/2.
-    """
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
-    if omega <= 0:
-        raise ValidationError(f"angular frequency must be > 0, got {omega}")
-    _check_weight(x_i)
-    if x_i == 1.0:
-        return None
-    target = 1.0 - 2.0 * (d - 1) / (d * (1.0 - x_i))
-    if target < -1.0 - THRESHOLD_ATOL:
-        return None
-    return math.acos(max(target, -1.0)) / omega
-
-
-def singular_time_plateau(
-    ramp: Optional[Callable[[float], float]],
-    t_sharp: float,
-    x_i: float,
-    d: int = 2,
-) -> Optional[float]:
-    """Qubit plateau family: singular iff p reaches 1/(2(1-x_i)).
-
-    Since p tops out at 1/2, every strictly positive weight gives None; the
-    degenerate single-map corner x_i = 0 is singular exactly at t_sharp.
-    """
-    if d != 2:
-        raise NotQubitError(f"plateau singular time is defined for d=2, got d={d}")
-    _check_weight(x_i)
-    Plateau(t_sharp=t_sharp, ramp=ramp)  # enforces the ramp contract
-    if x_i > 0.0:
-        return None
-    # target p = 1/2 is first reached exactly at t_sharp for a monotone ramp
-    return t_sharp
-
+# a sample below -_SCAN_TOL certifies a crossing, and |lambda| <= _SCAN_TOL at a
+# refined tangential minimum is a root; only minima below _COARSE_JUMP are
+# refined, and a jump between samples above it earns the GridTooCoarse advisory
+_SCAN_TOL = 1e-12
+_COARSE_JUMP = 0.1
 
 # --- output invertibility -----------------------------------------------------
 
@@ -185,23 +117,7 @@ def _build_report(
 
 def analytic_singularity_report(m: MixtureMap) -> InvertibilityReport:
     """Closed-form singular times for every mixing index of a map."""
-    d = m.d
-    times: list[Optional[float]] = []
-    for x in m.weights:
-        if isinstance(m.pf, Exponential):
-            times.append(singular_time_exponential(d, m.pf.n, m.pf.c, x))
-        elif isinstance(m.pf, Cosine):
-            times.append(singular_time_cosine(m.pf.omega, x, d))
-        elif isinstance(m.pf, Plateau):
-            if d == 2:
-                times.append(singular_time_plateau(m.pf.ramp, m.pf.t_sharp, x))
-            else:
-                # p <= 1/2 < (d-1)/(d(1-x)) for every d > 2 and x >= 0
-                times.append(None)
-        else:
-            raise ValidationError(
-                f"no analytic singular time for the {m.pf.family} family"
-            )
+    times = [m.pf.singular_time(m.d, x) for x in m.weights]
     return _build_report(m, times, method="analytic")
 
 
@@ -252,26 +168,23 @@ def numeric_singularity_scan(
     m: MixtureMap,
     t_max: float,
     grid_points: int,
-    tol: float = 1e-12,
-    restrict_to_period: bool = True,
-    coarse_threshold: float = 0.1,
 ) -> InvertibilityReport:
     """Locate the first zero of each lambda_i(t) on [0, t_max] numerically.
 
     Sign changes on the grid are refined by bisection; a tangential dip
     (double root) is caught by minimizing lambda around interior grid
-    minima and accepting |lambda| <= tol. Cosine-family scans are clamped
-    to one period by default since the roots repeat. A GridTooCoarse
-    advisory is attached when consecutive grid values jump by more than
-    ``coarse_threshold``. The (d+1) x grid table of eigenvalues is built
-    one row at a time.
+    minima and accepting |lambda| <= ``_SCAN_TOL``. A periodic family's
+    scan stops at its horizon, one period, since the roots repeat. A
+    GridTooCoarse advisory is attached when consecutive grid values jump
+    by more than ``_COARSE_JUMP``. The (d+1) x grid table of eigenvalues is
+    built one row at a time.
     """
-    if t_max <= 0:
-        raise ValidationError(f"t_max must be > 0, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"t_max must be finite and > 0, got {t_max}")
     if grid_points < 2:
         raise ValidationError(f"need at least 2 grid points, got {grid_points}")
-    if restrict_to_period and isinstance(m.pf, Cosine):
-        t_max = min(t_max, 2 * math.pi / m.pf.omega)
+    if m.pf.periodic:
+        t_max = min(t_max, m.pf.horizon())
 
     grid = _linspace(0.0, t_max, grid_points)
     p_vals = [m.pf.value(t) for t in grid]
@@ -293,9 +206,9 @@ def numeric_singularity_scan(
         # transversal roots must be certified by genuinely negative values;
         # near the divergence threshold the eigenvalue can underflow to a
         # zero-ish float without ever crossing, which is not a singularity
-        if low < -tol:
-            j_neg = next(j for j, v in enumerate(lam) if v < -tol)
-            j_pos = next((j for j in range(j_neg - 1, -1, -1) if lam[j] > tol), 0)
+        if low < -_SCAN_TOL:
+            j_neg = next(j for j, v in enumerate(lam) if v < -_SCAN_TOL)
+            j_pos = next((j for j in range(j_neg - 1, -1, -1) if lam[j] > _SCAN_TOL), 0)
             root = _bisect_root(f, grid[j_pos], grid[j_neg])
         else:
             # tangential dip (double root): refine around a strict interior
@@ -304,16 +217,16 @@ def numeric_singularity_scan(
             j = lam.index(low)
             if (
                 0 < j < grid_points - 1
-                and low < min(lam[0], coarse_threshold)
+                and low < min(lam[0], _COARSE_JUMP)
                 and lam[j - 1] > low < lam[j + 1]
             ):
                 t_min, f_min = _refine_minimum(f, grid[j - 1], grid[j + 1])
-                if abs(f_min) <= tol:
+                if abs(f_min) <= _SCAN_TOL:
                     root = t_min
         times.append(root)
 
     warnings: list[str] = []
-    if jump > coarse_threshold:
+    if jump > _COARSE_JUMP:
         warnings.append(
             f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "
             "double roots may be missed"

@@ -227,6 +227,13 @@ def _nested_simplex_integral(d: int, g: Fraction) -> Fraction:
     return sum(c * ((d - 1) * g) ** k for k, c in enumerate(poly))
 
 
+def _check_quadrature_d(d: int) -> None:
+    if d > _QUADRATURE_MAX_D:
+        raise ValidationError(
+            f"the exact quadrature is limited to d <= {_QUADRATURE_MAX_D}, got d={d}; use the closed form"
+        )
+
+
 def delta_quadrature(d: int, n: float) -> MeasureResult:
     """Invertible fraction via the nested integral, normalized by 1/d!.
 
@@ -243,10 +250,7 @@ def delta_quadrature(d: int, n: float) -> MeasureResult:
         raise RegimeMismatchError(
             f"n={n} outside the intermediate interval [{lower}, {upper}] for d={d}"
         )
-    if d > _QUADRATURE_MAX_D:
-        raise ValidationError(
-            f"the exact quadrature is limited to d <= {_QUADRATURE_MAX_D}, got d={d}; use the closed form"
-        )
+    _check_quadrature_d(d)
     from fractions import Fraction
 
     g = 1 - Fraction(n) * (d - 1) / d
@@ -627,6 +631,8 @@ def _sweep_rows(ds: list[int], n: float, method: str, samples: int, seed: int) -
     if method == "closed_form":
         deltas = [_closed_form_delta(d, n) for d in ds]
     elif method == "quadrature":
+        for d in ds:  # refused before the first row is computed
+            _check_quadrature_d(d)
         deltas = [delta_quadrature(d, n).delta for d in ds]
     else:
         _check_mc(samples, seed, ds)

@@ -81,15 +81,12 @@ class MubVerification:
 class WeylUnitaries:
     """The d+1 phase unitaries, one per basis, with spectrum = d-th roots of 1.
 
-    ``bases`` are the MUBs the unitaries are built from: ``unitaries[i]`` is
-    diagonal in ``bases[i]``, so a map on the eigenoperators U_i^k acts
-    through dephasings in these bases.
+    ``unitaries[i]`` is diagonal in basis i of the MUB set it is built from.
     """
 
     dim: PrimePowerDim
     unitaries: np.ndarray  # shape (d+1, d, d), complex
     omega: complex
-    bases: np.ndarray  # shape (d+1, d, d), complex, vectors in columns
 
     @property
     def d(self) -> int:
@@ -245,11 +242,6 @@ def build_mub(dim: PrimePowerDim) -> MubSet:
     return MubSet(dim=dim, bases=bases)
 
 
-def build_mub_for(d: int) -> MubSet:
-    """Convenience wrapper: factor d and build."""
-    return build_mub(factor_prime_power(d))
-
-
 def verify_mub(m: MubSet, tol: float = MUB_TOLERANCE) -> MubVerification:
     """Measure orthonormality and unbiasedness deviations of a basis set.
 
@@ -286,13 +278,13 @@ def build_unitaries(m: MubSet) -> WeylUnitaries:
     for alpha, basis in enumerate(m.bases):
         unitaries[alpha] = (basis * phases[None, :]) @ basis.conj().T
     unitaries.setflags(write=False)
-    return WeylUnitaries(dim=m.dim, unitaries=unitaries, omega=complex(omega), bases=m.bases)
+    return WeylUnitaries(dim=m.dim, unitaries=unitaries, omega=complex(omega))
 
 
 @lru_cache(maxsize=None)
 def cached_mub(d: int) -> MubSet:
     """Cached construction keyed by dimension (treat the arrays as read-only)."""
-    return build_mub_for(d)
+    return build_mub(factor_prime_power(d))
 
 
 @lru_cache(maxsize=None)

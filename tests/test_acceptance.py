@@ -18,7 +18,6 @@ from paulimix.dynmaps import (
     Cosine,
     Plateau,
     KrausSet,
-    decay_rate,
     generator_rates,
     is_cp,
     kraus_dagger_dual,
@@ -29,7 +28,6 @@ from paulimix.dynmaps import (
 from paulimix.invertibility import (
     Classification,
     numeric_singularity_scan,
-    singular_time_exponential,
 )
 from paulimix.measure import (
     delta_closed_form,
@@ -132,7 +130,7 @@ def test_05_singular_time_agreement():
         report = numeric_singularity_scan(m, t_max=50.0 / c, grid_points=4001)
         g = g_threshold(d, n).g
         for i in range(d + 1):
-            analytic = singular_time_exponential(d, n, c, float(weights[i]))
+            analytic = m.pf.singular_time(d, float(weights[i]))
             numeric = report.singular_times[i]
             assert (numeric is None) == (analytic is None), (d, n, c, weights[i])
             assert (numeric is None) == bool(weights[i] >= g - 1e-12)
@@ -226,7 +224,7 @@ def test_10_generator_extraction():
         pf = Exponential(n=n, c=c)
         m = mixture_map(2, [1.0, 0.0, 0.0], pf)
         for t in np.linspace(0.0, 3.0 / c, 10):
-            gamma = decay_rate(pf, float(t))
+            gamma = pf.decay_rate(float(t))
             rates = generator_rates(m, float(t), h=h)
             for i in (1, 2):
                 assert abs(-rates[i] / 2 - gamma) <= 1e-6 * abs(gamma), (n, t, rates[i])

@@ -105,6 +105,42 @@ def test_singular_time_plateau_all_none(runner):
     assert payload["classification_analytic"] == "invertible"
 
 
+# each family scale overflows a float in the command's horizon, singular time,
+# default step or rates: (argv, the parameter the refusal names)
+_OVERFLOWING_SCALES = {
+    "singular-time-horizon": (["singular-time", "--d", "2", "--n", "1.5", "--c", "1e-320",
+                               "--weights", "0.1,0.45,0.45"], "c=1e-320"),
+    "singular-time-analytic": (["singular-time", "--d", "2", "--n", "1.5", "--c", "1e-320",
+                                "--weights", "0.1,0.45,0.45", "--t-max", "10"], "c=1e-320"),
+    "singular-time-period": (["singular-time", "--d", "2", "--family", "cosine", "--omega", "1e-320",
+                              "--weights", "0.1,0.45,0.45"], "omega=1e-320"),
+    "singular-time-plateau": (["singular-time", "--d", "2", "--family", "plateau", "--t-sharp", "1e307",
+                               "--weights", "0.1,0.45,0.45"], "t_sharp=1e+307"),
+    "generator-step": (["generator", "--d", "2", "--n", "1.5", "--c", "1e-320", "--t", "1"], "c=1e-320"),
+    "generator-rate-c": (["generator", "--d", "2", "--n", "1", "--c", "1.7e308", "--t", "0"], "c=1.7e+308"),
+    "generator-rate-omega": (["generator", "--d", "2", "--family", "cosine", "--omega", "1e308", "--t", "0.5"],
+                             "omega=1e+308"),
+}
+
+
+@pytest.mark.parametrize("args, named", _OVERFLOWING_SCALES.values(), ids=_OVERFLOWING_SCALES.keys())
+def test_an_overflowing_family_scale_is_refused(runner, args, named):
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    assert named in result.stderr and "nan" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("family", [["--n", "1.5", "--c", "1e-320"], ["--family", "cosine", "--omega", "1e-320"]],
+                         ids=["exponential", "cosine"])
+@pytest.mark.parametrize("command", ["cp-check", "evolve"])
+def test_a_tiny_family_scale_still_evolves(runner, command, family):
+    payload = run_ok(runner, [command, "--d", "2", *family, "--weights", "0.1,0.45,0.45"])
+    assert payload["family"]["family"] == ("cosine" if "cosine" in family else "exponential")
+
+
 # --- measure --------------------------------------------------------------------
 
 
@@ -251,6 +287,21 @@ def test_sweep_refuses_a_range_wider_than_its_limit(runner):
     lines = result.stdout.splitlines()
     assert len(lines) == 1 + len(measure_mod.prime_powers_in(1000, 1000000))
     assert lines[1].startswith("1009,") and lines[-1].startswith("999983,")
+
+
+def test_quadrature_sweep_refuses_before_its_first_row(runner, monkeypatch):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was computed before the refusal")
+
+    monkeypatch.setattr(measure_mod, "_nested_simplex_integral", no_row)
+    start = time.perf_counter()
+    # n = 121/120 lies in the interval of every d in [11, 121]
+    args = ["sweep", "--lo", "11", "--hi", "121", "--n", "1.0083333333333333", "--method", "quadrature"]
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    assert f"limited to d <= {measure_mod._QUADRATURE_MAX_D}, got d=103" in result.stderr
+    assert result.stdout == ""
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -591,17 +642,22 @@ def _weights(draw, d):
     return ",".join(repr(x) for x in w)
 
 
+# family scales whose horizon, period, singular time or default step may overflow
+_TINY = st.floats(5e-324, 1e-300)
+_HUGE = st.floats(1e300, 1.7976931348623157e308)
+
+
 def _family_args(draw):
     """A decoherence family with any float for each of its parameters, often a sane one."""
     family = draw(st.sampled_from(["exponential", "cosine", "plateau"]))
     args = ["--family", family]
     if family == "exponential":
         args += ["--n", repr(_any_float(draw, st.floats(1.0, 3.0))),
-                 "--c", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
+                 "--c", repr(_any_float(draw, st.floats(1e-3, 10.0) | _TINY))]
     elif family == "cosine":
-        args += ["--omega", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
+        args += ["--omega", repr(_any_float(draw, st.floats(1e-3, 10.0) | _TINY))]
     else:
-        args += ["--t-sharp", repr(_any_float(draw, st.floats(1e-3, 10.0)))]
+        args += ["--t-sharp", repr(_any_float(draw, st.floats(1e-3, 10.0) | _HUGE))]
     return args
 
 
@@ -693,6 +749,8 @@ def test_numeric_commands_answer_or_refuse_cleanly(args):
     if result.exit_code == 0:
         text = result.stdout
         assert "nan" not in text, (args, text)
+        if args[0] in ("singular-time", "generator"):
+            assert "inf" not in text, (args, text)
         if args[0] == "sweep" and "csv" in args:
             lines = text.strip().splitlines()
             assert lines[0] == "d,delta,log10_delta"

@@ -10,7 +10,6 @@ from paulimix.dynmaps import (
     Exponential,
     KrausSet,
     Plateau,
-    decay_rate,
     generator_rates,
     is_cp,
     kraus_dagger_dual,
@@ -361,9 +360,9 @@ def test_dual_superoperator_is_adjoint_hence_det_conjugate(d):
 
 
 def test_decay_rate_examples():
-    assert decay_rate(Exponential(n=2, c=1), 0.0) == pytest.approx(0.5)
-    assert decay_rate(Exponential(n=3, c=2), 40.0) == pytest.approx(0.0, abs=1e-12)
-    assert decay_rate(Cosine(omega=1), math.pi / 4) == pytest.approx(0.5, abs=1e-12)
+    assert Exponential(n=2, c=1).decay_rate(0.0) == pytest.approx(0.5)
+    assert Exponential(n=3, c=2).decay_rate(40.0) == pytest.approx(0.0, abs=1e-12)
+    assert Cosine(omega=1).decay_rate(math.pi / 4) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_decay_rate_singularities():
@@ -371,11 +370,11 @@ def test_decay_rate_singularities():
     n, c = 1.0, 1.0
     t_sing = math.log(2 / (2 - n)) / c
     with pytest.raises(RateSingularError):
-        decay_rate(Exponential(n=n, c=c), t_sing)
+        Exponential(n=n, c=c).decay_rate(t_sing)
     with pytest.raises(RateSingularError):
-        decay_rate(Cosine(omega=2.0), math.pi / 4)
+        Cosine(omega=2.0).decay_rate(math.pi / 4)
     with pytest.raises(ValidationError):
-        decay_rate(Plateau(t_sharp=1.0), 0.5)
+        Plateau(t_sharp=1.0).decay_rate(0.5)
 
 
 # --- numeric generator -------------------------------------------------------------
@@ -387,7 +386,7 @@ def test_generator_matches_single_map_rate():
         m = mixture_map(2, [1.0, 0.0, 0.0], pf)
         for t in (0.0, 0.4, 1.7, 2.9):
             rates = generator_rates(m, t, h=1e-5)
-            gamma = decay_rate(pf, t)
+            gamma = pf.decay_rate(t)
             assert rates[0] == pytest.approx(0.0, abs=1e-9)
             assert rates[1] == pytest.approx(-2 * gamma, rel=1e-7)
             assert rates[2] == pytest.approx(-2 * gamma, rel=1e-7)

@@ -122,6 +122,27 @@ def _np_scan(d, w, pf, t_max, grid_points, tol=1e-12, coarse_threshold=0.1):
     return times, jump
 
 
+def _analytic_time(d, pf, x):
+    """The closed-form singular time, as the three per-family formulas computed it."""
+    if pf["family"] == "exponential":
+        numer = d * (1.0 - x)
+        denom = numer - pf["n"] * (d - 1)
+        return None if denom <= 1e-12 * numer else math.log(numer / denom) / pf["c"]
+    if pf["family"] == "cosine":
+        if x == 1.0:
+            return None
+        target = 1.0 - 2.0 * (d - 1) / (d * (1.0 - x))
+        return None if target < -1.0 - 1e-12 else math.acos(max(target, -1.0)) / pf["omega"]
+    return pf["t_sharp"] if d == 2 and x == 0.0 else None
+
+
+def _gamma(pf, t):
+    """The single-map decay rate, as the closed forms per family computed it."""
+    if pf["family"] == "exponential":
+        return pf["c"] / ((pf["n"] - 2.0) * math.exp(pf["c"] * t) + 2.0)
+    return 0.5 * pf["omega"] * math.tan(pf["omega"] * t)
+
+
 # --- the payloads ------------------------------------------------------------------
 
 
@@ -186,6 +207,17 @@ def test_generator_payload_is_the_numpy_formula(d):
         got = [(r["rate_numeric"], r["rate_analytic"], r["rel_diff"]) for r in payload["rates"]]
         assert got == _np_generator(d, w, pf, t, h)
         assert [r["x"] for r in payload["rates"]] == w.tolist()
+    if d == 2:  # a single input map also reports its decay rate gamma
+        for t in (0.0, float(rng.uniform(0.05, 0.3))):
+            for pf in (_exp_pf(rng, d), {"family": "cosine", "omega": float(rng.uniform(0.5, 2.0))}):
+                payload = _run(["generator", "--d", "2", *_family_args(pf), "--t", repr(t)])
+                numeric = -payload["rates"][1]["rate_numeric"] / 2.0
+                analytic = _gamma(pf, t)
+                assert payload["gamma"] == {"analytic": analytic, "numeric": numeric,
+                                            "rel_diff": abs(numeric - analytic) / max(abs(analytic), 1e-30)}
+                if pf["family"] == "exponential":
+                    got = [(r["rate_numeric"], r["rate_analytic"], r["rel_diff"]) for r in payload["rates"]]
+                    assert got == _np_generator(d, np.array([1.0, 0.0, 0.0]), pf, t, 1e-5 / pf["c"])
 
 
 @pytest.mark.parametrize("d", PRIME_POWERS)
@@ -198,6 +230,8 @@ def test_singular_time_payload_is_the_numpy_formula(d):
         payload = _run(["singular-time", "--d", str(d), *_family_args(pf), "--weights", text])
         times, jump = _np_scan(d, _np_weights(text), pf, _default_t_max(pf), 4001)
         assert [e["t_star_numeric"] for e in payload["entries"]] == times
+        w = _np_weights(text).tolist()
+        assert [e["t_star_analytic"] for e in payload["entries"]] == [_analytic_time(d, pf, x) for x in w]
         assert [e["x"] for e in payload["entries"]] == _np_weights(text).tolist()
         coarse = [w for w in payload["warnings"] if w.startswith("GridTooCoarse")]
         assert coarse == ([f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "

@@ -7,20 +7,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from paulimix.dynmaps import Cosine, Exponential, Plateau, is_cp, mixture_map, to_choi
-from paulimix.errors import (
-    NotQubitError,
-    SingularAtGridPointError,
-    ValidationError,
-)
+from paulimix.errors import SingularAtGridPointError, ValidationError
 from paulimix.invertibility import (
     Classification,
     analytic_singularity_report,
     cp_divisibility_check,
     numeric_singularity_scan,
     output_invertible,
-    singular_time_cosine,
-    singular_time_exponential,
-    singular_time_plateau,
 )
 from paulimix.measure import RegimeKind, classify_regime, g_threshold
 
@@ -30,18 +23,18 @@ from paulimix.measure import RegimeKind, classify_regime, g_threshold
 
 def test_exponential_singular_time_examples():
     # d=2, n=1, c=1, x=0: ln 2
-    assert singular_time_exponential(2, 1.0, 1.0, 0.0) == pytest.approx(math.log(2), abs=1e-15)
+    assert Exponential(n=1.0, c=1.0).singular_time(2, 0.0) == pytest.approx(math.log(2), abs=1e-15)
     # at or above the threshold: no finite singular time
     for d, n in [(2, 1.5), (3, 1.2), (7, 1.05)]:
         g = g_threshold(d, n).g
-        assert singular_time_exponential(d, n, 1.0, g) is None
-        assert singular_time_exponential(d, n, 1.0, min(1.0, g + 0.05)) is None
+        assert Exponential(n=n, c=1.0).singular_time(d, g) is None
+        assert Exponential(n=n, c=1.0).singular_time(d, min(1.0, g + 0.05)) is None
     with pytest.raises(ValidationError):
-        singular_time_exponential(2, 0.5, 1.0, 0.2)
+        Exponential(n=0.5, c=1.0).singular_time(2, 0.2)
     with pytest.raises(ValidationError):
-        singular_time_exponential(2, 1.5, -1.0, 0.2)
+        Exponential(n=1.5, c=-1.0).singular_time(2, 0.2)
     with pytest.raises(ValidationError):
-        singular_time_exponential(2, 1.5, 1.0, 1.2)
+        Exponential(n=1.5, c=1.0).singular_time(2, 1.2)
 
 
 def test_exponential_singular_time_qubit_form():
@@ -50,7 +43,7 @@ def test_exponential_singular_time_qubit_form():
         n = rng.uniform(1.0, 1.999)
         c = rng.uniform(0.2, 3.0)
         x = rng.uniform(0.0, 1.0)
-        general = singular_time_exponential(2, n, c, x)
+        general = Exponential(n=n, c=c).singular_time(2, x)
         denom = 2 * (1 - x) - n
         direct = math.log(2 * (1 - x) / denom) / c if denom > 1e-12 * 2 * (1 - x) else None
         if direct is None:
@@ -61,22 +54,22 @@ def test_exponential_singular_time_qubit_form():
 
 def test_exponential_singular_time_is_a_root():
     n, c, d, x = 1.2, 0.7, 5, 0.01  # x below g(5, 1.2) = 0.04
-    t_star = singular_time_exponential(d, n, c, x)
     pf = Exponential(n=n, c=c)
+    t_star = pf.singular_time(d, x)
     lam = 1 - (d / (d - 1)) * (1 - x) * pf.value(t_star)
     assert abs(lam) < 1e-12
 
 
 def test_cosine_singular_time_examples():
-    assert singular_time_cosine(1.0, 0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert singular_time_cosine(2.0, 1 / 3) == pytest.approx(math.pi / 3, abs=1e-12)
-    assert singular_time_cosine(1.0, 0.6) is None
-    assert singular_time_cosine(1.0, 0.5) == pytest.approx(math.pi, abs=1e-12)
+    assert Cosine(omega=1.0).singular_time(2, 0.0) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert Cosine(omega=2.0).singular_time(2, 1 / 3) == pytest.approx(math.pi / 3, abs=1e-12)
+    assert Cosine(omega=1.0).singular_time(2, 0.6) is None
+    assert Cosine(omega=1.0).singular_time(2, 0.5) == pytest.approx(math.pi, abs=1e-12)
     # d = 3: cos(omega t*) = 1 - 4/(3(1 - x)), reachable iff x <= 1/3
-    assert singular_time_cosine(1.0, 0.0, d=3) == pytest.approx(math.acos(-1 / 3), abs=1e-15)
-    assert singular_time_cosine(1.0, 0.5, d=3) is None
+    assert Cosine(omega=1.0).singular_time(3, 0.0) == pytest.approx(math.acos(-1 / 3), abs=1e-15)
+    assert Cosine(omega=1.0).singular_time(3, 0.5) is None
     with pytest.raises(ValidationError):
-        singular_time_cosine(1.0, 0.2, d=1)
+        Cosine(omega=1.0).singular_time(1, 0.2)
 
 
 def test_cosine_singular_time_against_root_finder():
@@ -91,16 +84,16 @@ def test_cosine_singular_time_against_root_finder():
 
         t_hi = math.pi / omega
         oracle = brentq(lam, 1e-12, t_hi, xtol=1e-14)
-        assert singular_time_cosine(omega, x) == pytest.approx(oracle, rel=1e-9)
+        assert Cosine(omega=omega).singular_time(2, x) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_plateau_singular_time():
-    assert singular_time_plateau(None, 1.0, 0.1) is None  # target 0.556 > 1/2
-    assert singular_time_plateau(None, 2.5, 0.0) == 2.5
+    assert Plateau(t_sharp=1.0).singular_time(2, 0.1) is None  # target 0.556 > 1/2
+    assert Plateau(t_sharp=2.5).singular_time(2, 0.0) == 2.5
     for x in (0.01, 0.3, 0.9):
-        assert singular_time_plateau(None, 1.0, x) is None
-    with pytest.raises(NotQubitError):
-        singular_time_plateau(None, 1.0, 0.1, d=3)
+        assert Plateau(t_sharp=1.0).singular_time(2, x) is None
+    # p <= 1/2 < (d-1)/(d(1-x)) for every d > 2
+    assert Plateau(t_sharp=1.0).singular_time(3, 0.1) is None
 
 
 # --- regimes ------------------------------------------------------------------------
@@ -164,7 +157,7 @@ def test_scan_matches_exponential_formula():
         report = numeric_singularity_scan(m, t_max=50 / c, grid_points=2001)
         g = g_threshold(d, n).g
         for i in range(d + 1):
-            analytic = singular_time_exponential(d, n, c, float(weights[i]))
+            analytic = Exponential(n=n, c=c).singular_time(d, float(weights[i]))
             numeric = report.singular_times[i]
             assert (numeric is None) == (analytic is None)
             assert (numeric is None) == bool(weights[i] >= g - 1e-12)
@@ -226,14 +219,15 @@ def test_scan_semigroup_point_classification():
 
 def test_scan_grid_too_coarse_advisory():
     m = mixture_map(2, [0.05, 0.05, 0.9], Cosine(omega=40.0))
-    report = numeric_singularity_scan(m, t_max=0.5, grid_points=12, restrict_to_period=False)
+    report = numeric_singularity_scan(m, t_max=0.5, grid_points=12)
     assert any("GridTooCoarse" in w for w in report.warnings)
 
 
 def test_scan_validates_arguments():
     m = mixture_map(2, [0.4, 0.3, 0.3], Exponential(n=1.5, c=1))
-    with pytest.raises(ValidationError):
-        numeric_singularity_scan(m, t_max=0.0, grid_points=100)
+    for t_max in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            numeric_singularity_scan(m, t_max=t_max, grid_points=100)
     with pytest.raises(ValidationError):
         numeric_singularity_scan(m, t_max=1.0, grid_points=1)
 
@@ -273,7 +267,7 @@ def test_cp_divisibility_identity_step():
 def test_cp_divisibility_raises_at_singular_grid_point():
     n, c, x = 1.0, 1.0, 0.1
     m = mixture_map(2, [x, 0.45, 0.45], Exponential(n=n, c=c))
-    t_star = singular_time_exponential(2, n, c, 0.45)
+    t_star = Exponential(n=n, c=c).singular_time(2, 0.45)
     with pytest.raises(SingularAtGridPointError):
         cp_divisibility_check(m, [0.0, t_star, 2 * t_star])
 

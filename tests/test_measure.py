@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimix import measure as measure_mod
+from paulimix.dynmaps import Exponential
 from paulimix.errors import NotPrimePowerError, RegimeMismatchError, ValidationError
 from paulimix.finite_field import factor_prime_power, is_prime_power
-from paulimix.invertibility import output_invertible, singular_time_exponential
+from paulimix.invertibility import output_invertible
 from paulimix.measure import (
     _MC_CHUNK,
     THRESHOLD_ATOL,
@@ -107,7 +108,7 @@ def test_closed_form_monotone_in_n(d, fracs):
         lambda n: delta_closed_form(2, n),
         lambda n: delta_quadrature(2, n),
         lambda n: classify_regime(2, n),
-        lambda n: singular_time_exponential(2, n, 1.0, 0.2),
+        lambda n: Exponential(n=n, c=1.0).singular_time(2, 0.2),
         lambda n: sweep([7, 8], n),
     ],
     ids=["g_threshold", "delta_closed_form", "delta_quadrature", "classify_regime",

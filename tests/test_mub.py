@@ -3,7 +3,6 @@ import pytest
 
 from paulimix.errors import NotPrimePowerError
 from paulimix.mub import (
-    build_mub_for,
     build_unitaries,
     cached_mub,
     cached_unitaries,
@@ -44,11 +43,11 @@ def test_d3_cross_overlaps_are_one_third():
 
 def test_non_prime_power_rejected():
     with pytest.raises(NotPrimePowerError):
-        build_mub_for(6)
+        cached_mub(6)
 
 
 def test_verify_detects_scaled_vector():
-    m = build_mub_for(5)
+    m = cached_mub(5)
     bases = m.bases.copy()
     bases.setflags(write=True)
     bases[1][:, 0] *= 2.0
@@ -59,7 +58,7 @@ def test_verify_detects_scaled_vector():
 
 
 def test_verify_detects_duplicate_basis():
-    m = build_mub_for(3)
+    m = cached_mub(3)
     bases = m.bases.copy()
     bases.setflags(write=True)
     bases[1] = bases[0]
@@ -143,7 +142,7 @@ def test_trace_orthogonality_via_gram_structure(d):
 
 
 def test_payload_roundtrip():
-    m = build_mub_for(4)
+    m = cached_mub(4)
     rebuilt = mub_from_payload(m.to_payload())
     assert rebuilt.dim == m.dim
     assert np.max(np.abs(rebuilt.bases - m.bases)) < 1e-15

@@ -137,13 +137,13 @@ def test_the_cli_alone_loads_no_other_submodule(tmp_path):
 EXPORTS = {
     "dynmaps": [
         "Cosine", "DecoherenceFunction", "DualMapResult", "Exponential", "KrausSet", "MixtureMap",
-        "Plateau", "decay_rate", "density_matrix_defects", "generator_rates", "is_cp",
-        "kraus_dagger_dual", "mixture_map", "numeric_generator", "random_density_matrix", "to_choi",
-        "unvec", "validate_density_matrix", "vec",
+        "Plateau", "density_matrix_defects", "generator_rates", "is_cp", "kraus_dagger_dual",
+        "mixture_map", "numeric_generator", "random_density_matrix", "to_choi", "unvec",
+        "validate_density_matrix", "vec",
     ],
     "errors": [
         "ComputationError", "FieldMismatchError", "NegativeTimeError", "NonHermitianError",
-        "NotPrimePowerError", "NotQubitError", "PaulimixError", "RateSingularError",
+        "NotPrimePowerError", "PaulimixError", "RateSingularError",
         "RegimeMismatchError", "SingularAtGridPointError", "SingularAtTimeError",
         "UnsupportedDimensionError", "ValidationError",
     ],
@@ -154,7 +154,6 @@ EXPORTS = {
     "invertibility": [
         "Classification", "InvertibilityReport", "PropagatorStep", "analytic_singularity_report",
         "cp_divisibility_check", "numeric_singularity_scan", "output_invertible",
-        "singular_time_cosine", "singular_time_exponential", "singular_time_plateau",
     ],
     "measure": [
         "MeasureResult", "Regime", "RegimeKind", "SweepRow", "Threshold", "classify_regime",
@@ -162,7 +161,7 @@ EXPORTS = {
         "normalization_check", "prime_powers_in", "sample_simplex", "sweep", "sweep_dimensions",
     ],
     "mub": [
-        "MubSet", "MubVerification", "WeylUnitaries", "build_mub", "build_mub_for", "build_unitaries",
+        "MubSet", "MubVerification", "WeylUnitaries", "build_mub", "build_unitaries",
         "cached_mub", "cached_unitaries", "verify_mub",
     ],
 }
