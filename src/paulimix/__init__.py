@@ -37,7 +37,6 @@ _EXPORTS = {
     ),
     "errors": (
         "ComputationError",
-        "FieldMismatchError",
         "NegativeTimeError",
         "NonHermitianError",
         "NotPrimePowerError",
@@ -46,12 +45,10 @@ _EXPORTS = {
         "RegimeMismatchError",
         "SingularAtGridPointError",
         "SingularAtTimeError",
-        "UnsupportedDimensionError",
         "ValidationError",
     ),
     "finite_field": (
         "GaloisField",
-        "GfElement",
         "PrimePowerDim",
         "factor_prime_power",
         "find_irreducible",

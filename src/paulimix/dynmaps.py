@@ -661,6 +661,8 @@ def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> tuple[float, .
     """lambda(t), after checking the step and that the map is invertible at t."""
     if h <= 0:
         raise ValidationError(f"step must be > 0, got {h}")
+    if t + h == t:  # covers t - h == t too: the float spacing below t is at most that above
+        raise ValidationError(f"step h={h} is below the float spacing at t={t}: t + h rounds to t")
     lam = m.eigenvalues(t)
     if min(map(abs, lam)) < 1e-12:
         raise SingularAtTimeError(f"map has a zero eigenvalue at t={t}")

@@ -18,14 +18,6 @@ class NotPrimePowerError(ValidationError):
     """The requested dimension is not a prime power, so no d+1 MUBs exist."""
 
 
-class FieldMismatchError(ValidationError):
-    """Arithmetic attempted between elements of different finite fields."""
-
-
-class UnsupportedDimensionError(ValidationError):
-    """No basis construction is implemented for this dimension."""
-
-
 class NegativeTimeError(ValidationError):
     """Decoherence functions are defined for t >= 0 only."""
 

@@ -1,10 +1,12 @@
 """Exact arithmetic in GF(p^k) for small prime-power dimensions.
 
 Elements are polynomials over GF(p) reduced modulo a fixed monic irreducible
-polynomial. Coefficients are stored lowest degree first, so ``(c0, c1)``
-means ``c0 + c1*x``. The modulus is the lexicographically smallest monic
-irreducible (ordering the non-leading coefficients from the highest degree
-down), which makes every field construction deterministic.
+polynomial, handled as int indices whose base-p digits are the coefficients.
+Polynomials are tuples stored lowest degree first, so ``(c0, c1)`` means
+``c0 + c1*x``; the same helpers, taken mod 4, give the Galois ring GR(4, k)
+of the even MUB construction. The modulus is the lexicographically smallest
+monic irreducible (ordering the non-leading coefficients from the highest
+degree down), which makes every field construction deterministic.
 
 Intended scale: the dimensions of a desk-size sweep (q <= 32 exercised
 exhaustively in the tests). Everything is pure and immutable.
@@ -16,26 +18,28 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import FieldMismatchError, NotPrimePowerError
+from .errors import NotPrimePowerError
 
 
-# Miller-Rabin with the first 13 primes as bases decides primality exactly
-# below this bound (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003)
+# Miller-Rabin with the first j primes as bases decides primality exactly
+# below psi_j, the least strong pseudoprime to all of them (Sorenson &
+# Webster, Math. Comp. 86 (2017) 985-1003); (psi_j, j) for the bands used
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_MR_BANDS = (
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MR_EXACT_BELOW = _MR_BANDS[-1][0]
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < _MR_EXACT_BELOW."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
+def _is_strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin rounds on odd n > 2 to each base; False once one proves n composite."""
     odd, twos = n - 1, 0
     while odd % 2 == 0:
         odd, twos = odd // 2, twos + 1
-    for b in _MR_BASES:
+    for b in bases:
         x = pow(b, odd, n)
         if x == 1 or x == n - 1:
             continue
@@ -46,6 +50,17 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < _MR_EXACT_BELOW."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    count = next((j for psi, j in _MR_BANDS if n < psi), len(_MR_BASES))
+    return _is_strong_probable_prime(n, _MR_BASES[:count])
 
 
 def _int_root(d: int, k: int) -> int:
@@ -111,7 +126,24 @@ def is_prime_power(d: int) -> bool:
     return True
 
 
-# --- polynomials over GF(p): tuples of ints, lowest degree first ---
+# --- polynomials over Z_m (m = p, or 4 for the Galois ring): tuples of ints, lowest degree first ---
+
+
+def _digits(a: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of a, lowest first: the coefficients of element a."""
+    out = []
+    for _ in range(k):
+        a, c = divmod(a, p)
+        out.append(c)
+    return tuple(out)
+
+
+def _index(coeffs: tuple[int, ...], p: int) -> int:
+    """The element whose coefficients, lowest degree first, are coeffs."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
 
 
 def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -133,7 +165,7 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
 
 
 def _poly_mod(a: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a modulo a monic polynomial."""
+    """Remainder of a modulo a monic polynomial, coefficients mod p."""
     rem = list(a)
     deg_m = len(modulus) - 1
     for i in range(len(rem) - 1, deg_m - 1, -1):
@@ -143,6 +175,21 @@ def _poly_mod(a: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int
                 rem[i - deg_m + j] = (rem[i - deg_m + j] - coef * modulus[j]) % p
         rem[i] = 0
     return _poly_trim(tuple(rem))
+
+
+def _power_traces(modulus: tuple[int, ...], m: int, count: int) -> list[int]:
+    """tr(x^j) for 0 <= j < count in Z_m[x]/(modulus), for a monic modulus.
+
+    The trace of x^j is that of the j-th power of the modulus's companion
+    matrix, mod m: the sum over i < k of the x^i coefficient of x^(i+j).
+    With m = p and an irreducible modulus it is the trace of GF(p^k) to
+    GF(p), which is linear in an element's coefficients. With m = 4 and a
+    modulus irreducible mod 2 it is the trace of the Galois ring GR(4, k)
+    to Z4.
+    """
+    k = len(modulus) - 1
+    reduced = [_poly_mod((0,) * n + (1,), modulus, m) + (0,) * k for n in range(count + k - 1)]
+    return [sum(reduced[i + j][i] for i in range(k)) % m for j in range(count)]
 
 
 def _monic_polys(degree: int, p: int):
@@ -174,14 +221,9 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
     for m in range(p**k):
-        digits = []
-        rest = m
-        for _ in range(k):
-            digits.append(rest % p)
-            rest //= p
         # digit i of m is the coefficient of x^i, so ascending m walks the
         # candidates in dictionary order on (c_{k-1}, ..., c_0)
-        candidate = tuple(digits) + (1,)
+        candidate = _digits(m, p, k) + (1,)
         if _is_irreducible(candidate, p):
             return candidate
     raise AssertionError("unreachable: irreducible polynomials exist for every (p, k)")
@@ -190,14 +232,14 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 class GaloisField:
     """GF(p^k) in a polynomial basis over the canonical modulus.
 
-    Elements are handed out as :class:`GfElement`. The element with index
-    ``i`` has coefficients given by the base-p digits of ``i`` (lowest
-    degree first), so index 0 is zero and index 1 is one.
+    An element is an int index in 0..q-1 whose base-p digits are its
+    coefficients, lowest degree first, so index 0 is zero and index 1 is one.
     """
 
     def __init__(self, p: int, k: int) -> None:
         self.dim = PrimePowerDim(p, k)
         self.modulus = find_irreducible(p, k)
+        self._monomial_traces = _power_traces(self.modulus, p, k)
 
     @property
     def p(self) -> int:
@@ -211,126 +253,17 @@ class GaloisField:
     def order(self) -> int:
         return self.dim.q
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GaloisField) and self.dim == other.dim
+    def add(self, a: int, b: int) -> int:
+        p, k = self.p, self.k
+        return _index(tuple((x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))), p)
 
-    def __hash__(self) -> int:
-        return hash(self.dim)
+    def mul(self, a: int, b: int) -> int:
+        p, k = self.p, self.k
+        return _index(_poly_mod(_poly_mul(_digits(a, p, k), _digits(b, p, k), p), self.modulus, p), p)
 
-    def __repr__(self) -> str:
-        return f"GaloisField(p={self.p}, k={self.k})"
-
-    def element(self, coeffs) -> "GfElement":
-        tup = tuple(int(c) % self.p for c in coeffs)
-        if len(tup) > self.k:
-            raise ValueError(f"element needs at most {self.k} coefficients")
-        tup = tup + (0,) * (self.k - len(tup))
-        return GfElement(self, tup)
-
-    def from_index(self, index: int) -> "GfElement":
-        if not 0 <= index < self.order:
-            raise ValueError(f"index {index} out of range for GF({self.order})")
-        digits = []
-        rest = index
-        for _ in range(self.k):
-            digits.append(rest % self.p)
-            rest //= self.p
-        return GfElement(self, tuple(digits))
-
-    def zero(self) -> "GfElement":
-        return GfElement(self, (0,) * self.k)
-
-    def one(self) -> "GfElement":
-        return GfElement(self, (1,) + (0,) * (self.k - 1))
-
-    def elements(self) -> list["GfElement"]:
-        return [self.from_index(i) for i in range(self.order)]
-
-    # -- arithmetic --
-
-    def _check(self, a: "GfElement", b: "GfElement") -> None:
-        if a.field != self or b.field != self:
-            raise FieldMismatchError(
-                f"elements of {a.field!r} and {b.field!r} cannot mix with {self!r}"
-            )
-
-    def add(self, a: "GfElement", b: "GfElement") -> "GfElement":
-        self._check(a, b)
-        return GfElement(self, tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def sub(self, a: "GfElement", b: "GfElement") -> "GfElement":
-        self._check(a, b)
-        return GfElement(self, tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def mul(self, a: "GfElement", b: "GfElement") -> "GfElement":
-        self._check(a, b)
-        prod = _poly_mul(a.coeffs, b.coeffs, self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        return self.element(red)
-
-    def pow(self, a: "GfElement", exponent: int) -> "GfElement":
-        if exponent < 0:
-            raise ValueError("negative exponents unsupported; use inverse()")
-        result = self.one()
-        base = a
-        e = exponent
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inverse(self, a: "GfElement") -> "GfElement":
-        if a.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
-
-    def trace(self, a: "GfElement") -> int:
-        """Field trace to GF(p): a + a^p + ... + a^(p^(k-1)), as an int."""
-        acc = self.zero()
-        term = a
-        for _ in range(self.k):
-            acc = self.add(acc, term)
-            term = self.pow(term, self.p)
-        assert all(c == 0 for c in acc.coeffs[1:]), "trace left the prime subfield"
-        return acc.coeffs[0]
-
-
-@dataclass(frozen=True)
-class GfElement:
-    """An element of GF(p^k), coefficients lowest degree first."""
-
-    field: GaloisField
-    coeffs: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.field.p + c
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "GfElement") -> "GfElement":
-        return self.field.add(self, other)
-
-    def __sub__(self, other: "GfElement") -> "GfElement":
-        return self.field.sub(self, other)
-
-    def __mul__(self, other: "GfElement") -> "GfElement":
-        return self.field.mul(self, other)
-
-    def __pow__(self, exponent: int) -> "GfElement":
-        return self.field.pow(self, exponent)
-
-    def trace(self) -> int:
-        return self.field.trace(self)
-
-    def __repr__(self) -> str:
-        return f"GfElement{self.coeffs} in GF({self.field.order})"
+    def trace(self, a: int) -> int:
+        """Field trace to GF(p), a + a^p + ... + a^(p^(k-1)), as an int."""
+        return sum(c * t for c, t in zip(_digits(a, self.p, self.k), self._monomial_traces)) % self.p
 
 
 @lru_cache(maxsize=None)

@@ -84,7 +84,7 @@ _QUADRATURE_MAX_D = 101
 # where sqrt(hi) is in the sieve's reach, a range this wide is sieved in 0.1 s
 # and `sweep --lo 1000 --hi 1000000` (78k closed-form rows) takes 0.9 s as one
 # process; near the top of the exact primality test (hi ~ 1e20..3e24) each
-# prime left by the sieve takes 13 Miller-Rabin rounds, and a range this wide
+# prime left by the sieve takes 12 or 13 Miller-Rabin rounds, and a range this wide
 # takes 8-10 s (one process, 2-core VM)
 _SWEEP_MAX_WIDTH = 1 << 20
 

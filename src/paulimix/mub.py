@@ -11,7 +11,8 @@ Constructions:
   * q = 2^k: quartic-phase bases i^tr((a + 2b) x) / sqrt(q) with a, b, x
     running over the Teichmuller set of the Galois ring Z4[x]/(f),
 and basis 0 is always the computational basis. Nothing downstream trusts
-the construction: ``verify_mub`` measures the actual deviations.
+the construction: ``verify_mub`` measures the actual deviations. Basis sets
+are built or read only up to d = 128, where verifying one takes seconds.
 
 Basis vectors are the *columns* of each basis matrix, and every vector's
 first nonzero amplitude is normalized to be real positive so serialized
@@ -25,10 +26,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
-from .finite_field import PrimePowerDim, factor_prime_power, galois_field
+from .errors import ValidationError
+from .finite_field import (
+    PrimePowerDim,
+    _digits,
+    _poly_mod,
+    _poly_mul,
+    _power_traces,
+    factor_prime_power,
+    galois_field,
+)
 
 MUB_TOLERANCE = 1e-12
+# build_mub and mub_from_payload refuse d above this. verify_mub costs about
+# d^5: 0.2 s at d = 64 and 4.7 s at d = 128 (build_mub 0.06 s and 0.3 s),
+# in one process with one BLAS thread on a 2-core VM; the bases take
+# (d+1) d^2 complex values, 34 MB at d = 128
+_MAX_D = 128
 
 
 @dataclass(frozen=True)
@@ -108,112 +122,47 @@ def _fix_phases(basis: np.ndarray) -> np.ndarray:
 def _odd_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
     p, k, q = dim.p, dim.k, dim.q
     field = galois_field(p, k)
-    elements = field.elements()
 
-    # index tables let the d^3 amplitude exponents come from numpy gathers
-    add_idx = np.empty((q, q), dtype=np.int64)
-    mul_idx = np.empty((q, q), dtype=np.int64)
-    for a in elements:
-        ia = a.index
-        for b in elements:
-            ib = b.index
-            add_idx[ia, ib] = (a + b).index
-            mul_idx[ia, ib] = (a * b).index
-    trace_vec = np.array([field.trace(a) for a in elements], dtype=np.int64)
-    square_idx = np.array([mul_idx[i, i] for i in range(q)], dtype=np.int64)
+    # tr(a s^2 + b s) = tr(a s^2) + tr(b s), so the q^3 amplitude exponents
+    # are numpy gathers from the multiplication table and the trace vector
+    mul_idx = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    trace_vec = np.array([field.trace(a) for a in range(q)], dtype=np.int64)
+    square_idx = mul_idx.diagonal()
+    tr_bs = trace_vec[mul_idx]  # [s, b] -> tr(b s)
 
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     bases = np.empty((q + 1, q, q), dtype=complex)
     bases[0] = np.eye(q, dtype=complex)
-    s_idx = np.arange(q)
-    bs_idx = mul_idx[s_idx[:, None], s_idx[None, :]]  # [s, b] -> index of b*s
     for a in range(q):
-        as2_idx = mul_idx[a, square_idx]  # [s] -> index of a*s^2
-        expo = trace_vec[add_idx[as2_idx[:, None], bs_idx]]  # [s, b]
-        bases[a + 1] = roots[expo % p] / np.sqrt(q)
+        tr_as2 = trace_vec[mul_idx[a, square_idx]]  # [s] -> tr(a s^2)
+        bases[a + 1] = roots[(tr_as2[:, None] + tr_bs) % p] / np.sqrt(q)
     return bases
 
 
-# --- Galois ring GR(4, k) = Z4[x]/(f), f a monic lift of the GF(2) modulus ---
-
-
-def _gr_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(a)
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % 4
-    for i in range(len(prod) - 1, k - 1, -1):
-        coef = prod[i]
-        if coef:
-            for j in range(k + 1):
-                prod[i - k + j] = (prod[i - k + j] - coef * modulus[j]) % 4
-        prod[i] = 0
-    return tuple(prod[:k])
-
-
-def _gr_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((x + y) % 4 for x, y in zip(a, b))
-
-
-def _gr_pow2k(a: tuple[int, ...], k: int, modulus: tuple[int, ...]) -> tuple[int, ...]:
-    out = a
-    for _ in range(k):
-        out = _gr_mul(out, out, modulus)
-    return out
-
-
-def _teichmuller_set(k: int, modulus: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Teichmuller lifts t = r^(2^k) of the 2^k binary representatives r.
-
-    Ordered so that entry i reduces mod 2 to the field element with index i.
-    """
-    lifts = []
-    for i in range(2**k):
-        rep = tuple((i >> j) & 1 for j in range(k))
-        lifts.append(_gr_pow2k(rep, k, modulus))
-    return lifts
-
-
-def _gr_frobenius(y: tuple[int, ...], k: int, modulus: tuple[int, ...]) -> tuple[int, ...]:
-    """sigma(a + 2b) = a^2 + 2 b^2 with a, b the Teichmuller coordinates of y."""
-    a = _gr_pow2k(y, k, modulus)
-    diff = tuple((yi - ai) % 4 for yi, ai in zip(y, a))
-    assert all(c % 2 == 0 for c in diff)
-    b_rep = tuple(c // 2 for c in diff)
-    b = _gr_pow2k(b_rep, k, modulus)
-    a2 = _gr_mul(a, a, modulus)
-    b2 = _gr_mul(b, b, modulus)
-    return _gr_add(a2, tuple((2 * c) % 4 for c in b2))
-
-
-def _gr_trace(y: tuple[int, ...], k: int, modulus: tuple[int, ...]) -> int:
-    acc = (0,) * k
-    term = y
-    for _ in range(k):
-        acc = _gr_add(acc, term)
-        term = _gr_frobenius(term, k, modulus)
-    assert all(c == 0 for c in acc[1:]), "ring trace left Z4"
-    return acc[0]
-
-
 def _even_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
+    """Quartic phases over the Galois ring GR(4, k) = Z4[x]/(f).
+
+    f is the GF(2) modulus read mod 4: it is irreducible mod 2, so it lifts
+    to GR(4, k).
+    """
     k, q = dim.k, dim.q
-    field = galois_field(2, k)
-    modulus = field.modulus  # reduction mod 2 is irreducible, so this lifts to GR(4, k)
-    teich = _teichmuller_set(k, modulus)
+    modulus = galois_field(2, k).modulus
+
+    # Teichmuller lift t = r^(2^k) of each binary representative r; entry i
+    # reduces mod 2 to the field element with index i
+    lifts = []
+    for i in range(q):
+        t = _digits(i, 2, k)
+        for _ in range(k):
+            t = _poly_mod(_poly_mul(t, t, 4), modulus, 4)
+        lifts.append(t + (0,) * (k - len(t)))
 
     # the trace is Z4-linear, so tr(s * x) = s^T M x with
-    # M[i, j] = tr(x^(i+j) mod f); one integer matrix product covers all triples
-    powers = [(1,) + (0,) * (k - 1)]
-    xgen = tuple(1 if i == 1 else 0 for i in range(k))
-    for _ in range(2 * k - 2):
-        powers.append(_gr_mul(powers[-1], xgen, modulus))
-    tr_mono = [_gr_trace(powers[i], k, modulus) for i in range(2 * k - 1)]
+    # M[i, j] = tr(x^(i+j)); one integer matrix product covers all triples
+    tr_mono = _power_traces(modulus, 4, 2 * k - 1)
     tmat = np.array([[tr_mono[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
 
-    tvecs = np.array(teich, dtype=np.int64)  # (q, k)
+    tvecs = np.array(lifts, dtype=np.int64)  # (q, k)
     quartic_roots = np.array([1, 1j, -1, -1j], dtype=complex)
     bases = np.empty((q + 1, q, q), dtype=complex)
     bases[0] = np.eye(q, dtype=complex)
@@ -224,15 +173,19 @@ def _even_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
     return bases
 
 
-def build_mub(dim: PrimePowerDim) -> MubSet:
-    """Construct the d+1 bases for a prime-power dimension.
+def _check_dimension(d: int) -> None:
+    if d > _MAX_D:
+        raise ValidationError(
+            f"MUB construction and verification are limited to d <= {_MAX_D}, got d={d}"
+        )
 
-    Basis 0 is the computational basis. Raises UnsupportedDimensionError
-    if no construction covers (p, k); with the two constructions here that
-    never happens for a valid prime power.
+
+def build_mub(dim: PrimePowerDim) -> MubSet:
+    """Construct the d+1 bases for a prime-power dimension d <= _MAX_D.
+
+    Basis 0 is the computational basis. Raises ValidationError beyond _MAX_D.
     """
-    if dim.q < 2:
-        raise UnsupportedDimensionError(f"dimension {dim.q} < 2")
+    _check_dimension(dim.q)
     if dim.p == 2:
         bases = _even_prime_power_bases(dim)
     else:
@@ -298,6 +251,7 @@ def mub_from_payload(payload: dict) -> MubSet:
 
     d = int(payload["d"])
     dim = factor_prime_power(d)
+    _check_dimension(d)
     bases = np.stack([pairs_to_complex_matrix(b) for b in payload["bases"]])
     if bases.shape != (d + 1, d, d):
         raise ValueError(f"expected {(d + 1, d, d)} bases array, got {bases.shape}")

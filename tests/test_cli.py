@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimix import cli as cli_mod
-from paulimix import dynmaps, invertibility
+from paulimix import dynmaps, invertibility, serialization
 from paulimix import measure as measure_mod
+from paulimix import mub as mub_mod
 from paulimix.cli import main
 from paulimix.dynmaps import random_density_matrix
 from paulimix.serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
@@ -450,6 +451,34 @@ def test_mub_verify_needs_d_or_input(runner):
     assert result.exit_code == 2
 
 
+# one way each to ask for the bases of the first prime power past the limit, 131
+_PAST_THE_MUB_LIMIT = {
+    "mub-verify-d": ["mub", "verify", "--d", "131"],
+    "mub-verify-input": ["mub", "verify", "--input", "{file}"],
+    "evolve": ["evolve", "--d", "131", "--n", "1.01", "--weights", ",".join([repr(1 / 132)] * 132)],
+    "evolve-mub-state": ["evolve", "--d", "131", "--n", "1.01", "--weights", ",".join([repr(1 / 132)] * 132),
+                         "--state", "mub:1:0"],
+}
+
+
+@pytest.mark.parametrize("args", _PAST_THE_MUB_LIMIT.values(), ids=_PAST_THE_MUB_LIMIT.keys())
+def test_mub_work_beyond_its_limit_is_refused_at_once(runner, monkeypatch, tmp_path, args):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the bases were built before the refusal")
+
+    for name in ("_odd_prime_power_bases", "_even_prime_power_bases"):
+        monkeypatch.setattr(mub_mod, name, no_build)
+    monkeypatch.setattr(serialization, "pairs_to_complex_matrix", no_build)
+    path = tmp_path / "mub131.json"
+    path.write_text('{"d": 131, "bases": [[[[1, 0]]]]}')
+    start = time.perf_counter()
+    result = runner.invoke(main, [str(path) if a == "{file}" else a for a in args])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    assert f"limited to d <= {mub_mod._MAX_D}, got d=131" in result.stderr
+    assert result.stdout == ""
+
+
 # --- input files ----------------------------------------------------------------
 
 
@@ -527,6 +556,22 @@ def test_generator_with_weights(runner):
     assert "gamma" not in payload
     for entry in payload["rates"]:
         assert entry["rel_diff"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["generator", "--d", "2", "--n", "1.5", "--t", "0.5", "--h", "5e-324", "--weights", "0.1,0.45,0.45"],
+     # the default step 1e-5 is below the float spacing at t = 1e12
+     ["generator", "--d", "2", "--family", "cosine", "--omega", "1", "--t", "1e12"]],
+    ids=["tiny-step", "default-step-at-large-t"],
+)
+def test_generator_refuses_a_step_that_does_not_move_t(runner, args):
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    assert "is below the float spacing at t=" in result.stderr
+    assert result.stdout == ""
 
 
 # --- weights validation & determinism ------------------------------------------------

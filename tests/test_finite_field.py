@@ -1,10 +1,17 @@
+import random
 import time
 
 import pytest
 
-from paulimix.errors import FieldMismatchError, NotPrimePowerError
+from paulimix.errors import NotPrimePowerError
 from paulimix.finite_field import (
+    _MR_BANDS,
+    _MR_BASES,
+    _MR_EXACT_BELOW,
     PrimePowerDim,
+    _is_prime,
+    _is_strong_probable_prime,
+    _power_traces,
     factor_prime_power,
     find_irreducible,
     galois_field,
@@ -104,6 +111,18 @@ def test_find_irreducible_has_no_roots():
             assert value != 0, (p, k, s)
 
 
+def _digits(a, p, k):
+    return tuple(a // p**i % p for i in range(k))
+
+
+def _power(field, a, e):
+    """a^e by e multiplications."""
+    out = 1
+    for _ in range(e):
+        out = field.mul(out, a)
+    return out
+
+
 def test_gf4_multiplication_table_brute_force():
     # independent oracle: expand the product and reduce x^2 -> x + 1 by hand
     def bf_mul(a, b):
@@ -113,62 +132,51 @@ def test_gf4_multiplication_table_brute_force():
         return ((c0 + c2) % 2, (c1 + c2) % 2)
 
     field = galois_field(2, 2)
-    for a in field.elements():
-        for b in field.elements():
-            assert (a * b).coeffs == bf_mul(a.coeffs, b.coeffs)
+    for a in range(4):
+        for b in range(4):
+            assert _digits(field.mul(a, b), 2, 2) == bf_mul(_digits(a, 2, 2), _digits(b, 2, 2))
 
 
 def test_gf_mul_x_times_x():
     field = galois_field(2, 2)
-    x = field.element((0, 1))
-    assert (x * x).coeffs == (1, 1)  # x + 1
+    x = 2  # coefficients (0, 1)
+    assert _digits(field.mul(x, x), 2, 2) == (1, 1)  # x + 1
 
 
 def test_gf_add_examples():
     f4 = galois_field(2, 2)
-    assert (f4.element((1, 1)) + f4.element((1, 1))).coeffs == (0, 0)
-    assert (f4.element((1, 0)) + f4.element((0, 1))).coeffs == (1, 1)
+    assert f4.add(3, 3) == 0  # (1, 1) + (1, 1) = (0, 0)
+    assert f4.add(1, 2) == 3  # (1, 0) + (0, 1) = (1, 1)
     f9 = galois_field(3, 2)
-    assert (f9.element((2, 1)) + f9.element((2, 2))).coeffs == (1, 0)
-
-
-def test_field_mismatch_raises():
-    a = galois_field(2, 2).one()
-    b = galois_field(3, 1).one()
-    with pytest.raises(FieldMismatchError):
-        a + b
-    with pytest.raises(FieldMismatchError):
-        a * b
+    assert f9.add(5, 8) == 1  # (2, 1) + (2, 2) = (1, 0)
 
 
 def test_trace_examples():
     f4 = galois_field(2, 2)
-    assert f4.zero().trace() == 0
-    x = f4.element((0, 1))
+    assert f4.trace(0) == 0
     # brute force: x + x^2 = x + (x + 1) = 1
-    assert x.trace() == 1
+    assert f4.trace(2) == 1
     f7 = galois_field(7, 1)
-    for a in f7.elements():
-        assert a.trace() == a.coeffs[0]
+    for a in range(7):
+        assert f7.trace(a) == a
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_LE_32)
 def test_field_axioms_exhaustive(q):
     dim = factor_prime_power(q)
     field = galois_field(dim.p, dim.k)
-    els = field.elements()
-    n = len(els)
-    assert n == q
-    add = [[(a + b).index for b in els] for a in els]
-    mul = [[(a * b).index for b in els] for a in els]
+    assert field.order == q
+    n = q
+    add = [[field.add(a, b) for b in range(n)] for a in range(n)]
+    mul = [[field.mul(a, b) for b in range(n)] for a in range(n)]
 
-    zero, one = field.zero().index, field.one().index
-    assert zero == 0 and one == 1
+    zero, one = 0, 1
     for i in range(n):
         assert add[i][zero] == i
         assert mul[i][one] == i
         assert mul[i][zero] == zero
         for j in range(n):
+            assert 0 <= add[i][j] < n and 0 <= mul[i][j] < n
             assert add[i][j] == add[j][i]
             assert mul[i][j] == mul[j][i]
     for i in range(n):
@@ -183,24 +191,59 @@ def test_field_axioms_exhaustive(q):
 def test_inverse_law_exhaustive(q):
     dim = factor_prime_power(q)
     field = galois_field(dim.p, dim.k)
-    one = field.one()
-    for a in field.elements():
-        if a.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                field.inverse(a)
-            continue
-        assert a * (a ** (q - 2)) == one
-        assert field.inverse(a) * a == one
+    # zero has no inverse; every other element has exactly one, a^(q-2)
+    assert [b for b in range(q) if field.mul(0, b) == 1] == []
+    for a in range(1, q):
+        assert [b for b in range(q) if field.mul(a, b) == 1] == [_power(field, a, q - 2)]
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_LE_32)
 def test_trace_linear_and_frobenius_invariant(q):
     dim = factor_prime_power(q)
     field = galois_field(dim.p, dim.k)
-    els = field.elements()
     p = dim.p
-    traces = {a.index: field.trace(a) for a in els}
-    for a in els:
-        assert traces[(a**p).index] == traces[a.index]
-        for b in els:
-            assert traces[(a + b).index] == (traces[a.index] + traces[b.index]) % p
+    traces = [field.trace(a) for a in range(q)]
+    assert all(0 <= t < p for t in traces)
+    for a in range(q):
+        assert traces[_power(field, a, p)] == traces[a]
+        for b in range(q):
+            assert traces[field.add(a, b)] == (traces[a] + traces[b]) % p
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ring_trace_reduces_to_the_field_trace(k):
+    # GR(4, k) maps onto GF(2^k) mod 2, and its trace onto the field trace
+    modulus = find_irreducible(2, k)
+    ring = _power_traces(modulus, 4, 2 * k - 1)
+    field = galois_field(2, k)
+    x = 2 if k > 1 else 0  # x = 0 in GF(2) = GF(2)[x]/(x)
+    for j, t in enumerate(ring):
+        assert t % 2 == field.trace(_power(field, x, j))
+    assert ring[0] == k % 4  # tr(1) = k
+
+
+def test_miller_rabin_bands_end_at_the_least_strong_pseudoprimes():
+    # psi_j, the least strong pseudoprime to the first j prime bases, for j = 1..13
+    psi = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461, 3317044064679887385961981]
+    for j, n in enumerate(psi, start=1):
+        assert _is_strong_probable_prime(n, _MR_BASES[:j]), j
+        if n < _MR_EXACT_BELOW:
+            assert not _is_prime(n), j
+    for bound, count in _MR_BANDS:
+        assert psi[count - 1] == bound
+
+
+def test_miller_rabin_bands_agree_with_all_13_bases():
+    rng = random.Random(20170)
+    lo = 43
+    primes = 0
+    for bound, _ in _MR_BANDS:
+        for _ in range(400):
+            n = rng.randrange(lo, bound) | 1
+            expected = _is_strong_probable_prime(n, _MR_BASES)
+            assert _is_prime(n) == expected, n
+            primes += expected
+        lo = bound
+    assert primes > 20
