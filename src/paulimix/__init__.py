@@ -1,9 +1,11 @@
 """Convex mixtures of dephasing qudit maps: construction, invertibility, measure.
 
 The pipeline: factor the dimension as a prime power, build the d+1 mutually
-unbiased bases and their phase unitaries, drive the d+1 input maps with a
+unbiased bases, drive the d+1 input maps (one dephasing per basis) with a
 shared decoherence function, mix them with simplex weights, and ask when
-(and how often, over all mixtures) the output map stays invertible.
+(and how often, over all mixtures) the output map stays invertible. Each
+map is held as its d+1 eigenvalues; ``paulimix.oracle`` rebuilds it as a
+dense superoperator for the tests to check against.
 
 The public names below are resolved on first access (PEP 562), so importing
 the package, or a module in it such as ``paulimix.cli``, loads no submodule
@@ -18,22 +20,12 @@ _EXPORTS = {
     "dynmaps": (
         "Cosine",
         "DecoherenceFunction",
-        "DualMapResult",
         "Exponential",
-        "KrausSet",
         "MixtureMap",
         "Plateau",
-        "density_matrix_defects",
         "generator_rates",
-        "is_cp",
-        "kraus_dagger_dual",
         "mixture_map",
-        "numeric_generator",
-        "random_density_matrix",
-        "to_choi",
-        "unvec",
         "validate_density_matrix",
-        "vec",
     ),
     "errors": (
         "ComputationError",
@@ -84,12 +76,22 @@ _EXPORTS = {
     "mub": (
         "MubSet",
         "MubVerification",
-        "WeylUnitaries",
         "build_mub",
-        "build_unitaries",
         "cached_mub",
-        "cached_unitaries",
         "verify_mub",
+    ),
+    "oracle": (
+        "DualMapResult",
+        "KrausSet",
+        "is_cp",
+        "kraus_dagger_dual",
+        "numeric_generator",
+        "phase_unitaries",
+        "random_density_matrix",
+        "superoperator",
+        "to_choi",
+        "unvec",
+        "vec",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

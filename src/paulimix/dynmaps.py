@@ -15,9 +15,12 @@ Pauli channel, fixed completely by these d+1 eigenvalues, and they are the
 core of every computation: ``MixtureMap.eigenvalues`` feeds the generator
 rates and the CP checks, and ``MixtureMap.apply`` is d+1 dephasings in the
 MUB bases, since sum_{k=0}^{d-1} U_i^k rho U_i^{-k} = d * dephase_i(rho).
-A ``MixtureMap`` holds no basis: only ``apply`` and the dense oracle fetch
-the (cached) bases or unitaries from ``paulimix.mub``, which the eigenvalue
-routes never import.
+A ``MixtureMap`` holds no basis: only ``apply`` fetches the (cached) bases
+from ``paulimix.mub``, which the eigenvalue routes never import. The
+dense d^2 x d^2 representation (superoperator, Choi matrix, Kraus sets)
+lives in ``paulimix.oracle``, built from the definition independently of
+the eigenvalues; the tests compare the core against it, and no command
+loads it.
 
 The closed forms that depend on p(t) alone (singular times, the decay rate
 of a single input map, the default scan span) are methods of each family.
@@ -26,22 +29,11 @@ The core is Python floats: the weights are a tuple, ``eigenvalues`` and
 ``generator_rates`` return tuples, and none of it imports numpy, so the
 eigenvalue commands run without it. Where the core sums or spaces values
 the way numpy did, ``_pairwise_sum`` and ``_linspace`` reproduce numpy's
-results bit for bit. Everything that works on matrices (``apply``, the
-density-matrix helpers, ``vec``/``unvec``, Choi/Kraus and the dense oracle)
-imports numpy inside its own body.
+results bit for bit. ``apply`` and ``validate_density_matrix`` import
+numpy inside their own bodies.
 
-The dense d^2 x d^2 representation (``MixtureMap.superoperator``,
-``to_choi``, ``is_cp``, ``numeric_generator``, ``KrausSet``) is built from
-the definition, independently of the eigenvalues, and serves as the oracle
-the tests compare the core against.
-
-Conventions, fixed once for the whole package:
-  * vectorization is column-stacking: vec(A B C) = (C^T kron A) vec(B),
-    so a Kraus set {K} has superoperator sum conj(K) kron K;
-  * the Choi matrix is sum_r vec(K_r) vec(K_r)^dag, Hermitian with trace d
-    for trace-preserving maps, PSD exactly when the map is CP;
-  * mixing indices are 0-based: weight x[i] goes with basis i of the MUB
-    set (basis 0 is computational).
+Mixing indices are 0-based: weight x[i] goes with basis i of the MUB set
+(basis 0 is computational).
 """
 
 from __future__ import annotations
@@ -54,7 +46,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import (
     NegativeTimeError,
-    NonHermitianError,
     RateSingularError,
     SingularAtTimeError,
     ValidationError,
@@ -371,18 +362,8 @@ class Plateau(DecoherenceFunction):
 # --- density matrices -------------------------------------------------------
 
 
-def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
-    """(hermiticity defect, |trace - 1|, min eigenvalue) of a candidate state."""
-    import numpy as np
-
-    rho = np.asarray(rho, dtype=complex)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    tr = abs(complex(np.trace(rho)) - 1.0)
-    lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    return herm, float(tr), lam_min
-
-
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """``rho`` as a complex array, if it is Hermitian with trace 1 and no eigenvalue below -tol."""
     import numpy as np
 
     rho = np.asarray(rho, dtype=complex)
@@ -390,41 +371,16 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValidationError("density matrix has non-finite entries")
-    herm, tr_defect, lam_min = density_matrix_defects(rho)
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > tol:
         raise ValidationError(f"not Hermitian (max deviation {herm:.3e})")
+    tr_defect = abs(complex(np.trace(rho)) - 1.0)
     if tr_defect > tol:
         raise ValidationError(f"trace differs from 1 by {tr_defect:.3e}")
+    lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
     if lam_min < -tol:
         raise ValidationError(f"negative eigenvalue {lam_min:.3e}")
     return rho
-
-
-def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Ginibre-induced random full-rank state."""
-    import numpy as np
-
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-# --- vectorization ----------------------------------------------------------
-
-
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    import numpy as np
-
-    return np.asarray(mat).T.reshape(-1)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    v = np.asarray(v)
-    d = int(round(math.sqrt(v.size)))
-    return v.reshape(d, d).T
 
 
 # --- input maps and mixtures -------------------------------------------------
@@ -436,8 +392,7 @@ class MixtureMap:
 
     It holds the dimension, the weights and p(t), which fix the d+1
     eigenvalues. The MUB bases are fetched from ``cached_mub`` only by
-    ``apply``, and the phase unitaries from ``cached_unitaries`` only by the
-    dense oracle, each on first use, so the eigenvalue routes build no basis.
+    ``apply``, on first use, so the eigenvalue routes build no basis.
 
     Weights may sit on the boundary of the simplex (zeros allowed), which
     covers the single-input-map limit, so a one-hot weight vector is a
@@ -495,38 +450,13 @@ class MixtureMap:
 
         return cached_mub(self.d).bases.transpose(1, 0, 2).reshape(self.d, -1)
 
-    @cached_property
-    def _conjugation_superop(self) -> np.ndarray:
-        """sum_i x_i sum_k conj(U_i^k) kron U_i^k, the t-independent part."""
-        import numpy as np
-
-        from .mub import cached_unitaries
-
-        d = self.d
-        unitaries = cached_unitaries(d).unitaries
-        acc = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d + 1):
-            x = self.weights[i]
-            if x == 0.0:
-                continue
-            U = unitaries[i]
-            Uk = U
-            for _ in range(d - 1):
-                acc += x * np.kron(Uk.conj(), Uk)
-                Uk = Uk @ U
-        return acc
-
     def superoperator(self, t: float) -> np.ndarray:
-        """Column-stacking superoperator matrix of the map at time t.
+        """The dense superoperator at time t; see ``paulimix.oracle.superoperator``."""
+        # stays a method: the acceptance suite calls m.superoperator(t), and
+        # perfbench/tracer.py wraps MixtureMap.superoperator by name
+        from .oracle import superoperator
 
-        Built from the definition as an independent oracle for the
-        eigenvalue core; no command computes it.
-        """
-        import numpy as np
-
-        d = self.d
-        p = self.pf.value(t)
-        return (1.0 - p) * np.eye(d * d, dtype=complex) + (p / (d - 1)) * self._conjugation_superop
+        return superoperator(self, t)
 
 
 def mixture_map(d: int, weights, pf: DecoherenceFunction) -> MixtureMap:
@@ -543,115 +473,6 @@ def _weight_tuple(weights, d: int) -> tuple[float, ...]:
     if len(w) != d + 1:
         raise ValidationError(f"need {d + 1} weights for dimension {d}, got ({len(w)},)")
     return w
-
-
-# --- Choi / CP --------------------------------------------------------------
-
-
-def to_choi(superop: np.ndarray) -> np.ndarray:
-    """Reshuffle a column-stacking superoperator into its Choi matrix.
-
-    With S = sum_r conj(K_r) kron K_r this returns
-    sum_r vec(K_r) vec(K_r)^dag (trace d for trace-preserving maps).
-    """
-    import numpy as np
-
-    s = np.asarray(superop)
-    d = int(round(math.sqrt(s.shape[0])))
-    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-
-
-def is_cp(choi: np.ndarray, tol: float = 1e-10, herm_tol: float = 1e-10) -> tuple[bool, float]:
-    """CP test: (lambda_min(choi) >= -tol, lambda_min).
-
-    Raises NonHermitianError when the input is not Hermitian within herm_tol.
-    """
-    import numpy as np
-
-    c = np.asarray(choi)
-    herm = float(np.max(np.abs(c - c.conj().T)))
-    if herm > herm_tol:
-        raise NonHermitianError(f"Choi matrix deviates from Hermiticity by {herm:.3e}")
-    lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (c + c.conj().T))))
-    return lam_min >= -tol, lam_min
-
-
-# --- Kraus sets and the dagger dual -----------------------------------------
-
-
-@dataclass
-class KrausSet:
-    """A list of d x d Kraus operators."""
-
-    operators: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        if not self.operators:
-            raise ValidationError("a Kraus set needs at least one operator")
-        self.operators = [np.asarray(k, dtype=complex) for k in self.operators]
-        shape = self.operators[0].shape
-        if shape[0] != shape[1] or any(k.shape != shape for k in self.operators):
-            raise ValidationError("Kraus operators must all be square with the same shape")
-
-    @property
-    def d(self) -> int:
-        return self.operators[0].shape[0]
-
-    def completeness_defect(self) -> float:
-        """max |sum K^dag K - I|; zero for trace-preserving maps."""
-        import numpy as np
-
-        acc = sum(k.conj().T @ k for k in self.operators)
-        return float(np.max(np.abs(acc - np.eye(self.d))))
-
-    def to_superoperator(self) -> np.ndarray:
-        import numpy as np
-
-        acc = np.zeros((self.d**2, self.d**2), dtype=complex)
-        for k in self.operators:
-            acc += np.kron(k.conj(), k)
-        return acc
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        rho = np.asarray(rho, dtype=complex)
-        return sum(k @ rho @ k.conj().T for k in self.operators)
-
-
-@dataclass
-class DualMapResult:
-    """The dagger-dual Kraus set plus validity flags for both directions.
-
-    The dual {K^dag} is trace preserving exactly when the original map is
-    unital, so both defects are reported instead of raising.
-    """
-
-    kraus: KrausSet
-    original_tp_defect: float
-    dual_tp_defect: float
-    tol: float = 1e-10
-
-    @property
-    def original_trace_preserving(self) -> bool:
-        return self.original_tp_defect <= self.tol
-
-    @property
-    def dual_trace_preserving(self) -> bool:
-        return self.dual_tp_defect <= self.tol
-
-
-def kraus_dagger_dual(k: KrausSet, tol: float = 1e-10) -> DualMapResult:
-    """The map rho -> sum_j K_j^dag rho K_j, i.e. every operator daggered."""
-    dual = KrausSet([op.conj().T for op in k.operators])
-    return DualMapResult(
-        kraus=dual,
-        original_tp_defect=k.completeness_defect(),
-        dual_tp_defect=dual.completeness_defect(),
-        tol=tol,
-    )
 
 
 # --- the time-local generator ---------------------------------------------
@@ -681,24 +502,17 @@ def _time_derivative(f: Callable[[float], Sequence], t: float, h: float) -> list
     return [(-3.0 * a + 4.0 * b - c) / (2 * h) for a, b, c in zip(f(t), f(t + h), f(t + 2 * h))]
 
 
-def numeric_generator(m: MixtureMap, t: float, h: float) -> np.ndarray:
-    """Finite-difference time-local generator L(t) = dPhi/dt * Phi(t)^-1.
-
-    The dense oracle for ``generator_rates``. Raises SingularAtTimeError
-    when the map is not invertible at t.
-    """
-    import numpy as np
-
-    _invertible_eigenvalues(m, t, h)
-    return np.array(_time_derivative(m.superoperator, t, h)) @ np.linalg.inv(m.superoperator(t))
-
-
 def generator_rates(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:
     """Per-index eigenvalue rates lambda_i'(t)/lambda_i(t) of the generator.
 
     The generator is diagonal on the eigenoperators U_i^k, so its rates are
     finite differences of the eigenvalues divided by the eigenvalues.
-    Raises SingularAtTimeError when the map is not invertible at t.
+    Raises SingularAtTimeError when the map is not invertible at t, and
+    ValidationError when the stencil moves no eigenvalue although p'(t) != 0.
     """
     lam = _invertible_eigenvalues(m, t, h)
-    return tuple(s / x for s, x in zip(_time_derivative(m.eigenvalues, t, h), lam))
+    rates = tuple(s / x for s, x in zip(_time_derivative(m.eigenvalues, t, h), lam))
+    # every rate is -d/(d-1) (1 - x_i) p'/lambda_i, and not all x_i are 1
+    if not any(rates) and m.pf.derivative(t) != 0:
+        raise ValidationError(f"step h={h} moves no eigenvalue at t={t} in floats, though p'(t) != 0")
+    return rates

@@ -1,9 +1,9 @@
-"""Mutually unbiased bases and the phase unitaries built from them.
+"""Mutually unbiased bases: build, verify, cache and serialize.
 
 For a prime-power dimension d this module constructs d+1 orthonormal bases
-with |<a|b>|^2 = 1/d across any two distinct bases, plus the unitaries
-U_alpha = sum_j omega^j |xi_j><xi_j| (omega = exp(2 pi i / d)) whose powers
-are the eigenoperators of every map downstream.
+with |<a|b>|^2 = 1/d across any two distinct bases. ``MixtureMap.apply``
+dephases in them, and ``paulimix.oracle`` builds from them the phase
+unitaries whose powers are the eigenoperators of every map.
 
 Constructions:
   * odd prime power q = p^k: quadratic Gauss-phase bases with amplitudes
@@ -91,32 +91,10 @@ class MubVerification:
         }
 
 
-@dataclass(frozen=True)
-class WeylUnitaries:
-    """The d+1 phase unitaries, one per basis, with spectrum = d-th roots of 1.
-
-    ``unitaries[i]`` is diagonal in basis i of the MUB set it is built from.
-    """
-
-    dim: PrimePowerDim
-    unitaries: np.ndarray  # shape (d+1, d, d), complex
-    omega: complex
-
-    @property
-    def d(self) -> int:
-        return self.dim.q
-
-
 def _fix_phases(basis: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero entry is real positive."""
-    out = basis.copy()
-    d = basis.shape[0]
-    for j in range(d):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-14)
-        pivot = col[nz[0]]
-        out[:, j] = col * (abs(pivot) / pivot)
-    return out
+    pivots = basis[np.argmax(np.abs(basis) > 1e-14, axis=0), np.arange(basis.shape[1])]
+    return basis * (np.abs(pivots) / pivots)
 
 
 def _odd_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
@@ -222,27 +200,10 @@ def verify_mub(m: MubSet, tol: float = MUB_TOLERANCE) -> MubVerification:
     )
 
 
-def build_unitaries(m: MubSet) -> WeylUnitaries:
-    """U_alpha = sum_j omega^j P_j^(alpha) for each basis alpha."""
-    d = m.d
-    omega = np.exp(2j * np.pi / d)
-    phases = omega ** np.arange(d)
-    unitaries = np.empty_like(m.bases)
-    for alpha, basis in enumerate(m.bases):
-        unitaries[alpha] = (basis * phases[None, :]) @ basis.conj().T
-    unitaries.setflags(write=False)
-    return WeylUnitaries(dim=m.dim, unitaries=unitaries, omega=complex(omega))
-
-
 @lru_cache(maxsize=None)
 def cached_mub(d: int) -> MubSet:
     """Cached construction keyed by dimension (treat the arrays as read-only)."""
     return build_mub(factor_prime_power(d))
-
-
-@lru_cache(maxsize=None)
-def cached_unitaries(d: int) -> WeylUnitaries:
-    return build_unitaries(cached_mub(d))
 
 
 def mub_from_payload(payload: dict) -> MubSet:

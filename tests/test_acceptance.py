@@ -17,13 +17,8 @@ from paulimix.dynmaps import (
     Exponential,
     Cosine,
     Plateau,
-    KrausSet,
     generator_rates,
-    is_cp,
-    kraus_dagger_dual,
     mixture_map,
-    random_density_matrix,
-    to_choi,
 )
 from paulimix.invertibility import (
     Classification,
@@ -36,6 +31,7 @@ from paulimix.measure import (
     g_threshold,
 )
 from paulimix.mub import cached_mub, verify_mub
+from paulimix.oracle import KrausSet, is_cp, kraus_dagger_dual, random_density_matrix, to_choi
 
 PRIME_POWERS_LE_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 

@@ -14,7 +14,7 @@ from paulimix import dynmaps, invertibility, serialization
 from paulimix import measure as measure_mod
 from paulimix import mub as mub_mod
 from paulimix.cli import main
-from paulimix.dynmaps import random_density_matrix
+from paulimix.oracle import random_density_matrix
 from paulimix.serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
 
 
@@ -559,19 +559,33 @@ def test_generator_with_weights(runner):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["generator", "--d", "2", "--n", "1.5", "--t", "0.5", "--h", "5e-324", "--weights", "0.1,0.45,0.45"],
+    "args, named",
+    [(["generator", "--d", "2", "--n", "1.5", "--t", "0.5", "--h", "5e-324", "--weights", "0.1,0.45,0.45"],
+      "is below the float spacing at t="),
      # the default step 1e-5 is below the float spacing at t = 1e12
-     ["generator", "--d", "2", "--family", "cosine", "--omega", "1", "--t", "1e12"]],
-    ids=["tiny-step", "default-step-at-large-t"],
+     (["generator", "--d", "2", "--family", "cosine", "--omega", "1", "--t", "1e12"],
+      "is below the float spacing at t="),
+     # the forward stencil at t = 0 moves t to h and 2h, but p stays 0
+     (["generator", "--d", "2", "--n", "1.5", "--t", "0", "--h", "5e-324", "--weights", "0.1,0.45,0.45"],
+      "h=5e-324 moves no eigenvalue at t=0.0"),
+     # p(700 +- 1e-5) rounds to 1/n, while p'(700) = e^-700/n is not 0
+     (["generator", "--d", "2", "--n", "1.5", "--t", "700"], "h=1e-05 moves no eigenvalue at t=700.0")],
+    ids=["tiny-step", "default-step-at-large-t", "forward-stencil-at-t0", "far-tail"],
 )
-def test_generator_refuses_a_step_that_does_not_move_t(runner, args):
+def test_generator_refuses_a_step_that_does_not_move_t(runner, args, named):
     start = time.perf_counter()
     result = runner.invoke(main, args)
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2, result.output
-    assert "is below the float spacing at t=" in result.stderr
+    assert named in result.stderr
     assert result.stdout == ""
+
+
+def test_generator_answers_zero_rates_on_a_plateau(runner):
+    payload = run_ok(runner, ["generator", "--d", "2", "--family", "plateau", "--t-sharp", "1", "--t", "2",
+                              "--weights", "0.1,0.45,0.45"])
+    assert [entry["rate_numeric"] for entry in payload["rates"]] == [0, 0, 0]
+    assert [entry["rel_diff"] for entry in payload["rates"]] == [0, 0, 0]
 
 
 # --- weights validation & determinism ------------------------------------------------

@@ -8,18 +8,10 @@ from hypothesis import strategies as st
 from paulimix.dynmaps import (
     Cosine,
     Exponential,
-    KrausSet,
     Plateau,
     generator_rates,
-    is_cp,
-    kraus_dagger_dual,
     mixture_map,
-    numeric_generator,
-    random_density_matrix,
-    to_choi,
-    unvec,
     validate_density_matrix,
-    vec,
 )
 from paulimix.errors import (
     NegativeTimeError,
@@ -28,7 +20,18 @@ from paulimix.errors import (
     SingularAtTimeError,
     ValidationError,
 )
-from paulimix.mub import cached_mub, cached_unitaries
+from paulimix.mub import cached_mub
+from paulimix.oracle import (
+    KrausSet,
+    is_cp,
+    kraus_dagger_dual,
+    numeric_generator,
+    phase_unitaries,
+    random_density_matrix,
+    to_choi,
+    unvec,
+    vec,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,7 +58,7 @@ def dense_generator_rates(m, t, h):
     """Rates read off the dense numeric generator on the eigenoperators U_i."""
     gen = numeric_generator(m, t, h)
     rates = np.empty(m.d + 1)
-    for i, U in enumerate(cached_unitaries(m.d).unitaries):
+    for i, U in enumerate(phase_unitaries(m.d)):
         v = vec(U)
         rates[i] = float(np.real(np.vdot(v, gen @ v) / np.vdot(v, v)))
     return rates

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from paulimix.dynmaps import Cosine, Exponential, Plateau, is_cp, mixture_map, to_choi
+from paulimix.dynmaps import Cosine, Exponential, Plateau, mixture_map
 from paulimix.errors import SingularAtGridPointError, ValidationError
 from paulimix.invertibility import (
     Classification,
@@ -16,6 +16,7 @@ from paulimix.invertibility import (
     output_invertible,
 )
 from paulimix.measure import RegimeKind, classify_regime, g_threshold
+from paulimix.oracle import is_cp, to_choi
 
 
 # --- analytic singular times -----------------------------------------------------

@@ -8,12 +8,11 @@ from paulimix.finite_field import factor_prime_power
 from paulimix.mub import (
     _MAX_D,
     build_mub,
-    build_unitaries,
     cached_mub,
-    cached_unitaries,
     mub_from_payload,
     verify_mub,
 )
+from paulimix.oracle import phase_unitaries
 
 PRIME_POWERS_LE_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -82,7 +81,7 @@ def test_verify_passes_everywhere(d):
 
 
 def test_qubit_unitaries_are_pauli_matrices():
-    u = cached_unitaries(2).unitaries
+    u = phase_unitaries(2)
     assert np.allclose(u[0], SZ, atol=1e-14)
     assert np.allclose(u[1], SX, atol=1e-14)
     assert np.allclose(u[2], SY, atol=1e-14)
@@ -136,43 +135,45 @@ def test_phase_convention_first_nonzero_positive():
 
 @pytest.mark.parametrize("d", PRIME_POWERS_LE_32)
 def test_unitaries_unitary_with_root_of_unity_spectrum(d):
-    u = cached_unitaries(d)
+    u = phase_unitaries(d)
+    omega = np.exp(2j * np.pi / d)
     eye = np.eye(d)
-    for U in u.unitaries:
+    for U in u:
         assert np.max(np.abs(U @ U.conj().T - eye)) < 1e-12
         assert np.max(np.abs(np.linalg.matrix_power(U, d) - eye)) < 1e-10
         eigs = np.linalg.eigvals(U)
         # each d-th root of unity appears exactly once
         slots = np.mod(np.rint(np.angle(eigs) / (2 * np.pi / d)).astype(int), d)
         assert sorted(slots) == list(range(d))
-        assert np.max(np.abs(eigs - u.omega**slots)) < 1e-10
+        assert np.max(np.abs(eigs - omega**slots)) < 1e-10
 
 
 def test_unitary_eigenrelation_d5():
     m = cached_mub(5)
-    u = build_unitaries(m)
+    u = phase_unitaries(5)
+    omega = np.exp(2j * np.pi / 5)
     for alpha in range(6):
         for j in range(5):
             v = m.bases[alpha][:, j]
-            assert np.max(np.abs(u.unitaries[alpha] @ v - u.omega**j * v)) < 1e-12
+            assert np.max(np.abs(u[alpha] @ v - omega**j * v)) < 1e-12
 
 
 def test_computational_basis_unitary_is_diagonal_clock():
-    u3 = cached_unitaries(3)
+    u3 = phase_unitaries(3)
     w = np.exp(2j * np.pi / 3)
-    assert np.allclose(u3.unitaries[0], np.diag([1, w, w**2]), atol=1e-14)
-    u2 = cached_unitaries(2)
-    assert np.allclose(u2.unitaries[0], np.diag([1, -1]), atol=1e-14)
+    assert np.allclose(u3[0], np.diag([1, w, w**2]), atol=1e-14)
+    u2 = phase_unitaries(2)
+    assert np.allclose(u2[0], np.diag([1, -1]), atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
 def test_trace_orthogonality_direct(d):
-    u = cached_unitaries(d)
+    u = phase_unitaries(d)
     ops = []
     for alpha in range(d + 1):
         power = np.eye(d, dtype=complex)
         for _ in range(d - 1):
-            power = power @ u.unitaries[alpha]
+            power = power @ u[alpha]
             ops.append(power)
     flat = np.stack([op.reshape(-1) for op in ops])
     gram = flat @ flat.conj().T  # [(alpha,k), (beta,m)] -> tr(U_b^m dag U_a^k)

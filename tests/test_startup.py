@@ -79,6 +79,7 @@ def test_light_commands_never_import_numpy(tmp_path, args, code):
     got, modules = _run_isolated(args, tmp_path)
     assert got == code
     assert "numpy" not in modules
+    assert "paulimix.oracle" not in modules
 
 
 @pytest.mark.parametrize("args, code", WITHOUT_MUB.values(), ids=WITHOUT_MUB.keys())
@@ -93,7 +94,7 @@ def test_eigenvalue_commands_never_ask_for_a_basis(monkeypatch):
     from paulimix import mub
 
     calls = []
-    for name in ("cached_mub", "cached_unitaries", "build_mub"):
+    for name in ("cached_mub", "build_mub"):
         real = getattr(mub, name)
         monkeypatch.setattr(mub, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     for args, code in WITHOUT_MUB.values():
@@ -124,7 +125,14 @@ def test_mub_verify_loads_no_map_or_measure_module(tmp_path):
     code, modules = _run_isolated(["mub", "verify", "--d", "5"], tmp_path)
     assert code == 0
     assert "paulimix.mub" in modules
-    assert not modules & {"paulimix.dynmaps", "paulimix.invertibility", "paulimix.measure"}
+    assert not modules & {"paulimix.dynmaps", "paulimix.invertibility", "paulimix.measure", "paulimix.oracle"}
+
+
+def test_evolve_reads_the_bases_but_never_loads_the_dense_oracle(tmp_path):
+    code, modules = _run_isolated(["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS], tmp_path)
+    assert code == 0
+    assert "paulimix.mub" in modules
+    assert "paulimix.oracle" not in modules
 
 
 def test_the_cli_alone_loads_no_other_submodule(tmp_path):
@@ -136,10 +144,8 @@ def test_the_cli_alone_loads_no_other_submodule(tmp_path):
 # every public name of the package, by defining module
 EXPORTS = {
     "dynmaps": [
-        "Cosine", "DecoherenceFunction", "DualMapResult", "Exponential", "KrausSet", "MixtureMap",
-        "Plateau", "density_matrix_defects", "generator_rates", "is_cp", "kraus_dagger_dual",
-        "mixture_map", "numeric_generator", "random_density_matrix", "to_choi", "unvec",
-        "validate_density_matrix", "vec",
+        "Cosine", "DecoherenceFunction", "Exponential", "MixtureMap", "Plateau", "generator_rates",
+        "mixture_map", "validate_density_matrix",
     ],
     "errors": [
         "ComputationError", "NegativeTimeError", "NonHermitianError",
@@ -161,8 +167,11 @@ EXPORTS = {
         "normalization_check", "prime_powers_in", "sample_simplex", "sweep", "sweep_dimensions",
     ],
     "mub": [
-        "MubSet", "MubVerification", "WeylUnitaries", "build_mub", "build_unitaries",
-        "cached_mub", "cached_unitaries", "verify_mub",
+        "MubSet", "MubVerification", "build_mub", "cached_mub", "verify_mub",
+    ],
+    "oracle": [
+        "DualMapResult", "KrausSet", "is_cp", "kraus_dagger_dual", "numeric_generator", "phase_unitaries",
+        "random_density_matrix", "superoperator", "to_choi", "unvec", "vec",
     ],
 }
 
