@@ -4,16 +4,33 @@ Every command prints deterministic, machine-readable JSON (CSV where noted)
 with floats at 17 significant digits, so identical invocations are
 byte-identical. Exit codes: 0 success, 1 computation-level failure (e.g. a
 regime mismatch, or running out of memory), 2 usage or validation error,
-which includes every non-finite number.
+which includes every non-finite number. An error prints nothing on stdout
+and one ``error:`` line on stderr; a group given no command prints its help
+there instead.
 
-Each command imports the modules it reads inside its own body, so a process
+The commands are one table at the end of this module: a row per command
+with its callback (whose docstring is its help) and its options, each with
+a flag, a converter, a default, whether it is required, and a help text.
+``main`` parses argv against that table. The token after an option is
+its value even when it starts with ``-``, ``--opt=value`` is accepted, a
+repeated option keeps its last value, option names are never abbreviated,
+choices are case-sensitive, and ``--help`` prints to stdout and exits 0.
+Floats must be finite. A missing, unknown, extra or malformed
+argument exits 2, as does a group (``paulimix``, ``paulimix mub``) given no
+command. ``main(args=None, prog_name=None)`` reads ``sys.argv[1:]`` when
+``args`` is None, and ``main.commands`` maps each name to its row, whose
+``callback`` is read when the command runs.
+
+The CLI imports nothing outside the standard library except numpy, and each
+command imports the modules it reads inside its own body, so a process
 loads only what its command uses. ``regime``, ``measure`` and ``sweep`` with
 the closed form or the quadrature, and the eigenvalue commands
 (``singular-time``, ``cp-check``, ``generator``), which work on the d+1
 eigenvalues as Python floats, never import numpy; the eigenvalue commands
-never import ``paulimix.mub`` either. numpy is loaded by ``evolve`` (after
-its weights and family are validated), ``mub verify`` and the Monte Carlo
-draws. A usage error loads nothing beyond click and ``paulimix.errors``.
+never import ``paulimix.mub`` or ``paulimix.measure`` either. numpy is
+loaded by ``evolve`` (after its weights and family are validated), ``mub
+verify`` and the Monte Carlo draws. ``--help`` and a usage error load no
+paulimix module beyond this one and ``paulimix.errors``.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
 set, before any command imports numpy: up to d = 32 no command multiplies
@@ -30,17 +47,12 @@ starts, to compute more than ``_MAX_VALUES`` values: the d+1 eigenvalues at each
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import click  # noqa: E402
 
 from .errors import PaulimixError, RegimeMismatchError, ValidationError  # noqa: E402
 
@@ -68,39 +80,12 @@ def _check_work(times: int, per_time: int) -> None:
         )
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (PaulimixError, MemoryError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
-class _FiniteFloat(click.types.FloatParamType):
-    """A float option that refuses nan and +-inf as a usage error."""
-
-    def convert(self, value, param, ctx):
-        x = super().convert(value, param, ctx)
-        if not math.isfinite(x):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        return x
-
-
-_FINITE_FLOAT = _FiniteFloat()
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        Path(output).write_text(text + "\n")
+        with open(output, "w") as fh:
+            fh.write(text + "\n")
     else:
-        click.echo(text)
+        sys.stdout.write(text + "\n")
 
 
 def _emit_json(payload, output: Optional[str]) -> None:
@@ -114,8 +99,11 @@ def _csv_float(x: float) -> str:
 
 
 def _read_json_input(path: str, decode, what: str):
+    import json
+
     try:
-        return decode(json.loads(Path(path).read_text()))
+        with open(path) as fh:
+            return decode(json.loads(fh.read()))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
 
@@ -142,7 +130,7 @@ def _parse_weights(text: str, d: int) -> list[float]:
     if abs(total - 1.0) > 1e-6:
         raise ValidationError(f"weights must sum to 1 (got {total!r})")
     if abs(total - 1.0) > 1e-9:
-        click.echo(f"warning: weights sum to {total!r}; renormalizing", err=True)
+        print(f"warning: weights sum to {total!r}; renormalizing", file=sys.stderr)
     return [x / total for x in parts]
 
 
@@ -166,40 +154,9 @@ def _build_pf(
     raise ValidationError(f"unknown family {family!r}")
 
 
-_FAMILY_OPTIONS = [
-    click.option(
-        "--family",
-        type=click.Choice(["exponential", "cosine", "plateau"]),
-        default="exponential",
-        show_default=True,
-        help="Decoherence profile driving every input map.",
-    ),
-    click.option("--n", "n", type=_FINITE_FLOAT, default=None, help="Decoherence parameter (exponential)."),
-    click.option("--c", "c", type=_FINITE_FLOAT, default=1.0, show_default=True, help="Decay factor (exponential)."),
-    click.option("--omega", type=_FINITE_FLOAT, default=1.0, show_default=True, help="Angular frequency (cosine)."),
-    click.option("--t-sharp", type=_FINITE_FLOAT, default=1.0, show_default=True, help="Plateau onset time."),
-]
-
-
-def _family_options(fn):
-    for opt in reversed(_FAMILY_OPTIONS):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
-def main() -> None:
-    """Mixtures of dephasing qudit maps: invertibility, measure, evolution."""
-
-
 # --- regime -------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--d", "d", type=int, required=True, help="Hilbert-space dimension (prime power).")
-@click.option("--n", "n", type=_FINITE_FLOAT, required=True, help="Decoherence parameter.")
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def regime(d: int, n: float, output: Optional[str]) -> None:
     """Classify n against the intermediate interval for dimension d."""
     from .measure import classify_regime, g_threshold
@@ -213,14 +170,6 @@ def regime(d: int, n: float, output: Optional[str]) -> None:
 # --- singular-time --------------------------------------------------------------
 
 
-@main.command("singular-time")
-@click.option("--d", "d", type=int, required=True)
-@_family_options
-@click.option("--weights", required=True, help="d+1 comma-separated positive weights.")
-@click.option("--t-max", type=_FINITE_FLOAT, default=None, help="Scan horizon (family-specific default).")
-@click.option("--grid", type=int, default=4001, show_default=True, help="Scan grid points.")
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def singular_time(
     d: int,
     family: str,
@@ -268,19 +217,6 @@ def singular_time(
 # --- measure --------------------------------------------------------------------
 
 
-@main.command("measure")
-@click.option("--d", "d", type=int, required=True)
-@click.option("--n", "n", type=_FINITE_FLOAT, required=True)
-@click.option(
-    "--method",
-    type=click.Choice(["closed", "quadrature", "mc", "all"]),
-    default="closed",
-    show_default=True,
-)
-@click.option("--samples", type=int, default=10**6, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def measure(
     d: int,
     n: float,
@@ -316,21 +252,6 @@ def measure(
 # --- sweep ----------------------------------------------------------------------
 
 
-@main.command("sweep")
-@click.option("--lo", type=int, required=True)
-@click.option("--hi", type=int, required=True)
-@click.option("--n", "n", type=_FINITE_FLOAT, required=True)
-@click.option(
-    "--method",
-    type=click.Choice(["closed", "quadrature", "mc"]),
-    default="closed",
-    show_default=True,
-)
-@click.option("--samples", type=int, default=10**6, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def sweep_cmd(
     lo: int,
     hi: int,
@@ -386,21 +307,6 @@ def _initial_state(spec: str, d: int) -> np.ndarray:
     return validate_density_matrix(rho)
 
 
-@main.command("evolve")
-@click.option("--d", "d", type=int, required=True)
-@_family_options
-@click.option("--weights", required=True)
-@click.option(
-    "--state",
-    default="max-mixed",
-    show_default=True,
-    help="max-mixed | mub:ALPHA:J | path to a JSON [re, im] matrix.",
-)
-@click.option("--times", default=None, help="Comma-separated times (overrides --t-max/--steps).")
-@click.option("--t-max", type=_FINITE_FLOAT, default=5.0, show_default=True)
-@click.option("--steps", type=int, default=10, show_default=True)
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def evolve(
     d: int,
     family: str,
@@ -447,18 +353,6 @@ def evolve(
 # --- mub ------------------------------------------------------------------------
 
 
-@main.group()
-def mub() -> None:
-    """Mutually unbiased basis utilities."""
-
-
-@mub.command("verify")
-@click.option("--d", "d", type=int, default=None, help="Dimension to construct and verify.")
-@click.option("--tol", type=_FINITE_FLOAT, default=1e-12, show_default=True)
-@click.option("--input", "input_path", type=click.Path(), default=None, help="Verify a basis-set JSON file instead of constructing.")
-@click.option("--export", type=click.Path(), default=None, help="Write the basis set as JSON.")
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def mub_verify(
     d: Optional[int],
     tol: float,
@@ -479,22 +373,13 @@ def mub_verify(
         raise ValidationError("provide --d or --input")
     report = verify_mub(m, tol=tol)
     if export:
-        Path(export).write_text(dumps_canonical(m.to_payload()) + "\n")
+        _emit(dumps_canonical(m.to_payload()), export)
     _emit_json(report.to_payload(), output)
 
 
 # --- cp-check -------------------------------------------------------------------
 
 
-@main.command("cp-check")
-@click.option("--d", "d", type=int, required=True)
-@_family_options
-@click.option("--weights", required=True)
-@click.option("--t-max", type=_FINITE_FLOAT, default=3.0, show_default=True)
-@click.option("--steps", type=int, default=30, show_default=True)
-@click.option("--tol", type=_FINITE_FLOAT, default=1e-10, show_default=True)
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def cp_check(
     d: int,
     family: str,
@@ -533,14 +418,6 @@ def cp_check(
 # --- generator ------------------------------------------------------------------
 
 
-@main.command("generator")
-@click.option("--d", "d", type=int, required=True)
-@_family_options
-@click.option("--t", "t", type=_FINITE_FLOAT, required=True)
-@click.option("--h", "h", type=_FINITE_FLOAT, default=None, help="Finite-difference step (default 1e-5/c).")
-@click.option("--weights", default=None, help="Omit to analyze a single input map.")
-@click.option("--output", type=click.Path(), default=None)
-@_guard
 def generator(
     d: int,
     family: str,
@@ -607,6 +484,245 @@ def generator(
         scales = ", ".join(f"{k}={v}" for k, v in pf.describe().items() if isinstance(v, float))
         raise ValidationError(f"the rates overflow a float at t={t}, h={h} with {scales}")
     _emit_json(payload, output)
+
+
+# --- the parser -----------------------------------------------------------------
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
+def _choice(*names: str):
+    """A case-sensitive converter that accepts only ``names``."""
+
+    def convert(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+
+    convert.metavar = f"[{'|'.join(names)}]"
+    return convert
+
+
+class _Option:
+    """One option row; the callback receives its converted value as ``dest``."""
+
+    def __init__(self, flag, convert, default=None, required=False, help="", dest=None):
+        self.flag, self.convert, self.default, self.required, self.help = flag, convert, default, required, help
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.metavar = {int: "INTEGER", str: "TEXT", _finite_float: "FLOAT"}.get(convert) or convert.metavar
+
+    def describe(self) -> tuple[str, str]:
+        """The option's two columns in ``--help``."""
+        note = "[required]" if self.required else "" if self.default is None else f"[default: {self.default}]"
+        return f"{self.flag} {self.metavar}", "  ".join(s for s in (self.help, note) if s)
+
+
+_HELP_ROW = ("--help", "Show this message and exit.")
+
+
+class _Command:
+    """One command row: a callback, its option rows, and the callback's docstring as help."""
+
+    def __init__(self, callback, *options: _Option):
+        self.callback, self.options, self.help = callback, options, callback.__doc__
+
+    def parse(self, args: list[str], prog: str) -> Optional[dict]:
+        """The callback's keyword arguments from ``args``, or None once ``--help`` is printed."""
+        flags = {o.flag: o for o in self.options}
+        given: dict[str, str] = {}
+        extra: list[str] = []
+        show_help = False
+        tokens = iter(args)
+        for tok in tokens:
+            if tok == "--":
+                extra += tokens
+            elif tok[:1] != "-" or tok == "-":
+                extra.append(tok)
+            elif tok == "--help":
+                show_help = True
+            else:
+                flag, eq, value = tok.partition("=")
+                if flag not in flags:
+                    raise ValidationError(f"no such option: {flag}")
+                if not eq:
+                    value = next(tokens, None)
+                    if value is None:
+                        raise ValidationError(f"option {flag} requires an argument")
+                given[flag] = value
+        if show_help:
+            rows = [o.describe() for o in self.options] + [_HELP_ROW]
+            print(_help_text(f"{prog} [OPTIONS]", self.help, [("Options:", rows)]))
+            return None
+        kwargs = {}
+        for o in self.options:
+            if o.flag not in given:
+                if o.required:
+                    raise ValidationError(f"missing option {o.flag}")
+                kwargs[o.dest] = o.default
+                continue
+            try:
+                kwargs[o.dest] = o.convert(given[o.flag])
+            except ValueError as exc:
+                raise ValidationError(f"invalid value for {o.flag}: {exc}") from None
+        if extra:
+            raise ValidationError(f"unexpected extra argument(s): {' '.join(extra)}")
+        return kwargs
+
+
+class _Group:
+    """A table of commands; ``main(args, prog_name)`` parses ``args`` and runs the one they name."""
+
+    def __init__(self, name: str, help: str, commands: dict):
+        self.name, self.help, self.commands = name, help, commands
+
+    def run(self, args: list[str], prog: str) -> None:
+        show_help = False
+        while args and args[0][:1] == "-" and args[0] != "-":
+            tok, args = args[0], args[1:]
+            if tok == "--":
+                break
+            if tok != "--help":
+                raise ValidationError(f"no such option: {tok}")
+            show_help = True
+        if show_help or not args:
+            listing = [(name, cmd.help.split("\n")[0]) for name, cmd in sorted(self.commands.items())]
+            text = _help_text(f"{prog} [OPTIONS] COMMAND [ARGS]...", self.help,
+                              [("Options:", [_HELP_ROW]), ("Commands:", listing)])
+            if show_help:
+                print(text)
+                return
+            print(text, file=sys.stderr)
+            sys.exit(2)
+        name, args = args[0], args[1:]
+        cmd = self.commands.get(name)
+        if cmd is None:
+            raise ValidationError(f"no such command {name!r}; the commands are {', '.join(sorted(self.commands))}")
+        if isinstance(cmd, _Group):
+            cmd.run(args, f"{prog} {name}")
+            return
+        kwargs = cmd.parse(args, f"{prog} {name}")
+        if kwargs is not None:
+            cmd.callback(**kwargs)
+
+    def main(self, args=None, prog_name: Optional[str] = None) -> None:
+        """Runs the command ``args`` (default ``sys.argv[1:]``) name; exits 2 or 1 on an error."""
+        args = sys.argv[1:] if args is None else list(args)
+        try:
+            self.run(args, prog_name or os.path.basename(sys.argv[0]))
+        except (PaulimixError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(2 if isinstance(exc, ValidationError) else 1)
+
+    __call__ = main
+
+
+def _help_text(usage: str, help: str, sections: list) -> str:
+    """Usage, the help text, and each section's rows in two columns."""
+    lines = [f"Usage: {usage}", "", f"  {help}"]
+    for title, rows in sections:
+        width = min(max(len(key) for key, _ in rows), 30) + 2
+        lines += ["", title]
+        for key, text in rows:
+            if len(key) >= width and text:  # a long key puts its text on the next line
+                lines.append(f"  {key}")
+                key = ""
+            lines.append(f"  {key:<{width}}{text}".rstrip())
+    return "\n".join(lines)
+
+
+# --- the command table ------------------------------------------------------------
+
+_OUTPUT = _Option("--output", str)
+_FAMILY = (
+    _Option("--family", _choice("exponential", "cosine", "plateau"), "exponential",
+            help="Decoherence profile driving every input map."),
+    _Option("--n", _finite_float, help="Decoherence parameter (exponential)."),
+    _Option("--c", _finite_float, 1.0, help="Decay factor (exponential)."),
+    _Option("--omega", _finite_float, 1.0, help="Angular frequency (cosine)."),
+    _Option("--t-sharp", _finite_float, 1.0, help="Plateau onset time."),
+)
+_SAMPLES_SEED = (_Option("--samples", int, 10**6), _Option("--seed", int, 0))
+
+main = _Group("main", "Mixtures of dephasing qudit maps: invertibility, measure, evolution.", {
+    "regime": _Command(
+        regime,
+        _Option("--d", int, required=True, help="Hilbert-space dimension (prime power)."),
+        _Option("--n", _finite_float, required=True, help="Decoherence parameter."),
+        _OUTPUT,
+    ),
+    "singular-time": _Command(
+        singular_time,
+        _Option("--d", int, required=True),
+        *_FAMILY,
+        _Option("--weights", str, required=True, help="d+1 comma-separated positive weights."),
+        _Option("--t-max", _finite_float, help="Scan horizon (family-specific default)."),
+        _Option("--grid", int, 4001, help="Scan grid points."),
+        _OUTPUT,
+    ),
+    "measure": _Command(
+        measure,
+        _Option("--d", int, required=True),
+        _Option("--n", _finite_float, required=True),
+        _Option("--method", _choice("closed", "quadrature", "mc", "all"), "closed"),
+        *_SAMPLES_SEED,
+        _OUTPUT,
+    ),
+    "sweep": _Command(
+        sweep_cmd,
+        _Option("--lo", int, required=True),
+        _Option("--hi", int, required=True),
+        _Option("--n", _finite_float, required=True),
+        _Option("--method", _choice("closed", "quadrature", "mc"), "closed"),
+        *_SAMPLES_SEED,
+        _Option("--format", _choice("csv", "json"), "csv", dest="fmt"),
+        _OUTPUT,
+    ),
+    "evolve": _Command(
+        evolve,
+        _Option("--d", int, required=True),
+        *_FAMILY,
+        _Option("--weights", str, required=True),
+        _Option("--state", str, "max-mixed", help="max-mixed | mub:ALPHA:J | path to a JSON [re, im] matrix."),
+        _Option("--times", str, help="Comma-separated times (overrides --t-max/--steps)."),
+        _Option("--t-max", _finite_float, 5.0),
+        _Option("--steps", int, 10),
+        _OUTPUT,
+    ),
+    "mub": _Group("mub", "Mutually unbiased basis utilities.", {
+        "verify": _Command(
+            mub_verify,
+            _Option("--d", int, help="Dimension to construct and verify."),
+            _Option("--tol", _finite_float, 1e-12),
+            _Option("--input", str, help="Verify a basis-set JSON file instead of constructing.", dest="input_path"),
+            _Option("--export", str, help="Write the basis set as JSON."),
+            _OUTPUT,
+        ),
+    }),
+    "cp-check": _Command(
+        cp_check,
+        _Option("--d", int, required=True),
+        *_FAMILY,
+        _Option("--weights", str, required=True),
+        _Option("--t-max", _finite_float, 3.0),
+        _Option("--steps", int, 30),
+        _Option("--tol", _finite_float, 1e-10),
+        _OUTPUT,
+    ),
+    "generator": _Command(
+        generator,
+        _Option("--d", int, required=True),
+        *_FAMILY,
+        _Option("--t", _finite_float, required=True),
+        _Option("--h", _finite_float, help="Finite-difference step (default 1e-5/c)."),
+        _Option("--weights", str, help="Omit to analyze a single input map."),
+        _OUTPUT,
+    ),
+})
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .finite_field import PrimePowerDim, factor_prime_power
+from .threshold import THRESHOLD_ATOL
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,8 +218,6 @@ class Exponential(DecoherenceFunction):
         At or above the threshold x = 1 - n(d-1)/d the eigenvalue never
         vanishes (the would-be singular time diverges).
         """
-        from .measure import THRESHOLD_ATOL
-
         numer = d * (1.0 - x)
         denom = numer - self.n * (d - 1)
         # a relative guard absorbs float noise at the boundary x = 1 - n(d-1)/d,
@@ -274,8 +273,6 @@ class Cosine(DecoherenceFunction):
         For d = 2 this is lambda(t) = x + (1 - x) cos(omega t) with
         t* = arccos(x / (x - 1)) / omega, which exists iff x <= 1/2.
         """
-        from .measure import THRESHOLD_ATOL
-
         if x == 1.0:
             return None
         target = 1.0 - 2.0 * (d - 1) / (d * (1.0 - x))

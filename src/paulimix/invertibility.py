@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _weight_tuple
 from .errors import SingularAtGridPointError, ValidationError
-from .measure import THRESHOLD_ATOL, g_threshold
+from .threshold import THRESHOLD_ATOL, weight_threshold
 
 # a sample below -_SCAN_TOL certifies a crossing, and |lambda| <= _SCAN_TOL at a
 # refined tangential minimum is a root; only minima below _COARSE_JUMP are
@@ -41,7 +41,7 @@ def output_invertible(d: int, n: float, weights) -> bool:
     The boundary x_i = g counts as invertible: the singular time diverges.
     """
     w = _weight_tuple(weights, d)
-    g = g_threshold(d, n).g
+    g = weight_threshold(d, n)
     return all(x >= g - THRESHOLD_ATOL for x in w)
 
 
@@ -268,8 +268,11 @@ def cp_divisibility_check(
     Choi minimum eigenvalue d min(p_0, min_i p_i/(d-1)) costs O(d) per step
     (Chruscinski & Siudzinska, PRA 94, 022118 (2016)). It decides the CP
     flag. The tests check it against the dense Choi matrix of K. Raises
-    SingularAtGridPointError when the map is singular at any grid time.
+    SingularAtGridPointError when the map is singular at any grid time, and
+    refuses a negative ``tol``, which would call a CP step non-CP.
     """
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
     try:
         ts = [float(t) for t in times]
     except (TypeError, ValueError) as exc:

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, _int_root, _is_prime, factor_prime_power, is_prime_power
+from .threshold import THRESHOLD_ATOL, _check_n, weight_threshold
 
 # numpy is imported by the Monte Carlo paths only, and fractions by the
 # quadrature only, so the regime and the closed form run without either
@@ -93,11 +94,6 @@ _SWEEP_MAX_WIDTH = 1 << 20
 # the exact Miller-Rabin test one number at a time
 _SIEVE_MAX_PRIME = 1 << 20
 
-# weights this close to the threshold g(d, n) count as on the boundary, which
-# is invertible (the singular time diverges); absorbs float noise in g itself
-THRESHOLD_ATOL = 1e-12
-
-
 @dataclass(frozen=True)
 class Threshold:
     """The invertibility threshold g(d, n) = 1 - n(d-1)/d on each weight."""
@@ -107,16 +103,8 @@ class Threshold:
     g: float
 
 
-def _check_n(n: float) -> None:
-    if not (math.isfinite(n) and n >= 1):
-        raise ValidationError(f"decoherence parameter must be finite and >= 1, got {n}")
-
-
 def g_threshold(d: int, n: float) -> Threshold:
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
-    _check_n(n)
-    return Threshold(d=d, n=n, g=1.0 - n * (d - 1) / d)
+    return Threshold(d=d, n=n, g=weight_threshold(d, n))
 
 
 def _interval(d: int) -> tuple[float, float]:

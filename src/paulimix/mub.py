@@ -177,8 +177,11 @@ def verify_mub(m: MubSet, tol: float = MUB_TOLERANCE) -> MubVerification:
     """Measure orthonormality and unbiasedness deviations of a basis set.
 
     Reports max |B^dag B - I| entry over bases and
-    max | |<a|b>|^2 - 1/d | over all cross-basis vector pairs.
+    max | |<a|b>|^2 - 1/d | over all cross-basis vector pairs. A negative
+    ``tol`` would fail every set, so it is refused.
     """
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
     d = m.bases.shape[1]
     ortho = 0.0
     eye = np.eye(d)

@@ -451,6 +451,14 @@ def test_mub_verify_needs_d_or_input(runner):
     assert result.exit_code == 2
 
 
+def test_mub_verify_refuses_a_negative_tolerance(runner):
+    result = runner.invoke(main, ["mub", "verify", "--d", "4", "--tol", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "-1.0" in result.stderr
+    assert result.stdout == ""
+    assert run_ok(runner, ["mub", "verify", "--d", "4", "--tol", "0"])["tol"] == 0.0
+
+
 # one way each to ask for the bases of the first prime power past the limit, 131
 _PAST_THE_MUB_LIMIT = {
     "mub-verify-d": ["mub", "verify", "--d", "131"],
@@ -533,6 +541,15 @@ def test_cp_check_detects_non_cp_steps(runner):
          "--weights", "0.8,0.1,0.1", "--t-max", "2.8", "--steps", "20"],
     )
     assert payload["all_cp"] is False
+
+
+def test_cp_check_refuses_a_negative_tolerance(runner):
+    args = ["cp-check", "--d", "3", "--n", "1.5", "--weights", "0.3,0.3,0.2,0.2", "--steps", "2"]
+    result = runner.invoke(main, args + ["--tol", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "-1.0" in result.stderr
+    assert result.stdout == ""
+    assert run_ok(runner, args + ["--tol", "0"])["all_cp"] is True
 
 
 # --- generator --------------------------------------------------------------------
@@ -820,3 +837,96 @@ def test_numeric_commands_answer_or_refuse_cleanly(args):
     else:
         assert result.stdout == ""
         assert "Traceback" not in result.output
+
+
+# --- the parser --------------------------------------------------------------------
+
+
+def test_a_value_that_starts_with_a_dash_reaches_the_program(runner):
+    result = runner.invoke(main, ["singular-time", "--d", "2", "--family", "cosine", "--omega", "-1e-3",
+                                  "--weights", "0.4,0.3,0.3"])
+    assert result.exit_code == 2, result.output
+    assert "angular frequency must be > 0, got -0.001" in result.stderr
+    result = runner.invoke(main, ["cp-check", "--d", "2", "--n", "1.5", "--weights", "-0.1,0.6,0.5"])
+    assert result.exit_code == 2, result.output
+    assert "weights must be strictly positive" in result.stderr
+
+
+def test_an_equals_sign_joins_an_option_to_its_value(runner):
+    assert run_ok(runner, ["regime", "--d=3", "--n=1.2"]) == run_ok(runner, ["regime", "--d", "3", "--n", "1.2"])
+
+
+def test_the_last_of_a_repeated_option_wins(runner):
+    repeated = runner.invoke(main, ["regime", "--d", "3", "--n", "1.5", "--n", "1.2"])
+    assert repeated.exit_code == 0
+    assert repeated.stdout == runner.invoke(main, ["regime", "--d", "3", "--n", "1.2"]).stdout
+
+
+_USAGE_ERRORS = {
+    "abbreviated-option": ["cp-check", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--st", "3"],
+    "unknown-option": ["regime", "--d", "3", "--nn", "1"],
+    "extra-argument": ["regime", "--d", "3", "--n", "1.2", "extra"],
+    "unknown-command": ["bogus", "--d", "3"],
+    "missing-option": ["regime", "--d", "3"],
+    "missing-value": ["regime", "--d", "3", "--n"],
+    "bad-choice": ["measure", "--d", "7", "--n", "1.1", "--method", "bogus"],
+    "choice-case": ["measure", "--d", "7", "--n", "1.1", "--method", "CLOSED"],
+    "float-as-int": ["regime", "--d", "2.0", "--n", "1.1"],
+    "nan-float": ["regime", "--d", "3", "--n", "nan"],
+    "no-command": [],
+    "no-mub-command": ["mub"],
+    "unknown-mub-command": ["mub", "bogus"],
+    "single-dash-option": ["regime", "-d", "3", "--n", "1.2"],
+}
+
+
+@pytest.mark.parametrize("args", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+def test_a_usage_error_exits_2_without_output(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+
+
+# every option of every command, with the default its help shows (None: no default shown)
+_FAMILY_HELP = {"--family": "exponential", "--n": None, "--c": "1.0", "--omega": "1.0", "--t-sharp": "1.0"}
+_HELP = {
+    ("regime",): {"--d": None, "--n": None, "--output": None},
+    ("singular-time",): {"--d": None, **_FAMILY_HELP, "--weights": None, "--t-max": None, "--grid": "4001",
+                         "--output": None},
+    ("measure",): {"--d": None, "--n": None, "--method": "closed", "--samples": "1000000", "--seed": "0",
+                   "--output": None},
+    ("sweep",): {"--lo": None, "--hi": None, "--n": None, "--method": "closed", "--samples": "1000000",
+                 "--seed": "0", "--format": "csv", "--output": None},
+    ("evolve",): {"--d": None, **_FAMILY_HELP, "--weights": None, "--state": "max-mixed", "--times": None,
+                  "--t-max": "5.0", "--steps": "10", "--output": None},
+    ("mub", "verify"): {"--d": None, "--tol": "1e-12", "--input": None, "--export": None, "--output": None},
+    ("cp-check",): {"--d": None, **_FAMILY_HELP, "--weights": None, "--t-max": "3.0", "--steps": "30",
+                    "--tol": "1e-10", "--output": None},
+    ("generator",): {"--d": None, **_FAMILY_HELP, "--t": None, "--h": None, "--weights": None, "--output": None},
+}
+
+
+@pytest.mark.parametrize("command", _HELP, ids=[" ".join(c) for c in _HELP])
+def test_help_lists_every_option_with_its_default(runner, command):
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0, result.output
+    text = " ".join(result.stdout.split())
+    for option, default in _HELP[command].items():
+        assert f" {option} " in text, option
+        if default is not None:
+            assert f"[default: {default}]" in text, option
+    # --help wins over a value that would not convert
+    first = next(iter(_HELP[command]))
+    assert runner.invoke(main, [*command, first, "x", "--help"]).stdout == result.stdout
+
+
+@pytest.mark.parametrize("group, commands", [((), ["regime", "singular-time", "measure", "sweep", "evolve", "mub",
+                                                   "cp-check", "generator"]), (("mub",), ["verify"])],
+                         ids=["paulimix", "mub"])
+def test_group_help_lists_every_command(runner, group, commands):
+    result = runner.invoke(main, [*group, "--help"])
+    assert result.exit_code == 0, result.output
+    listed = {line.split()[0] for line in result.stdout.split("Commands:")[1].splitlines() if line.strip()}
+    assert listed == set(commands)

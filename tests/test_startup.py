@@ -90,6 +90,46 @@ def test_eigenvalue_commands_never_import_the_bases(tmp_path, args, code):
     assert "paulimix.dynmaps" in modules
 
 
+_EIGENVALUE_COMMANDS = {
+    **WITHOUT_MUB,
+    "single-map-generator": WITHOUT_NUMPY["single-map-generator"],
+    "cosine-singular-time": WITHOUT_NUMPY["cosine-singular-time"],
+}
+
+
+@pytest.mark.parametrize("args, code", _EIGENVALUE_COMMANDS.values(), ids=_EIGENVALUE_COMMANDS.keys())
+def test_eigenvalue_commands_never_load_the_measure(tmp_path, args, code):
+    got, modules = _run_isolated(args, tmp_path)
+    assert got == code
+    assert "paulimix.measure" not in modules
+    assert "paulimix.threshold" in modules
+
+
+# one call of every command, its help, a usage error, and no command at all
+EVERY_COMMAND = {
+    **WITHOUT_NUMPY,
+    "measure-mc": (["measure", "--d", "3", "--n", "1.2", "--method", "mc", "--samples", "100"], 0),
+    "mub-verify": (["mub", "verify", "--d", "3"], 0),
+    "evolve": (["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS, "--steps", "2"], 0),
+    "help": (["--help"], 0),
+    "command-help": (["cp-check", "--help"], 0),
+    "unknown-option": (["regime", "--d", "7", "--bogus", "1"], 2),
+    "no-command": ([], 2),
+}
+
+
+@pytest.mark.parametrize("args, code", EVERY_COMMAND.values(), ids=EVERY_COMMAND.keys())
+def test_no_command_loads_click(tmp_path, args, code):
+    got, modules = _run_isolated(args, tmp_path)
+    assert got == code
+    assert not {m for m in modules if m == "click" or m.startswith("click.")}
+
+
+def test_the_console_entry_point_reads_argv():
+    out = _python("from paulimix.cli import main; main()", "regime", "--d", "7", "--n", "1.03")
+    assert json.loads(out.stdout)["classification"] == "intermediate_noninvertible"
+
+
 def test_eigenvalue_commands_never_ask_for_a_basis(monkeypatch):
     from paulimix import mub
 
