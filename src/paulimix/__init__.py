@@ -58,11 +58,8 @@ _EXPORTS = {
     ),
     "measure": (
         "MeasureResult",
-        "Regime",
-        "RegimeKind",
         "SweepRow",
         "Threshold",
-        "classify_regime",
         "delta_closed_form",
         "delta_monte_carlo",
         "delta_quadrature",
@@ -92,6 +89,11 @@ _EXPORTS = {
         "to_choi",
         "unvec",
         "vec",
+    ),
+    "threshold": (
+        "Regime",
+        "RegimeKind",
+        "classify_regime",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

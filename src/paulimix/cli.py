@@ -23,14 +23,23 @@ command. ``main(args=None, prog_name=None)`` reads ``sys.argv[1:]`` when
 
 The CLI imports nothing outside the standard library except numpy, and each
 command imports the modules it reads inside its own body, so a process
-loads only what its command uses. ``regime``, ``measure`` and ``sweep`` with
-the closed form or the quadrature, and the eigenvalue commands
-(``singular-time``, ``cp-check``, ``generator``), which work on the d+1
-eigenvalues as Python floats, never import numpy; the eigenvalue commands
-never import ``paulimix.mub`` or ``paulimix.measure`` either. numpy is
-loaded by ``evolve`` (after its weights and family are validated), ``mub
-verify`` and the Monte Carlo draws. ``--help`` and a usage error load no
-paulimix module beyond this one and ``paulimix.errors``.
+loads only what its command uses:
+
+  * ``--help`` and a usage error: this module and ``paulimix.errors``;
+  * ``regime``: ``threshold``, ``finite_field`` and ``serialization``;
+  * ``measure`` and ``sweep``: ``measure`` as well, and numpy only for
+    the Monte Carlo draws;
+  * ``singular-time``, ``cp-check`` and ``generator``, which work on the
+    d+1 eigenvalues as Python floats: ``dynmaps``, ``invertibility`` and
+    ``threshold``; never numpy, ``paulimix.mub`` or ``paulimix.measure``;
+  * ``evolve``: numpy and ``paulimix.mub`` too, once its weights and family
+    are valid;
+  * ``mub verify``: numpy, ``mub``, ``finite_field`` and ``serialization``.
+
+The package's records are plain classes, so no command loads the stdlib
+``dataclasses`` (and with it ``inspect``); only numpy brings ``inspect`` in.
+An ``--output`` or ``--export`` path that cannot be opened for writing is
+a usage error: exit 2, one ``error:`` line, nothing on stdout.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
 set, before any command imports numpy: up to d = 32 no command multiplies
@@ -82,8 +91,11 @@ def _check_work(times: int, per_time: int) -> None:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -159,11 +171,10 @@ def _build_pf(
 
 def regime(d: int, n: float, output: Optional[str]) -> None:
     """Classify n against the intermediate interval for dimension d."""
-    from .measure import classify_regime, g_threshold
+    from .threshold import classify_regime, weight_threshold
 
-    reg = classify_regime(d, n)
-    payload = reg.to_payload()
-    payload["g"] = g_threshold(d, n).g
+    payload = classify_regime(d, n).to_payload()
+    payload["g"] = weight_threshold(d, n)
     _emit_json(payload, output)
 
 

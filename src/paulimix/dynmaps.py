@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import (
+    Frozen,
     NegativeTimeError,
     RateSingularError,
     SingularAtTimeError,
@@ -129,8 +129,8 @@ def _finite(value: float, what: str, **params: float) -> float:
     return value
 
 
-class DecoherenceFunction(ABC):
-    """A decoherence profile p(t) with p(0) = 0 and values in [0, 1].
+class DecoherenceFunction(Frozen, ABC):
+    """A decoherence profile p(t) with p(0) = 0 and values in [0, 1]; immutable.
 
     Each family also gives its closed forms: ``singular_time``,
     ``decay_rate`` and ``horizon``, the default span of a singular-time
@@ -191,20 +191,18 @@ class DecoherenceFunction(ABC):
     def describe(self) -> dict: ...
 
 
-@dataclass(frozen=True)
 class Exponential(DecoherenceFunction):
     """p(t) = (1 - exp(-c t)) / n, strictly increasing toward 1/n."""
 
-    n: float
-    c: float
     family = "exponential"
 
-    def __post_init__(self) -> None:
-        _check_finite(n=self.n, c=self.c)
-        if self.n < 1:
-            raise ValidationError(f"decoherence parameter n must be >= 1, got {self.n}")
-        if self.c <= 0:
-            raise ValidationError(f"decay factor c must be > 0, got {self.c}")
+    def __init__(self, n: float, c: float) -> None:
+        _check_finite(n=n, c=c)
+        if n < 1:
+            raise ValidationError(f"decoherence parameter n must be >= 1, got {n}")
+        if c <= 0:
+            raise ValidationError(f"decay factor c must be > 0, got {c}")
+        vars(self).update(n=n, c=c)
 
     def _value(self, t: float) -> float:
         return (1.0 - math.exp(-self.c * t)) / self.n
@@ -242,18 +240,17 @@ class Exponential(DecoherenceFunction):
         return {"family": self.family, "n": self.n, "c": self.c}
 
 
-@dataclass(frozen=True)
 class Cosine(DecoherenceFunction):
     """p(t) = (1 - cos(omega t)) / 2, oscillating through [0, 1]."""
 
-    omega: float
     family = "cosine"
     periodic = True
 
-    def __post_init__(self) -> None:
-        _check_finite(omega=self.omega)
-        if self.omega <= 0:
-            raise ValidationError(f"angular frequency must be > 0, got {self.omega}")
+    def __init__(self, omega: float) -> None:
+        _check_finite(omega=omega)
+        if omega <= 0:
+            raise ValidationError(f"angular frequency must be > 0, got {omega}")
+        vars(self).update(omega=omega)
 
     def _phase(self, t: float) -> float:
         phase = self.omega * t
@@ -295,7 +292,6 @@ class Cosine(DecoherenceFunction):
         return {"family": self.family, "omega": self.omega}
 
 
-@dataclass(frozen=True)
 class Plateau(DecoherenceFunction):
     """Monotone ramp to 1/2 at t_sharp, constant at 1/2 afterwards.
 
@@ -303,17 +299,16 @@ class Plateau(DecoherenceFunction):
     callable with f(0) = 0 and f(t_sharp) = 1/2 may be supplied instead.
     """
 
-    t_sharp: float
-    ramp: Optional[Callable[[float], float]] = None
     family = "plateau"
 
-    def __post_init__(self) -> None:
-        _check_finite(t_sharp=self.t_sharp)
-        if self.t_sharp <= 0:
-            raise ValidationError(f"t_sharp must be > 0, got {self.t_sharp}")
-        if self.ramp is not None:
-            if abs(self.ramp(0.0)) > 1e-12 or abs(self.ramp(self.t_sharp) - 0.5) > 1e-12:
+    def __init__(self, t_sharp: float, ramp: Optional[Callable[[float], float]] = None) -> None:
+        _check_finite(t_sharp=t_sharp)
+        if t_sharp <= 0:
+            raise ValidationError(f"t_sharp must be > 0, got {t_sharp}")
+        if ramp is not None:
+            if abs(ramp(0.0)) > 1e-12 or abs(ramp(t_sharp) - 0.5) > 1e-12:
                 raise ValidationError("ramp must satisfy f(0) = 0 and f(t_sharp) = 1/2")
+        vars(self).update(t_sharp=t_sharp, ramp=ramp)
 
     def _ramp_value(self, t: float) -> float:
         if self.ramp is None:
@@ -383,7 +378,6 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 # --- input maps and mixtures -------------------------------------------------
 
 
-@dataclass(eq=False)
 class MixtureMap:
     """A convex mixture of the d+1 dephasing input maps.
 
@@ -397,13 +391,8 @@ class MixtureMap:
     within 1e-12. They are kept as a tuple of floats.
     """
 
-    dim: PrimePowerDim
-    weights: tuple[float, ...]
-    pf: DecoherenceFunction
-
-    def __post_init__(self) -> None:
-        d = self.d
-        w = _weight_tuple(self.weights, d)
+    def __init__(self, dim: PrimePowerDim, weights, pf: DecoherenceFunction) -> None:
+        w = _weight_tuple(weights, dim.q)
         if not all(map(math.isfinite, w)):
             raise ValidationError("weights must be finite numbers")
         if any(x < 0 for x in w):
@@ -411,7 +400,7 @@ class MixtureMap:
         total = _pairwise_sum(w)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
-        self.weights = w
+        self.dim, self.weights, self.pf = dim, w, pf
 
     @property
     def d(self) -> int:

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and the immutable-record base, shared across the package.
 
 ``ValidationError`` subclasses mark bad input caught before any real
 computation starts (the CLI maps them to exit code 2); ``ComputationError``
 subclasses mark failures of a well-formed request (exit code 1).
+
+Every module loads this one, so ``Frozen`` lives here: the base of the
+records that never change once built.
 """
 
 
@@ -44,3 +47,31 @@ class SingularAtTimeError(ComputationError):
 
 class SingularAtGridPointError(ComputationError):
     """A propagator grid point hits a zero eigenvalue of the map."""
+
+
+class Frozen:
+    """Base of the immutable records: each sets its attributes once, in ``__init__``.
+
+    ``__init__`` stores them with ``vars(self).update(...)``; after that,
+    assigning or deleting an attribute raises AttributeError. Two records
+    are equal when they are of the same class with equal attributes, and
+    equal records hash alike.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"

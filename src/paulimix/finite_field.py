@@ -14,11 +14,10 @@ exhaustively in the tests). Everything is pure and immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotPrimePowerError
+from .errors import Frozen, NotPrimePowerError
 
 
 # Miller-Rabin with the first j primes as bases decides primality exactly
@@ -73,18 +72,15 @@ def _int_root(d: int, k: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
-class PrimePowerDim:
+class PrimePowerDim(Frozen):
     """A dimension d = p^k with p prime, k >= 1."""
 
-    p: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise NotPrimePowerError(f"{self.p} is not prime")
-        if self.k < 1:
-            raise NotPrimePowerError(f"exponent must be >= 1, got {self.k}")
+    def __init__(self, p: int, k: int) -> None:
+        if not _is_prime(p):
+            raise NotPrimePowerError(f"{p} is not prime")
+        if k < 1:
+            raise NotPrimePowerError(f"exponent must be >= 1, got {k}")
+        vars(self).update(p=p, k=k)
 
     @property
     def q(self) -> int:

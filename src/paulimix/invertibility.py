@@ -17,13 +17,12 @@ this module gave.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import sub
 from typing import Callable, Optional
 
 from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _weight_tuple
-from .errors import SingularAtGridPointError, ValidationError
+from .errors import Frozen, SingularAtGridPointError, ValidationError
 from .threshold import THRESHOLD_ATOL, weight_threshold
 
 # a sample below -_SCAN_TOL certifies a crossing, and |lambda| <= _SCAN_TOL at a
@@ -54,15 +53,22 @@ class Classification(str, Enum):
     SEMIGROUP_EQUAL_MIX = "semigroup_equal_mix_point"
 
 
-@dataclass
 class InvertibilityReport:
     """Per-index singular times plus an overall verdict."""
 
-    classification: Classification
-    singular_times: list[Optional[float]]
-    t_star: Optional[float]
-    method: str  # "analytic" | "numeric"
-    warnings: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        classification: Classification,
+        singular_times: list[Optional[float]],
+        t_star: Optional[float],
+        method: str,  # "analytic" | "numeric"
+        warnings: Optional[list[str]] = None,
+    ) -> None:
+        self.classification = classification
+        self.singular_times = singular_times
+        self.t_star = t_star
+        self.method = method
+        self.warnings = [] if warnings is None else warnings
 
     def to_payload(self) -> dict:
         return {
@@ -237,14 +243,11 @@ def numeric_singularity_scan(
 # --- CP divisibility -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropagatorStep:
+class PropagatorStep(Frozen):
     """CP diagnostics of the propagator between two grid times."""
 
-    t_start: float
-    t_end: float
-    choi_min_eigenvalue: float
-    cp: bool
+    def __init__(self, t_start: float, t_end: float, choi_min_eigenvalue: float, cp: bool) -> None:
+        vars(self).update(t_start=t_start, t_end=t_end, choi_min_eigenvalue=choi_min_eigenvalue, cp=cp)
 
     def to_payload(self) -> dict:
         return {

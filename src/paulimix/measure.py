@@ -18,20 +18,23 @@ routes to the resulting simplex fraction live here:
     never depends on which path or which other dimensions read the stream.
 
 Plus the prime-power dimension sweep used for the superexponential-growth
-table.
+table. The interval itself, ``_interval``, and the regime of n
+(``classify_regime``, ``Regime``, ``RegimeKind``) live in
+``paulimix.threshold``, so the ``regime`` command never compiles this
+module; they are imported back here, and ``paulimix.measure.classify_regime``
+still resolves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Optional
 
-from .errors import RegimeMismatchError, ValidationError
+from .errors import Frozen, RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, _int_root, _is_prime, factor_prime_power, is_prime_power
-from .threshold import THRESHOLD_ATOL, _check_n, weight_threshold
+from .threshold import THRESHOLD_ATOL, _check_n, _interval, weight_threshold
+from .threshold import Regime, RegimeKind, classify_regime  # noqa: F401  (re-exported: paulimix.measure.classify_regime)
 
 # numpy is imported by the Monte Carlo paths only, and fractions by the
 # quadrature only, so the regime and the closed form run without either
@@ -94,77 +97,32 @@ _SWEEP_MAX_WIDTH = 1 << 20
 # the exact Miller-Rabin test one number at a time
 _SIEVE_MAX_PRIME = 1 << 20
 
-@dataclass(frozen=True)
-class Threshold:
+
+class Threshold(Frozen):
     """The invertibility threshold g(d, n) = 1 - n(d-1)/d on each weight."""
 
-    d: int
-    n: float
-    g: float
+    def __init__(self, d: int, n: float, g: float) -> None:
+        vars(self).update(d=d, n=n, g=g)
 
 
 def g_threshold(d: int, n: float) -> Threshold:
     return Threshold(d=d, n=n, g=weight_threshold(d, n))
 
 
-def _interval(d: int) -> tuple[float, float]:
-    return d * d / (d * d - 1.0), d / (d - 1.0)
-
-
-class RegimeKind(str, Enum):
-    INVERTIBLE_INPUTS = "invertible_inputs"
-    INTERMEDIATE = "intermediate_noninvertible"
-    ALWAYS_NONINVERTIBLE = "always_noninvertible_output"
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Where n sits relative to the interval [d^2/(d^2-1), d/(d-1))."""
-
-    d: int
-    n: float
-    kind: RegimeKind
-    lower: float  # d^2 / (d^2 - 1), below this every mixture is noninvertible
-    upper: float  # d / (d - 1), at or above this inputs (hence outputs) are invertible
-
-    def to_payload(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "classification": self.kind.value,
-            "interval": {"lower": self.lower, "upper": self.upper},
-        }
-
-
-def classify_regime(d: int, n: float) -> Regime:
-    """Classify n for a prime-power dimension d.
-
-    The lower endpoint n = d^2/(d^2-1) counts as intermediate (the
-    invertible set there is just the equal-mixing point, measure zero).
-    """
-    factor_prime_power(d)
-    _check_n(n)
-    lower, upper = _interval(d)
-    if n >= upper:
-        kind = RegimeKind.INVERTIBLE_INPUTS
-    elif n < lower:
-        kind = RegimeKind.ALWAYS_NONINVERTIBLE
-    else:
-        kind = RegimeKind.INTERMEDIATE
-    return Regime(d=d, n=n, kind=kind, lower=lower, upper=upper)
-
-
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(Frozen):
     """An invertible-fraction value with its provenance."""
 
-    d: int
-    n: float
-    delta: float
-    method: str  # "closed_form" | "quadrature" | "monte_carlo"
-    samples: Optional[int] = None
-    stderr: Optional[float] = None
-    seed: Optional[int] = None
+    def __init__(
+        self,
+        d: int,
+        n: float,
+        delta: float,
+        method: str,  # "closed_form" | "quadrature" | "monte_carlo"
+        samples: Optional[int] = None,
+        stderr: Optional[float] = None,
+        seed: Optional[int] = None,
+    ) -> None:
+        vars(self).update(d=d, n=n, delta=delta, method=method, samples=samples, stderr=stderr, seed=seed)
 
     def to_payload(self) -> dict:
         return {
@@ -551,11 +509,9 @@ def _first(lo: int, hi: int, pred) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    d: int
-    delta: float
-    log10_delta: float
+class SweepRow(Frozen):
+    def __init__(self, d: int, delta: float, log10_delta: float) -> None:
+        vars(self).update(d=d, delta=delta, log10_delta=log10_delta)
 
     def to_payload(self) -> dict:
         return {"d": self.d, "delta": self.delta, "log10_delta": self.log10_delta}

@@ -21,12 +21,11 @@ output is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Frozen, ValidationError
 from .finite_field import (
     PrimePowerDim,
     _digits,
@@ -45,12 +44,11 @@ MUB_TOLERANCE = 1e-12
 _MAX_D = 128
 
 
-@dataclass(frozen=True)
-class MubSet:
+class MubSet(Frozen):
     """d+1 bases for dimension d; ``bases[alpha][:, j]`` is vector j."""
 
-    dim: PrimePowerDim
-    bases: np.ndarray  # shape (d+1, d, d), complex
+    def __init__(self, dim: PrimePowerDim, bases: np.ndarray) -> None:
+        vars(self).update(dim=dim, bases=bases)  # bases: shape (d+1, d, d), complex
 
     @property
     def d(self) -> int:
@@ -65,14 +63,18 @@ class MubSet:
         }
 
 
-@dataclass(frozen=True)
-class MubVerification:
+class MubVerification(Frozen):
     """Measured deviations of a candidate MUB set."""
 
-    d: int
-    tol: float
-    max_orthonormality_deviation: float
-    max_unbiasedness_deviation: float
+    def __init__(
+        self, d: int, tol: float, max_orthonormality_deviation: float, max_unbiasedness_deviation: float
+    ) -> None:
+        vars(self).update(
+            d=d,
+            tol=tol,
+            max_orthonormality_deviation=max_orthonormality_deviation,
+            max_unbiasedness_deviation=max_unbiasedness_deviation,
+        )
 
     @property
     def passed(self) -> bool:

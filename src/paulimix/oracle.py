@@ -22,7 +22,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -122,16 +121,13 @@ def is_cp(choi: np.ndarray, tol: float = 1e-10, herm_tol: float = 1e-10) -> tupl
 # --- Kraus sets and the dagger dual -----------------------------------------
 
 
-@dataclass
 class KrausSet:
     """A list of d x d Kraus operators."""
 
-    operators: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if not self.operators:
+    def __init__(self, operators: list[np.ndarray]) -> None:
+        if not operators:
             raise ValidationError("a Kraus set needs at least one operator")
-        self.operators = [np.asarray(k, dtype=complex) for k in self.operators]
+        self.operators = [np.asarray(k, dtype=complex) for k in operators]
         shape = self.operators[0].shape
         if shape[0] != shape[1] or any(k.shape != shape for k in self.operators):
             raise ValidationError("Kraus operators must all be square with the same shape")
@@ -156,7 +152,6 @@ class KrausSet:
         return sum(k @ rho @ k.conj().T for k in self.operators)
 
 
-@dataclass
 class DualMapResult:
     """The dagger-dual Kraus set plus validity flags for both directions.
 
@@ -164,10 +159,11 @@ class DualMapResult:
     unital, so both defects are reported instead of raising.
     """
 
-    kraus: KrausSet
-    original_tp_defect: float
-    dual_tp_defect: float
-    tol: float = 1e-10
+    def __init__(self, kraus: KrausSet, original_tp_defect: float, dual_tp_defect: float, tol: float = 1e-10) -> None:
+        self.kraus = kraus
+        self.original_tp_defect = original_tp_defect
+        self.dual_tp_defect = dual_tp_defect
+        self.tol = tol
 
     @property
     def original_trace_preserving(self) -> bool:

@@ -1,17 +1,26 @@
-"""The weight threshold g(d, n) that decides invertibility, and its tolerance.
+"""The weight threshold g(d, n) that decides invertibility, its tolerance, and the regime of n.
 
 For the exponential family the output map is invertible exactly when every
 mixing weight clears g(d, n) = 1 - n(d-1)/d. The measure routes, the
 families' singular times and ``invertibility.output_invertible`` all read
 the threshold and its tolerance from here, so the eigenvalue commands run
 without ``paulimix.measure``.
+
+``classify_regime`` places n against the intermediate interval
+[d^2/(d^2-1), d/(d-1)] (``_interval``, which the measure routes read too).
+It lives here, beside g(d, n), so the ``regime`` command loads this module,
+``finite_field`` and ``errors`` and nothing of ``measure``; ``measure``
+imports the regime names back, so ``paulimix.measure.classify_regime``
+still resolves.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 
-from .errors import ValidationError
+from .errors import Frozen, ValidationError
+from .finite_field import factor_prime_power
 
 # weights this close to the threshold g(d, n) count as on the boundary, which
 # is invertible (the singular time diverges); absorbs float noise in g itself
@@ -29,3 +38,50 @@ def weight_threshold(d: int, n: float) -> float:
         raise ValidationError(f"dimension must be >= 2, got {d}")
     _check_n(n)
     return 1.0 - n * (d - 1) / d
+
+
+def _interval(d: int) -> tuple[float, float]:
+    return d * d / (d * d - 1.0), d / (d - 1.0)
+
+
+class RegimeKind(str, Enum):
+    INVERTIBLE_INPUTS = "invertible_inputs"
+    INTERMEDIATE = "intermediate_noninvertible"
+    ALWAYS_NONINVERTIBLE = "always_noninvertible_output"
+
+
+class Regime(Frozen):
+    """Where n sits relative to the interval [d^2/(d^2-1), d/(d-1)).
+
+    Below ``lower`` = d^2/(d^2-1) every mixture is noninvertible; at or
+    above ``upper`` = d/(d-1) the inputs, hence the outputs, are invertible.
+    """
+
+    def __init__(self, d: int, n: float, kind: RegimeKind, lower: float, upper: float) -> None:
+        vars(self).update(d=d, n=n, kind=kind, lower=lower, upper=upper)
+
+    def to_payload(self) -> dict:
+        return {
+            "d": self.d,
+            "n": self.n,
+            "classification": self.kind.value,
+            "interval": {"lower": self.lower, "upper": self.upper},
+        }
+
+
+def classify_regime(d: int, n: float) -> Regime:
+    """Classify n for a prime-power dimension d.
+
+    The lower endpoint n = d^2/(d^2-1) counts as intermediate (the
+    invertible set there is just the equal-mixing point, measure zero).
+    """
+    factor_prime_power(d)
+    _check_n(n)
+    lower, upper = _interval(d)
+    if n >= upper:
+        kind = RegimeKind.INVERTIBLE_INPUTS
+    elif n < lower:
+        kind = RegimeKind.ALWAYS_NONINVERTIBLE
+    else:
+        kind = RegimeKind.INTERMEDIATE
+    return Regime(d=d, n=n, kind=kind, lower=lower, upper=upper)

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from paulimix import mub as mub_mod
 from paulimix.cli import main
 from paulimix.oracle import random_density_matrix
 from paulimix.serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -519,6 +525,39 @@ def test_bad_input_file_exits_2(runner, tmp_path, args, content):
     assert "Traceback" not in result.output
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
+
+
+# commands whose last option names a file to write
+_WRITERS = {
+    "regime-output": ["regime", "--d", "7", "--n", "1.1", "--output"],
+    "sweep-output": ["sweep", "--lo", "7", "--hi", "9", "--n", "1.1", "--output"],
+    "mub-export": ["mub", "verify", "--d", "5", "--export"],
+    "mub-output": ["mub", "verify", "--d", "5", "--output"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("args", _WRITERS.values(), ids=_WRITERS.keys())
+def test_an_unwritable_output_path_exits_2(runner, tmp_path, args, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot write {str(path)!r}: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [_WRITERS["regime-output"], _WRITERS["mub-export"]], ids=["regime", "mub-verify"])
+def test_an_unwritable_output_path_is_one_line_in_a_whole_process(tmp_path, args):
+    path = str(tmp_path / "missing" / "x.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "paulimix.cli", *args, path], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 # --- cp-check ---------------------------------------------------------------------

@@ -118,6 +118,41 @@ EVERY_COMMAND = {
 }
 
 
+# every command that never imports numpy, its help, and the refusals
+NUMPY_FREE = {
+    **WITHOUT_NUMPY,
+    "help": (["--help"], 0),
+    "command-help": (["cp-check", "--help"], 0),
+    "no-command": ([], 2),
+}
+
+
+@pytest.mark.parametrize("args, code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+def test_commands_without_numpy_never_load_dataclasses(tmp_path, args, code):
+    # the stdlib dataclasses module imports inspect, ast, dis and tokenize, and
+    # each @dataclass compiles its methods with exec: about 20 ms of start-up
+    got, modules = _run_isolated(args, tmp_path)
+    assert got == code
+    assert not modules & {"dataclasses", "inspect"}
+
+
+REGIME = {
+    "regime": (["regime", "--d", "7", "--n", "1.03"], 0),
+    "regime-refused-d": (["regime", "--d", "6", "--n", "1.1"], 2),
+    "regime-refused-n": (["regime", "--d", "7", "--n", "0.5"], 2),
+}
+
+
+@pytest.mark.parametrize("args, code", REGIME.values(), ids=REGIME.keys())
+def test_regime_loads_only_the_threshold(tmp_path, args, code):
+    got, modules = _run_isolated(args, tmp_path)
+    assert got == code
+    assert not modules & {"paulimix.measure", "paulimix.dynmaps"}
+    loaded = {m for m in modules if m.startswith("paulimix.")}
+    assert loaded <= {"paulimix.cli", "paulimix.errors", "paulimix.threshold", "paulimix.finite_field",
+                      "paulimix.serialization"}
+
+
 @pytest.mark.parametrize("args, code", EVERY_COMMAND.values(), ids=EVERY_COMMAND.keys())
 def test_no_command_loads_click(tmp_path, args, code):
     got, modules = _run_isolated(args, tmp_path)
@@ -202,8 +237,7 @@ EXPORTS = {
         "cp_divisibility_check", "numeric_singularity_scan", "output_invertible",
     ],
     "measure": [
-        "MeasureResult", "Regime", "RegimeKind", "SweepRow", "Threshold", "classify_regime",
-        "delta_closed_form", "delta_monte_carlo", "delta_quadrature", "g_threshold",
+        "MeasureResult", "SweepRow", "Threshold", "delta_closed_form", "delta_monte_carlo", "delta_quadrature", "g_threshold",
         "normalization_check", "prime_powers_in", "sample_simplex", "sweep", "sweep_dimensions",
     ],
     "mub": [
@@ -213,6 +247,7 @@ EXPORTS = {
         "DualMapResult", "KrausSet", "is_cp", "kraus_dagger_dual", "numeric_generator", "phase_unitaries",
         "random_density_matrix", "superoperator", "to_choi", "unvec", "vec",
     ],
+    "threshold": ["Regime", "RegimeKind", "classify_regime"],
 }
 
 
@@ -221,6 +256,9 @@ def test_every_public_name_resolves_to_its_module_object():
         for name in names:
             assert getattr(paulimix, name) is getattr(importlib.import_module(f"paulimix.{module}"), name), name
             assert name in dir(paulimix), name
+    # the regime moved to paulimix.threshold; paulimix.measure still hands it out
+    for name in EXPORTS["threshold"]:
+        assert getattr(importlib.import_module("paulimix.measure"), name) is getattr(paulimix, name), name
 
 
 def test_the_package_lists_exactly_its_public_names():
