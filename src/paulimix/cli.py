@@ -39,7 +39,7 @@ loads only what its command uses:
 The package's records are plain classes, so no command loads the stdlib
 ``dataclasses`` (and with it ``inspect``); only numpy brings ``inspect`` in.
 An ``--output`` or ``--export`` path that cannot be opened for writing is
-a usage error: exit 2, one ``error:`` line, nothing on stdout.
+a usage error: exit 2, one ``error:`` line, and nothing on stdout or in a file.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
 set, before any command imports numpy: up to d = 32 no command multiplies
@@ -91,13 +91,33 @@ def _check_work(times: int, per_time: int) -> None:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
+        _write_files([(text, output)])
     else:
         sys.stdout.write(text + "\n")
+
+
+def _write_files(writes: list[tuple[str, str]]) -> None:
+    """Writes each text to its path, once every path is open.
+
+    A path that cannot be opened is a ValidationError that leaves every file
+    as it was: the files are opened for appending, which truncates none of
+    them, and one created before the failure is removed again.
+    """
+    opened = []  # (whether the file was there before, its handle)
+    try:
+        for _, path in writes:
+            opened.append((os.path.lexists(path), open(path, "a")))
+        for (_, fh), (text, path) in zip(opened, writes):
+            with fh:
+                fh.truncate(0)
+                fh.write(text + "\n")
+    except OSError as exc:
+        if len(opened) < len(writes):  # an open failed, so nothing is written yet
+            for existed, fh in opened:
+                fh.close()
+                if not existed:
+                    os.remove(fh.name)
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(payload, output: Optional[str]) -> None:
@@ -376,16 +396,17 @@ def mub_verify(
     from .mub import build_mub, mub_from_payload, verify_mub
     from .serialization import dumps_canonical
 
+    if (d is None) == (input_path is None):
+        raise ValidationError("provide exactly one of --d and --input")
     if input_path is not None:
         m = _read_json_input(input_path, mub_from_payload, "basis file")
-    elif d is not None:
-        m = build_mub(factor_prime_power(d))
     else:
-        raise ValidationError("provide --d or --input")
-    report = verify_mub(m, tol=tol)
-    if export:
-        _emit(dumps_canonical(m.to_payload()), export)
-    _emit_json(report.to_payload(), output)
+        m = build_mub(factor_prime_power(d))
+    report = dumps_canonical(verify_mub(m, tol=tol).to_payload())
+    writes = [(dumps_canonical(m.to_payload()), export)] if export else []
+    _write_files(writes + ([(report, output)] if output else []))
+    if not output:
+        sys.stdout.write(report + "\n")
 
 
 # --- cp-check -------------------------------------------------------------------
@@ -463,7 +484,7 @@ def generator(
     dp = pf.derivative(t)
     entries = []
     for i in range(d + 1):
-        analytic = -(d / (d - 1)) * (1.0 - w[i]) * dp / lam[i]
+        analytic = -m.slopes[i] * dp / lam[i]
         num = numeric[i]
         denom = max(abs(analytic), 1e-30)
         entries.append(

@@ -293,47 +293,31 @@ class Cosine(DecoherenceFunction):
 
 
 class Plateau(DecoherenceFunction):
-    """Monotone ramp to 1/2 at t_sharp, constant at 1/2 afterwards.
-
-    The default ramp is linear, f(t) = t / (2 t_sharp); any monotone
-    callable with f(0) = 0 and f(t_sharp) = 1/2 may be supplied instead.
-    """
+    """Linear ramp p(t) = t / (2 t_sharp) up to 1/2 at t_sharp, constant at 1/2 afterwards."""
 
     family = "plateau"
 
-    def __init__(self, t_sharp: float, ramp: Optional[Callable[[float], float]] = None) -> None:
+    def __init__(self, t_sharp: float) -> None:
         _check_finite(t_sharp=t_sharp)
         if t_sharp <= 0:
             raise ValidationError(f"t_sharp must be > 0, got {t_sharp}")
-        if ramp is not None:
-            if abs(ramp(0.0)) > 1e-12 or abs(ramp(t_sharp) - 0.5) > 1e-12:
-                raise ValidationError("ramp must satisfy f(0) = 0 and f(t_sharp) = 1/2")
-        vars(self).update(t_sharp=t_sharp, ramp=ramp)
-
-    def _ramp_value(self, t: float) -> float:
-        if self.ramp is None:
-            return t / (2.0 * self.t_sharp)
-        return self.ramp(t)
+        vars(self).update(t_sharp=t_sharp)
 
     def _value(self, t: float) -> float:
         if t >= self.t_sharp:
             return 0.5
-        return self._ramp_value(t)
+        return t / (2.0 * self.t_sharp)
 
     def _derivative(self, t: float) -> float:
         if t >= self.t_sharp:
             return 0.0
-        if self.ramp is None:
-            return 1.0 / (2.0 * self.t_sharp)
-        h = 1e-7 * self.t_sharp
-        lo, hi = max(0.0, t - h), min(self.t_sharp, t + h)
-        return (self._ramp_value(hi) - self._ramp_value(lo)) / (hi - lo)
+        return 1.0 / (2.0 * self.t_sharp)
 
     def _singular_time(self, d: int, x: float) -> Optional[float]:
         """p tops out at 1/2, and the target (d-1)/(d(1-x)) is 1/2 only at d = 2, x = 0.
 
-        That single-map corner is singular exactly at t_sharp, where a
-        monotone ramp first reaches 1/2; every other (d, x) gives None.
+        That single-map corner is singular exactly at t_sharp, where the
+        ramp first reaches 1/2; every other (d, x) gives None.
         """
         if d > 2 or x > 0.0:
             return None
@@ -344,11 +328,7 @@ class Plateau(DecoherenceFunction):
         return _finite(100.0 * self.t_sharp, "the scan horizon 100*t_sharp", t_sharp=self.t_sharp)
 
     def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "t_sharp": self.t_sharp,
-            "ramp": "linear" if self.ramp is None else "custom",
-        }
+        return {"family": self.family, "t_sharp": self.t_sharp, "ramp": "linear"}
 
 
 # --- density matrices -------------------------------------------------------
@@ -382,7 +362,10 @@ class MixtureMap:
     """A convex mixture of the d+1 dephasing input maps.
 
     It holds the dimension, the weights and p(t), which fix the d+1
-    eigenvalues. The MUB bases are fetched from ``cached_mub`` only by
+    eigenvalues lambda_i(t) = 1 - s_i p(t). The slopes s_i = d/(d-1) (1 - x_i)
+    are computed once, in ``__init__``, and kept as ``slopes``; the
+    eigenvalues, the numeric scan and the analytic generator rates read
+    them. The MUB bases are fetched from ``cached_mub`` only by
     ``apply``, on first use, so the eigenvalue routes build no basis.
 
     Weights may sit on the boundary of the simplex (zeros allowed), which
@@ -401,17 +384,16 @@ class MixtureMap:
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
         self.dim, self.weights, self.pf = dim, w, pf
+        self.slopes = tuple(dim.q / (dim.q - 1) * (1.0 - x) for x in w)
 
     @property
     def d(self) -> int:
         return self.dim.q
 
     def eigenvalues(self, t: float) -> tuple[float, ...]:
-        """lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t), indexed by mixing index i."""
-        d = self.d
-        scale = d / (d - 1)
+        """lambda_i(t) = 1 - s_i p(t), indexed by mixing index i."""
         p = self.pf.value(t)
-        return tuple(1.0 - scale * (1.0 - x) * p for x in self.weights)
+        return tuple(1.0 - s * p for s in self.slopes)
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
         """Evolve a state: (1 - a) rho + a sum_i x_i dephase_i(rho), a = p d/(d-1).
@@ -498,7 +480,7 @@ def generator_rates(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:
     """
     lam = _invertible_eigenvalues(m, t, h)
     rates = tuple(s / x for s, x in zip(_time_derivative(m.eigenvalues, t, h), lam))
-    # every rate is -d/(d-1) (1 - x_i) p'/lambda_i, and not all x_i are 1
+    # every rate is -s_i p'/lambda_i, and not every slope s_i is 0
     if not any(rates) and m.pf.derivative(t) != 0:
         raise ValidationError(f"step h={h} moves no eigenvalue at t={t} in floats, though p'(t) != 0")
     return rates

@@ -55,7 +55,9 @@ class Frozen:
     ``__init__`` stores them with ``vars(self).update(...)``; after that,
     assigning or deleting an attribute raises AttributeError. Two records
     are equal when they are of the same class with equal attributes, and
-    equal records hash alike.
+    equal records hash alike. ``to_payload`` gives the attributes as a
+    dict, in constructor order; a record whose JSON differs from its
+    attributes overrides it.
     """
 
     def __setattr__(self, name, value):
@@ -71,6 +73,9 @@ class Frozen:
 
     def __hash__(self):
         return hash(tuple(vars(self).values()))
+
+    def to_payload(self) -> dict:
+        return dict(vars(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())

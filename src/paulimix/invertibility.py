@@ -1,7 +1,8 @@
 """Singular times, output invertibility, and CP-divisibility of mixtures.
 
 The output map loses invertibility at the first time any eigenvalue
-lambda_i(t) = 1 - d/(d-1) (1 - x_i) p(t) hits zero. Each decoherence
+lambda_i(t) = 1 - s_i p(t), with the slopes s_i = d/(d-1) (1 - x_i) of
+``MixtureMap.slopes``, hits zero. Each decoherence
 family gives that time in closed form (``DecoherenceFunction.singular_time``
 in ``paulimix.dynmaps``). This module gathers those times into a report,
 next to a family-agnostic numeric scan (grid + bisection) that only uses
@@ -70,16 +71,6 @@ class InvertibilityReport:
         self.method = method
         self.warnings = [] if warnings is None else warnings
 
-    def to_payload(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "singular_times": [
-                {"i": i, "t_star": t} for i, t in enumerate(self.singular_times)
-            ],
-            "method": self.method,
-            "warnings": list(self.warnings),
-        }
-
 
 def _is_semigroup_point(m: MixtureMap) -> bool:
     if not isinstance(m.pf, Exponential):
@@ -98,27 +89,13 @@ def _build_report(
 ) -> InvertibilityReport:
     if _is_semigroup_point(m):
         # lambda_i(t) = e^{-ct} exactly; any root located here is float noise
-        return InvertibilityReport(
-            classification=Classification.SEMIGROUP_EQUAL_MIX,
-            singular_times=[None] * len(times),
-            t_star=None,
-            method=method,
-            warnings=warnings or [],
-        )
-    finite = [t for t in times if t is not None]
-    if finite:
+        kind, times = Classification.SEMIGROUP_EQUAL_MIX, [None] * len(times)
+    elif any(t is not None for t in times):
         kind = Classification.NONINVERTIBLE
-        t_star: Optional[float] = min(finite)
     else:
         kind = Classification.INVERTIBLE
-        t_star = None
-    return InvertibilityReport(
-        classification=kind,
-        singular_times=times,
-        t_star=t_star,
-        method=method,
-        warnings=warnings or [],
-    )
+    t_star = min((t for t in times if t is not None), default=None)
+    return InvertibilityReport(kind, times, t_star, method, warnings or [])
 
 
 def analytic_singularity_report(m: MixtureMap) -> InvertibilityReport:
@@ -194,18 +171,15 @@ def numeric_singularity_scan(
 
     grid = _linspace(0.0, t_max, grid_points)
     p_vals = [m.pf.value(t) for t in grid]
-    d = m.d
-    scale = d / (d - 1)
 
     jump = 0.0
     times: list[Optional[float]] = []
-    for x in m.weights:
-        coef = scale * (1.0 - x)
-        lam = [1.0 - coef * p for p in p_vals]
+    for slope in m.slopes:
+        lam = [1.0 - slope * p for p in p_vals]
         jump = max(jump, max(map(abs, map(sub, lam[1:], lam))))
 
-        def f(t: float, coef: float = coef) -> float:
-            return 1.0 - coef * m.pf.value(t)
+        def f(t: float, slope: float = slope) -> float:
+            return 1.0 - slope * m.pf.value(t)
 
         root: Optional[float] = None
         low = min(lam)
@@ -248,14 +222,6 @@ class PropagatorStep(Frozen):
 
     def __init__(self, t_start: float, t_end: float, choi_min_eigenvalue: float, cp: bool) -> None:
         vars(self).update(t_start=t_start, t_end=t_end, choi_min_eigenvalue=choi_min_eigenvalue, cp=cp)
-
-    def to_payload(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "choi_min_eigenvalue": self.choi_min_eigenvalue,
-            "cp": self.cp,
-        }
 
 
 def cp_divisibility_check(

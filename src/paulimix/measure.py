@@ -18,11 +18,8 @@ routes to the resulting simplex fraction live here:
     never depends on which path or which other dimensions read the stream.
 
 Plus the prime-power dimension sweep used for the superexponential-growth
-table. The interval itself, ``_interval``, and the regime of n
-(``classify_regime``, ``Regime``, ``RegimeKind``) live in
-``paulimix.threshold``, so the ``regime`` command never compiles this
-module; they are imported back here, and ``paulimix.measure.classify_regime``
-still resolves.
+table. The threshold and the interval, ``_interval``, live in
+``paulimix.threshold``.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from typing import TYPE_CHECKING, Optional
 from .errors import Frozen, RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, _int_root, _is_prime, factor_prime_power, is_prime_power
 from .threshold import THRESHOLD_ATOL, _check_n, _interval, weight_threshold
-from .threshold import Regime, RegimeKind, classify_regime  # noqa: F401  (re-exported: paulimix.measure.classify_regime)
 
 # numpy is imported by the Monte Carlo paths only, and fractions by the
 # quadrature only, so the regime and the closed form run without either
@@ -123,17 +119,6 @@ class MeasureResult(Frozen):
         seed: Optional[int] = None,
     ) -> None:
         vars(self).update(d=d, n=n, delta=delta, method=method, samples=samples, stderr=stderr, seed=seed)
-
-    def to_payload(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "delta": self.delta,
-            "method": self.method,
-            "samples": self.samples,
-            "stderr": self.stderr,
-            "seed": self.seed,
-        }
 
 
 def delta_closed_form(d: int, n: float) -> MeasureResult:
@@ -395,7 +380,7 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
     """
     factor_prime_power(d)
     _check_mc(samples, seed, [d])
-    g = g_threshold(d, n).g
+    g = weight_threshold(d, n)
     delta = _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed)[0] / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
     return MeasureResult(
@@ -513,9 +498,6 @@ class SweepRow(Frozen):
     def __init__(self, d: int, delta: float, log10_delta: float) -> None:
         vars(self).update(d=d, delta=delta, log10_delta=log10_delta)
 
-    def to_payload(self) -> dict:
-        return {"d": self.d, "delta": self.delta, "log10_delta": self.log10_delta}
-
 
 _SWEEP_METHODS = ("closed_form", "quadrature", "monte_carlo")
 
@@ -580,7 +562,7 @@ def _sweep_rows(ds: list[int], n: float, method: str, samples: int, seed: int) -
         deltas = [delta_quadrature(d, n).delta for d in ds]
     else:
         _check_mc(samples, seed, ds)
-        hs = [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds]
+        hs = [weight_threshold(d, n) - THRESHOLD_ATOL for d in ds]
         deltas = [k / samples for k in _mc_hits(ds, hs, samples, seed)]
     rows = []
     for d, delta in zip(ds, deltas):

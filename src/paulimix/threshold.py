@@ -9,9 +9,7 @@ without ``paulimix.measure``.
 ``classify_regime`` places n against the intermediate interval
 [d^2/(d^2-1), d/(d-1)] (``_interval``, which the measure routes read too).
 It lives here, beside g(d, n), so the ``regime`` command loads this module,
-``finite_field`` and ``errors`` and nothing of ``measure``; ``measure``
-imports the regime names back, so ``paulimix.measure.classify_regime``
-still resolves.
+``finite_field`` and ``errors`` and nothing of ``measure``.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -457,6 +458,16 @@ def test_mub_verify_needs_d_or_input(runner):
     assert result.exit_code == 2
 
 
+def test_mub_verify_refuses_both_d_and_input(runner, tmp_path):
+    exported = tmp_path / "mub5.json"
+    run_ok(runner, ["mub", "verify", "--d", "5", "--export", str(exported)])
+    result = runner.invoke(main, ["mub", "verify", "--d", "7", "--input", str(exported)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "--d" in result.stderr and "--input" in result.stderr
+
+
 def test_mub_verify_refuses_a_negative_tolerance(runner):
     result = runner.invoke(main, ["mub", "verify", "--d", "4", "--tol", "-1"])
     assert result.exit_code == 2, result.output
@@ -558,6 +569,21 @@ def test_an_unwritable_output_path_is_one_line_in_a_whole_process(tmp_path, args
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_a_refused_mub_verify_leaves_its_export_as_it_was(tmp_path):
+    export = tmp_path / "ok.json"
+    args = ["mub", "verify", "--d", "5", "--export", str(export), "--output", str(tmp_path / "missing" / "x.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    for before in (None, "kept\n"):
+        if before is not None:
+            export.write_text(before)
+        proc = subprocess.run([sys.executable, "-m", "paulimix.cli", *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
+        assert (export.read_text() if export.exists() else None) == before
 
 
 # --- cp-check ---------------------------------------------------------------------
@@ -683,6 +709,47 @@ def test_byte_identical_reruns(runner):
     assert first == second
     sweep_args = ["sweep", "--lo", "7", "--hi", "32", "--n", "1.03"]
     assert runner.invoke(main, sweep_args).stdout == runner.invoke(main, sweep_args).stdout
+
+
+# sha256 of stdout for one fixed call of each command that prints no float from
+# BLAS or a random stream; a change that alters any printed byte fails here.
+# The digests were taken on Linux: the singular times and rates go through its libm.
+_STDOUT_SHA256 = {
+    "regime": (["regime", "--d", "7", "--n", "1.1"],
+               "a9cc5ad539f8d465eecf7646991af96a33535577e7ad9a1afbf81735e96f3d84"),
+    "singular-time-exponential": (
+        ["singular-time", "--d", "3", "--n", "1.15", "--weights", "0.05,0.4,0.3,0.25"],
+        "4c8d6bed099618010179ff0dd3eccc770a29710cb0441c824ffd7d330e696c03"),
+    "singular-time-cosine": (
+        ["singular-time", "--d", "4", "--family", "cosine", "--omega", "1.3", "--weights", "0.1,0.2,0.3,0.15,0.25"],
+        "e70a4e68fcfdd4480b0f5c9b5f961467acc40a756b50ec7a3e92edb642268085"),
+    "singular-time-plateau": (
+        ["singular-time", "--d", "2", "--family", "plateau", "--t-sharp", "0.7", "--weights", "0.2,0.3,0.5"],
+        "4edef9f71b55849b83e7e3f81b2f80487ba9b0d061d4ee711c06ce2194ccc968"),
+    "cp-check": (
+        ["cp-check", "--d", "5", "--n", "1.1", "--c", "0.8", "--weights", "0.1,0.3,0.2,0.15,0.15,0.1", "--steps", "12"],
+        "53c2d6e35b71a3e94965b58c42d2da6a1b5c60ab9b454545b3314402bcd06d46"),
+    "generator-weighted": (
+        ["generator", "--d", "4", "--n", "1.2", "--t", "0.7", "--weights", "0.1,0.2,0.3,0.15,0.25"],
+        "9cd0f53b4aaedbf740caff610c871311b8ce236d35fa51d9ab05efe526abdfce"),
+    "generator-single-map": (["generator", "--d", "2", "--n", "3", "--t", "0.5"],
+                             "a2dc2237be14cade0bafb511ba1ec0cf273325d1cf6c77b166049683592c2ef2"),
+    "measure-closed": (["measure", "--d", "7", "--n", "1.03", "--method", "closed"],
+                       "f205c87ccb6856da40036e56f58854889f2f4338a79c91b89d7eb94cf8c59ceb"),
+    "measure-quadrature": (["measure", "--d", "7", "--n", "1.03", "--method", "quadrature"],
+                           "11948560d68c923320bf2bcfc2d28d54976ec2e3ceae1c15320f6e867f326299"),
+    "sweep-csv": (["sweep", "--lo", "7", "--hi", "32", "--n", "1.03"],
+                  "d14385d74a4d328a0c0856d981edbe2d31ab8d3c5ffc63a7feb8c3c561eb9afd"),
+    "sweep-json": (["sweep", "--lo", "7", "--hi", "32", "--n", "1.03", "--format", "json"],
+                   "6e49563039ce6021244af8a1e154847b774b88bc4b4828cd4fab3729d7b5fb9c"),
+}
+
+
+@pytest.mark.parametrize("args, digest", _STDOUT_SHA256.values(), ids=_STDOUT_SHA256.keys())
+def test_numpy_free_commands_print_the_pinned_bytes(runner, args, digest):
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 # --- non-finite numbers and resource failures ----------------------------------------

@@ -15,8 +15,9 @@ from paulimix.invertibility import (
     numeric_singularity_scan,
     output_invertible,
 )
-from paulimix.measure import RegimeKind, classify_regime, g_threshold
+from paulimix.measure import g_threshold
 from paulimix.oracle import is_cp, to_choi
+from paulimix.threshold import RegimeKind, classify_regime
 
 
 # --- analytic singular times -----------------------------------------------------
@@ -231,15 +232,6 @@ def test_scan_validates_arguments():
             numeric_singularity_scan(m, t_max=t_max, grid_points=100)
     with pytest.raises(ValidationError):
         numeric_singularity_scan(m, t_max=1.0, grid_points=1)
-
-
-def test_analytic_report_payload_shape():
-    m = mixture_map(2, [0.6, 0.2, 0.2], Exponential(n=1.2, c=1))
-    payload = analytic_singularity_report(m).to_payload()
-    assert payload["method"] == "analytic"
-    assert payload["classification"] == "noninvertible"
-    assert [entry["i"] for entry in payload["singular_times"]] == [0, 1, 2]
-    assert payload["singular_times"][0]["t_star"] is None  # x=0.6 >= g
 
 
 # --- CP divisibility -------------------------------------------------------------------

@@ -15,7 +15,6 @@ from paulimix.measure import (
     _MC_CHUNK,
     THRESHOLD_ATOL,
     _mc_hits,
-    classify_regime,
     delta_closed_form,
     delta_monte_carlo,
     delta_quadrature,
@@ -27,6 +26,7 @@ from paulimix.measure import (
     sweep_dimensions,
     sweep_range,
 )
+from paulimix.threshold import classify_regime
 
 
 # --- threshold -----------------------------------------------------------------

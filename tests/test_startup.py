@@ -256,9 +256,6 @@ def test_every_public_name_resolves_to_its_module_object():
         for name in names:
             assert getattr(paulimix, name) is getattr(importlib.import_module(f"paulimix.{module}"), name), name
             assert name in dir(paulimix), name
-    # the regime moved to paulimix.threshold; paulimix.measure still hands it out
-    for name in EXPORTS["threshold"]:
-        assert getattr(importlib.import_module("paulimix.measure"), name) is getattr(paulimix, name), name
 
 
 def test_the_package_lists_exactly_its_public_names():
