@@ -68,7 +68,7 @@ from .errors import PaulimixError, RegimeMismatchError, ValidationError  # noqa:
 if TYPE_CHECKING:
     import numpy as np
 
-    from .dynmaps import DecoherenceFunction
+    from .dynmaps import DecoherenceFunction, MixtureMap
 
 # the eigenvalue commands and evolve are refused beyond this many values,
 # times * (values per time). One value costs 0.35-0.5 us in the singular-time
@@ -166,24 +166,43 @@ def _parse_weights(text: str, d: int) -> list[float]:
     return [x / total for x in parts]
 
 
-def _build_pf(
-    family: str,
-    n: Optional[float],
-    c: float,
-    omega: float,
-    t_sharp: float,
-) -> DecoherenceFunction:
+def _build_pf(family: str, n: Optional[float], c: float, omega: float, t_sharp: float) -> DecoherenceFunction:
+    """The decoherence function of the ``--family`` options; the parser has checked the name."""
     from .dynmaps import Cosine, Exponential, Plateau
 
-    if family == "exponential":
-        if n is None:
-            raise ValidationError("the exponential family requires --n")
-        return Exponential(n=n, c=c)
     if family == "cosine":
         return Cosine(omega=omega)
     if family == "plateau":
         return Plateau(t_sharp=t_sharp)
-    raise ValidationError(f"unknown family {family!r}")
+    if n is None:
+        raise ValidationError("the exponential family requires --n")
+    return Exponential(n=n, c=c)
+
+
+def _mixture(d: int, weights: str, family: dict) -> MixtureMap:
+    """The map of ``--weights`` and the ``--family`` options, checked in that order."""
+    from .dynmaps import mixture_map
+
+    w = _parse_weights(weights, d)
+    return mixture_map(d, w, _build_pf(**family))
+
+
+def _map_payload(m: MixtureMap, **fields) -> dict:
+    return {"d": m.d, "family": m.pf.describe(), "weights": m.weights, **fields}
+
+
+def _time_grid(t_max: float, steps: int, per_time: int) -> list[float]:
+    """The ``steps`` + 1 times from 0 to ``t_max``, once ``per_time`` values at each are within the limit."""
+    from .dynmaps import _linspace
+
+    if steps < 1:
+        raise ValidationError(f"steps must be >= 1, got {steps}")
+    _check_work(steps + 1, per_time)
+    return _linspace(0.0, t_max, steps + 1)
+
+
+def _rel_diff(numeric: float, analytic: float) -> float:
+    return abs(numeric - analytic) / max(abs(analytic), 1e-30)
 
 
 # --- regime -------------------------------------------------------------------
@@ -202,46 +221,32 @@ def regime(d: int, n: float, output: Optional[str]) -> None:
 
 
 def singular_time(
-    d: int,
-    family: str,
-    n: Optional[float],
-    c: float,
-    omega: float,
-    t_sharp: float,
-    weights: str,
-    t_max: Optional[float],
-    grid: int,
-    output: Optional[str],
+    d: int, weights: str, t_max: Optional[float], grid: int, output: Optional[str], **family
 ) -> None:
     """Per-index singular times: closed form plus numeric confirmation."""
-    from .dynmaps import mixture_map
     from .invertibility import analytic_singularity_report, numeric_singularity_scan
 
-    w = _parse_weights(weights, d)
-    pf = _build_pf(family, n, c, omega, t_sharp)
-    m = mixture_map(d, w, pf)
+    m = _mixture(d, weights, family)
     _check_work(grid, d + 1)
     if t_max is None:
-        t_max = pf.horizon()
+        t_max = m.pf.horizon()
     analytic = analytic_singularity_report(m)
     numeric = numeric_singularity_scan(m, t_max=t_max, grid_points=grid)
-    payload = {
-        "d": d,
-        "family": pf.describe(),
-        "weights": w,
-        "entries": [
+    payload = _map_payload(
+        m,
+        entries=[
             {
                 "i": i,
-                "x": w[i],
+                "x": x,
                 "t_star_analytic": analytic.singular_times[i],
                 "t_star_numeric": numeric.singular_times[i],
             }
-            for i in range(d + 1)
+            for i, x in enumerate(m.weights)
         ],
-        "classification_analytic": analytic.classification.value,
-        "classification_numeric": numeric.classification.value,
-        "warnings": numeric.warnings,
-    }
+        classification_analytic=analytic.classification.value,
+        classification_numeric=numeric.classification.value,
+        warnings=numeric.warnings,
+    )
     _emit_json(payload, output)
 
 
@@ -340,44 +345,32 @@ def _initial_state(spec: str, d: int) -> np.ndarray:
 
 def evolve(
     d: int,
-    family: str,
-    n: Optional[float],
-    c: float,
-    omega: float,
-    t_sharp: float,
     weights: str,
     state: str,
     times: Optional[str],
     t_max: float,
     steps: int,
     output: Optional[str],
+    **family,
 ) -> None:
     """Trajectory of a state under the mixture map, with the eigenvalue profile."""
-    from .dynmaps import _linspace, mixture_map
     from .serialization import complex_matrix_to_pairs
 
-    w = _parse_weights(weights, d)
-    pf = _build_pf(family, n, c, omega, t_sharp)
-    m = mixture_map(d, w, pf)
+    m = _mixture(d, weights, family)
     rho0 = _initial_state(state, d)  # the first to import numpy
     if times is not None:
         ts = _parse_floats(times, "times")
         _check_work(len(ts), d * d + d + 1)
     else:
-        if steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {steps}")
-        _check_work(steps + 1, d * d + d + 1)
-        ts = _linspace(0.0, t_max, steps + 1)
+        ts = _time_grid(t_max, steps, d * d + d + 1)
     if any(t < 0 for t in ts):
         raise ValidationError("times must be nonnegative")
-    payload = {
-        "d": d,
-        "family": pf.describe(),
-        "weights": w,
-        "times": ts,
-        "eigenvalues": [m.eigenvalues(t) for t in ts],
-        "states": [complex_matrix_to_pairs(m.apply(t, rho0)) for t in ts],
-    }
+    payload = _map_payload(
+        m,
+        times=ts,
+        eigenvalues=[m.eigenvalues(t) for t in ts],
+        states=[complex_matrix_to_pairs(m.apply(t, rho0)) for t in ts],
+    )
     _emit_json(payload, output)
 
 
@@ -413,37 +406,16 @@ def mub_verify(
 
 
 def cp_check(
-    d: int,
-    family: str,
-    n: Optional[float],
-    c: float,
-    omega: float,
-    t_sharp: float,
-    weights: str,
-    t_max: float,
-    steps: int,
-    tol: float,
-    output: Optional[str],
+    d: int, weights: str, t_max: float, steps: int, tol: float, output: Optional[str], **family
 ) -> None:
     """Complete positivity of the propagators between consecutive grid times."""
-    from .dynmaps import _linspace, mixture_map
     from .invertibility import cp_divisibility_check
 
-    w = _parse_weights(weights, d)
-    pf = _build_pf(family, n, c, omega, t_sharp)
-    m = mixture_map(d, w, pf)
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    _check_work(steps + 1, d + 1)
-    records = cp_divisibility_check(m, _linspace(0.0, t_max, steps + 1), tol=tol)
-    payload = {
-        "d": d,
-        "family": pf.describe(),
-        "weights": w,
-        "tol": tol,
-        "steps": [r.to_payload() for r in records],
-        "all_cp": all(r.cp for r in records),
-    }
+    m = _mixture(d, weights, family)
+    records = cp_divisibility_check(m, _time_grid(t_max, steps, d + 1), tol=tol)
+    payload = _map_payload(
+        m, tol=tol, steps=[r.to_payload() for r in records], all_cp=all(r.cp for r in records)
+    )
     _emit_json(payload, output)
 
 
@@ -451,22 +423,13 @@ def cp_check(
 
 
 def generator(
-    d: int,
-    family: str,
-    n: Optional[float],
-    c: float,
-    omega: float,
-    t_sharp: float,
-    t: float,
-    h: Optional[float],
-    weights: Optional[str],
-    output: Optional[str],
+    d: int, t: float, h: Optional[float], weights: Optional[str], output: Optional[str], **family
 ) -> None:
     """Numeric time-local generator rates versus the analytic profile."""
     from .dynmaps import generator_rates, mixture_map
     from .finite_field import factor_prime_power
 
-    pf = _build_pf(family, n, c, omega, t_sharp)
+    pf = _build_pf(**family)  # before the weights, unlike the other map commands
     single = weights is None
     if single:
         factor_prime_power(d)  # d sizes the one-hot weights
@@ -475,9 +438,9 @@ def generator(
     else:
         w = _parse_weights(weights, d)
     if h is None:
-        h = 1e-5 / c if family == "exponential" else 1e-5
+        h = 1e-5 / pf.c if pf.family == "exponential" else 1e-5
         if not math.isfinite(h):
-            raise ValidationError(f"the default step 1e-5/c overflows at c={c}; pass --h")
+            raise ValidationError(f"the default step 1e-5/c overflows at c={pf.c}; pass --h")
     m = mixture_map(d, w, pf)
     numeric = generator_rates(m, t, h)
     lam = m.eigenvalues(t)
@@ -485,15 +448,13 @@ def generator(
     entries = []
     for i in range(d + 1):
         analytic = -m.slopes[i] * dp / lam[i]
-        num = numeric[i]
-        denom = max(abs(analytic), 1e-30)
         entries.append(
             {
                 "i": i,
                 "x": w[i],
-                "rate_numeric": num,
+                "rate_numeric": numeric[i],
                 "rate_analytic": analytic,
-                "rel_diff": abs(num - analytic) / denom,
+                "rel_diff": _rel_diff(numeric[i], analytic),
             }
         )
     payload = {
@@ -503,13 +464,13 @@ def generator(
         "h": h,
         "rates": entries,
     }
-    if single and d == 2 and family in ("exponential", "cosine"):
+    if single and d == 2 and pf.family in ("exponential", "cosine"):
         gamma_analytic = pf.decay_rate(t)
         gamma_numeric = -numeric[1] / 2.0
         payload["gamma"] = {
             "analytic": gamma_analytic,
             "numeric": gamma_numeric,
-            "rel_diff": abs(gamma_numeric - gamma_analytic) / max(abs(gamma_analytic), 1e-30),
+            "rel_diff": _rel_diff(gamma_numeric, gamma_analytic),
         }
     numbers = [v for entry in entries for v in entry.values()] + list(payload.get("gamma", {}).values())
     if not all(map(math.isfinite, numbers)):
@@ -670,6 +631,7 @@ def _help_text(usage: str, help: str, sections: list) -> str:
 # --- the command table ------------------------------------------------------------
 
 _OUTPUT = _Option("--output", str)
+# a map command collects these as **family, the keyword arguments of _build_pf
 _FAMILY = (
     _Option("--family", _choice("exponential", "cosine", "plateau"), "exponential",
             help="Decoherence profile driving every input map."),

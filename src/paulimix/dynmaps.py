@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .finite_field import PrimePowerDim, factor_prime_power
-from .threshold import THRESHOLD_ATOL
+from .threshold import THRESHOLD_ATOL, _invertible_floor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -213,16 +213,16 @@ class Exponential(DecoherenceFunction):
     def _singular_time(self, d: int, x: float) -> Optional[float]:
         """t* = (1/c) ln[ d(1-x) / (d(1-x) - n(d-1)) ] when the denominator is positive.
 
-        At or above the threshold x = 1 - n(d-1)/d the eigenvalue never
-        vanishes (the would-be singular time diverges).
+        At or above the threshold g = 1 - n(d-1)/d the eigenvalue never
+        vanishes (the would-be singular time diverges); weights up to 1e-12
+        below g count as g (``threshold._invertible_floor``), as in
+        ``output_invertible`` and the Monte Carlo count. Below that band the
+        denominator d(g - x) exceeds d * 1e-12 less its rounding, so it is positive.
         """
-        numer = d * (1.0 - x)
-        denom = numer - self.n * (d - 1)
-        # a relative guard absorbs float noise at the boundary x = 1 - n(d-1)/d,
-        # where the singular time diverges
-        if denom <= THRESHOLD_ATOL * numer:
+        if x >= _invertible_floor(d, self.n):
             return None
-        return _finite(math.log(numer / denom) / self.c, "the singular time", c=self.c)
+        numer = d * (1.0 - x)
+        return _finite(math.log(numer / (numer - self.n * (d - 1))) / self.c, "the singular time", c=self.c)
 
     def _decay_rate(self, t: float) -> float:
         """gamma = c / ((n - 2) e^{c t} + 2)."""

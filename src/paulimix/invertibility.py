@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _weight_tuple
 from .errors import Frozen, SingularAtGridPointError, ValidationError
-from .threshold import THRESHOLD_ATOL, weight_threshold
+from .threshold import _interval, _invertible_floor
 
 # a sample below -_SCAN_TOL certifies a crossing, and |lambda| <= _SCAN_TOL at a
 # refined tangential minimum is a root; only minima below _COARSE_JUMP are
@@ -39,10 +39,12 @@ def output_invertible(d: int, n: float, weights) -> bool:
     """True iff every weight clears the threshold g(d, n) = 1 - n(d-1)/d.
 
     The boundary x_i = g counts as invertible: the singular time diverges.
+    So do weights up to 1e-12 below g (``threshold._invertible_floor``), as
+    in ``Exponential.singular_time`` and the Monte Carlo count.
     """
     w = _weight_tuple(weights, d)
-    g = weight_threshold(d, n)
-    return all(x >= g - THRESHOLD_ATOL for x in w)
+    floor = _invertible_floor(d, n)
+    return all(x >= floor for x in w)
 
 
 # --- reports ------------------------------------------------------------------
@@ -75,10 +77,8 @@ class InvertibilityReport:
 def _is_semigroup_point(m: MixtureMap) -> bool:
     if not isinstance(m.pf, Exponential):
         return False
-    d = m.d
-    magic = d * d / (d * d - 1.0)
-    equal = 1.0 / (d + 1)
-    return abs(m.pf.n - magic) <= 1e-12 and max(abs(x - equal) for x in m.weights) <= 1e-12
+    equal = 1.0 / (m.d + 1)
+    return abs(m.pf.n - _interval(m.d)[0]) <= 1e-12 and max(abs(x - equal) for x in m.weights) <= 1e-12
 
 
 def _build_report(

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import Frozen, RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, _int_root, _is_prime, factor_prime_power, is_prime_power
-from .threshold import THRESHOLD_ATOL, _check_n, _interval, weight_threshold
+from .threshold import _check_n, _interval, _invertible_floor, weight_threshold
 
 # numpy is imported by the Monte Carlo paths only, and fractions by the
 # quadrature only, so the regime and the closed form run without either
@@ -45,15 +45,15 @@ if TYPE_CHECKING:
 # it every hit count, does not depend on the chunk size
 _MC_CHUNK = 1 << 16
 
-# direct path (one dimension, or too few to share a table): on rows up to this
-# long, one np.minimum per column beats e.min(axis=1) (0.13 vs 0.30 ms per chunk
-# at d=16); from about 40 values on, the single reduction wins, as the column
-# calls grow with the row length. The shared path takes every row length.
+# the exact row test, _exact_hits: on rows up to this long, one np.minimum per
+# column beats e.min(axis=1) (0.13 vs 0.30 ms per direct-path chunk at d=16);
+# from about 40 values on, the single reduction wins, as the column calls grow
+# with the row length. The shared path's table takes every row length.
 _MC_COLUMN_MIN_ROW = 40
 
 # shared path: a row is decided from its prefix-sum margin only when the margin
 # clears this multiple of the rounding bound derived in _mc_hits; every other
-# row goes to the exact test of the direct path
+# row goes to the exact row test
 _MC_BOUND_SLACK = 2.0
 
 # Monte Carlo work refused beyond this many values of the stream, samples*(d+1)
@@ -252,10 +252,8 @@ def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[in
 
     Direct, when fewer than two dimensions, or fewer than the table below
     has levels, still read the chunk (so always for ``delta_monte_carlo``):
-    each d views its rows as (rows, d+1) and takes the minimum
-    column by column (rows up to ``_MC_COLUMN_MIN_ROW``) or with
-    e.min(axis=1), and the sum with e.sum(axis=1), so each d reads the
-    chunk twice.
+    each d views its rows as (rows, d+1) and counts them with the exact row
+    test ``_exact_hits``, so each d reads the chunk twice.
 
     Shared, otherwise: the chunk gets one prefix sum P, P[i] the sum of its
     first i values, and one range-minimum table T, T_k[i] the minimum of the
@@ -266,8 +264,8 @@ def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[in
     T_k[o+d+1-2^k]), exact, and the sum S~ = P[o+d+1] - P[o], both strided
     over the rows. S~ is not numpy's row sum S, so a row is decided from its
     margin m = fl(min - fl(h S~)) only when |m| > |h| tau. Every other row is
-    gathered as a contiguous (rows, d+1) array and sent to the exact test
-    above, so both paths give the same count.
+    gathered as a contiguous (rows, d+1) array and sent to ``_exact_hits``,
+    so both paths give the same count.
 
     The bound: the L values of a chunk are >= 0, with computed total P_L.
     Every computed prefix is within gamma_L P_L of its exact value and a row's
@@ -316,7 +314,8 @@ def _mc_hits(ds: list[int], hs: list[float], samples: int, seed: int) -> list[in
             _shared_hits(np, buf, start, size, tail, samples, entries[live:], scratch, hits)
         else:
             for row, k, h in entries[live:]:
-                hits[k] += _direct_hits(np, buf, start, size, tail, row, samples, h)
+                o, rows = _first_row(start, size, tail, row, samples)
+                hits[k] += _exact_hits(np, buf[o : o + rows * row].reshape(-1, row), h)
     return hits
 
 
@@ -326,13 +325,11 @@ def _first_row(start: int, size: int, tail: int, row: int, samples: int) -> tupl
     return first * row - start + tail, min((start + size) // row, samples) - first
 
 
-def _direct_hits(np, buf: np.ndarray, start: int, size: int, tail: int, row: int, samples: int, h: float) -> int:
-    """Hits among the rows of length ``row`` that end in the chunk, by numpy's row minimum and sum."""
-    offset, rows = _first_row(start, size, tail, row, samples)
-    e = buf[offset : offset + rows * row].reshape(-1, row)
-    if row <= _MC_COLUMN_MIN_ROW:
+def _exact_hits(np, e: np.ndarray, h: float) -> int:
+    """How many rows of the C-contiguous (rows, d+1) array ``e`` have min / sum >= h, with numpy's row sum."""
+    if e.shape[1] <= _MC_COLUMN_MIN_ROW:
         low = e[:, 0].copy()
-        for j in range(1, row):
+        for j in range(1, e.shape[1]):
             np.minimum(low, e[:, j], out=low)
     else:
         low = e.min(axis=1)
@@ -366,8 +363,7 @@ def _shared_hits(np, buf, start, size, tail, samples, entries, scratch, hits) ->
         hits[k] += sure
         if np.count_nonzero(np.greater_equal(margin, -bound, out=flags[:rows])) > sure:
             near = np.flatnonzero(np.abs(margin) <= bound)
-            e = buf[o + row * near[:, None] + np.arange(row)]
-            hits[k] += int(np.count_nonzero(e.min(axis=1) / e.sum(axis=1) >= h))
+            hits[k] += _exact_hits(np, buf[o + row * near[:, None] + np.arange(row)], h)
 
 
 def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResult:
@@ -380,8 +376,7 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
     """
     factor_prime_power(d)
     _check_mc(samples, seed, [d])
-    g = weight_threshold(d, n)
-    delta = _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed)[0] / samples
+    delta = _mc_hits([d], [_invertible_floor(d, n)], samples, seed)[0] / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
     return MeasureResult(
         d=d,
@@ -562,8 +557,7 @@ def _sweep_rows(ds: list[int], n: float, method: str, samples: int, seed: int) -
         deltas = [delta_quadrature(d, n).delta for d in ds]
     else:
         _check_mc(samples, seed, ds)
-        hs = [weight_threshold(d, n) - THRESHOLD_ATOL for d in ds]
-        deltas = [k / samples for k in _mc_hits(ds, hs, samples, seed)]
+        deltas = [k / samples for k in _mc_hits(ds, [_invertible_floor(d, n) for d in ds], samples, seed)]
     rows = []
     for d, delta in zip(ds, deltas):
         log10 = math.log10(delta) if delta > 0 else float("-inf")

@@ -1,10 +1,11 @@
 """The weight threshold g(d, n) that decides invertibility, its tolerance, and the regime of n.
 
 For the exponential family the output map is invertible exactly when every
-mixing weight clears g(d, n) = 1 - n(d-1)/d. The measure routes, the
-families' singular times and ``invertibility.output_invertible`` all read
-the threshold and its tolerance from here, so the eigenvalue commands run
-without ``paulimix.measure``.
+mixing weight clears g(d, n) = 1 - n(d-1)/d. ``_invertible_floor`` is that
+rule with its tolerance, g - ``THRESHOLD_ATOL``, and the Monte Carlo count,
+``Exponential``'s singular time and ``invertibility.output_invertible`` all
+read it from here, so they agree on every weight and the eigenvalue commands
+run without ``paulimix.measure``.
 
 ``classify_regime`` places n against the intermediate interval
 [d^2/(d^2-1), d/(d-1)] (``_interval``, which the measure routes read too).
@@ -36,6 +37,11 @@ def weight_threshold(d: int, n: float) -> float:
         raise ValidationError(f"dimension must be >= 2, got {d}")
     _check_n(n)
     return 1.0 - n * (d - 1) / d
+
+
+def _invertible_floor(d: int, n: float) -> float:
+    """The smallest weight that keeps the output map invertible: g(d, n) - ``THRESHOLD_ATOL``."""
+    return weight_threshold(d, n) - THRESHOLD_ATOL
 
 
 def _interval(d: int) -> tuple[float, float]:

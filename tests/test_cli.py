@@ -701,6 +701,36 @@ def test_wrong_weight_count_rejected(runner):
     assert result.exit_code == 2
 
 
+# the map commands check the weights, then the family, then the rest; generator
+# checks the family first
+_MAP_COMMANDS = ("singular-time", "evolve", "cp-check")
+
+
+@pytest.mark.parametrize("command", _MAP_COMMANDS)
+def test_a_map_command_checks_the_weights_before_the_family(runner, command):
+    result = runner.invoke(main, [command, "--d", "3", "--weights", "0.5,0.5"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: need 4 comma-separated weights for d=3, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [(c, []) for c in _MAP_COMMANDS]
+    + [("cp-check", ["--steps", "0"]), ("evolve", ["--steps", "0"]), ("evolve", ["--state", "mub:9:9"])],
+)
+def test_a_map_command_checks_the_family_before_the_rest(runner, command, extra):
+    result = runner.invoke(main, [command, "--d", "2", "--weights", "0.4,0.3,0.3", *extra])
+    assert result.exit_code == 2
+    assert result.stderr == "error: the exponential family requires --n\n"
+    assert result.stdout == ""
+
+
+def test_generator_checks_the_family_before_the_weights(runner):
+    result = runner.invoke(main, ["generator", "--d", "2", "--t", "0.5", "--weights", "0.5,0.5"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: the exponential family requires --n\n"
+
+
 def test_byte_identical_reruns(runner):
     args = ["measure", "--d", "2", "--n", "1.5", "--method", "all",
             "--samples", "50000", "--seed", "21"]

@@ -47,7 +47,7 @@ def test_exponential_singular_time_qubit_form():
         x = rng.uniform(0.0, 1.0)
         general = Exponential(n=n, c=c).singular_time(2, x)
         denom = 2 * (1 - x) - n
-        direct = math.log(2 * (1 - x) / denom) / c if denom > 1e-12 * 2 * (1 - x) else None
+        direct = math.log(2 * (1 - x) / denom) / c if x < g_threshold(2, n).g - 1e-12 else None
         if direct is None:
             assert general is None
         else:
@@ -143,6 +143,25 @@ def test_output_invertible_monotone_in_n(d, raw, n0, bump):
     weights = np.array(raw[: d + 1]) / sum(raw[: d + 1])
     if output_invertible(d, n0, weights):
         assert output_invertible(d, n0 + bump, weights)
+
+
+@pytest.mark.parametrize(
+    "d, n, off, invertible",
+    [(2, 1.5, 8e-13, True), (32, 1.01, 9.9e-13, True), (2, 1.5, 2e-12, False)],
+)
+def test_every_analytic_route_shares_the_boundary_band(d, n, off, invertible):
+    # a weight up to 1e-12 below g is the boundary on every analytic route;
+    # the singular time once used a relative guard, finite inside that band
+    g = g_threshold(d, n).g
+    weights = [g - off] + [(1 - g + off) / d] * d
+    pf = Exponential(n=n, c=1.0)
+    t_star = pf.singular_time(d, weights[0])
+    assert (t_star is None) == invertible
+    if not invertible:
+        assert math.isfinite(t_star) and t_star > 0
+    kind = analytic_singularity_report(mixture_map(d, weights, pf)).classification
+    assert kind is (Classification.INVERTIBLE if invertible else Classification.NONINVERTIBLE)
+    assert output_invertible(d, n, weights) == invertible
 
 
 # --- numeric scan ---------------------------------------------------------------------

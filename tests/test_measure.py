@@ -13,7 +13,6 @@ from paulimix.finite_field import factor_prime_power, is_prime_power
 from paulimix.invertibility import output_invertible
 from paulimix.measure import (
     _MC_CHUNK,
-    THRESHOLD_ATOL,
     _mc_hits,
     delta_closed_form,
     delta_monte_carlo,
@@ -26,7 +25,7 @@ from paulimix.measure import (
     sweep_dimensions,
     sweep_range,
 )
-from paulimix.threshold import classify_regime
+from paulimix.threshold import THRESHOLD_ATOL, classify_regime
 
 
 # --- threshold -----------------------------------------------------------------
