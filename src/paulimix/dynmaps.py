@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .finite_field import PrimePowerDim, factor_prime_power
-from .threshold import THRESHOLD_ATOL, _invertible_floor
+from .threshold import EIGENVALUE_ATOL, _reaches_zero
 
 if TYPE_CHECKING:
     import numpy as np
@@ -132,12 +132,16 @@ def _finite(value: float, what: str, **params: float) -> float:
 class DecoherenceFunction(Frozen, ABC):
     """A decoherence profile p(t) with p(0) = 0 and values in [0, 1]; immutable.
 
-    Each family also gives its closed forms: ``singular_time``,
-    ``decay_rate`` and ``horizon``, the default span of a singular-time
-    scan. A ``periodic`` p repeats after its horizon, so no scan goes past it.
+    Each family states ``n_sup`` = 1/sup p and whether p ``attains_sup``,
+    which decide whether a singular time exists, and gives its closed forms:
+    the inverse formula behind ``singular_time``, ``decay_rate`` and
+    ``horizon``, the default span of a singular-time scan. A ``periodic`` p
+    repeats after its horizon, so no scan goes past it.
     """
 
     family: str
+    n_sup: float
+    attains_sup = True
     periodic = False
 
     def value(self, t: float) -> float:
@@ -153,13 +157,15 @@ class DecoherenceFunction(Frozen, ABC):
     def singular_time(self, d: int, x: float) -> Optional[float]:
         """First zero of lambda(t) = 1 - d/(d-1) (1 - x) p(t), where p reaches (d-1)/(d(1-x)).
 
-        None if lambda never vanishes; ValidationError for d < 2, for x
-        outside [0, 1], and where the time overflows.
+        None if lambda never vanishes (``threshold._reaches_zero``); ValidationError
+        for d < 2, for x outside [0, 1], and where the time overflows.
         """
         if d < 2:
             raise ValidationError(f"dimension must be >= 2, got {d}")
         if not 0.0 <= x <= 1.0:
             raise ValidationError(f"mixing weight must lie in [0, 1], got {x}")
+        if not _reaches_zero(d, self.n_sup, self.attains_sup, x):
+            return None
         return self._singular_time(d, x)
 
     def decay_rate(self, t: float) -> float:
@@ -185,7 +191,7 @@ class DecoherenceFunction(Frozen, ABC):
     def _derivative(self, t: float) -> float: ...
 
     @abstractmethod
-    def _singular_time(self, d: int, x: float) -> Optional[float]: ...
+    def _singular_time(self, d: int, x: float) -> float: ...
 
     @abstractmethod
     def describe(self) -> dict: ...
@@ -195,6 +201,7 @@ class Exponential(DecoherenceFunction):
     """p(t) = (1 - exp(-c t)) / n, strictly increasing toward 1/n."""
 
     family = "exponential"
+    attains_sup = False
 
     def __init__(self, n: float, c: float) -> None:
         _check_finite(n=n, c=c)
@@ -204,23 +211,18 @@ class Exponential(DecoherenceFunction):
             raise ValidationError(f"decay factor c must be > 0, got {c}")
         vars(self).update(n=n, c=c)
 
+    @property
+    def n_sup(self) -> float:
+        return self.n
+
     def _value(self, t: float) -> float:
         return (1.0 - math.exp(-self.c * t)) / self.n
 
     def _derivative(self, t: float) -> float:
         return self.c * math.exp(-self.c * t) / self.n
 
-    def _singular_time(self, d: int, x: float) -> Optional[float]:
-        """t* = (1/c) ln[ d(1-x) / (d(1-x) - n(d-1)) ] when the denominator is positive.
-
-        At or above the threshold g = 1 - n(d-1)/d the eigenvalue never
-        vanishes (the would-be singular time diverges); weights up to 1e-12
-        below g count as g (``threshold._invertible_floor``), as in
-        ``output_invertible`` and the Monte Carlo count. Below that band the
-        denominator d(g - x) exceeds d * 1e-12 less its rounding, so it is positive.
-        """
-        if x >= _invertible_floor(d, self.n):
-            return None
+    def _singular_time(self, d: int, x: float) -> float:
+        """t* = (1/c) ln[ d(1-x) / (d(1-x) - n(d-1)) ], whose denominator d(g - x) is positive below g - 1e-12."""
         numer = d * (1.0 - x)
         return _finite(math.log(numer / (numer - self.n * (d - 1))) / self.c, "the singular time", c=self.c)
 
@@ -244,6 +246,7 @@ class Cosine(DecoherenceFunction):
     """p(t) = (1 - cos(omega t)) / 2, oscillating through [0, 1]."""
 
     family = "cosine"
+    n_sup = 1.0
     periodic = True
 
     def __init__(self, omega: float) -> None:
@@ -264,17 +267,12 @@ class Cosine(DecoherenceFunction):
     def _derivative(self, t: float) -> float:
         return 0.5 * self.omega * math.sin(self._phase(t))
 
-    def _singular_time(self, d: int, x: float) -> Optional[float]:
-        """t* = arccos(1 - 2(d-1)/(d(1-x))) / omega when the argument is at least -1.
+    def _singular_time(self, d: int, x: float) -> float:
+        """t* = arccos(max(1 - 2(d-1)/(d(1-x)), -1)) / omega.
 
-        For d = 2 this is lambda(t) = x + (1 - x) cos(omega t) with
-        t* = arccos(x / (x - 1)) / omega, which exists iff x <= 1/2.
+        The argument is below -1 only where lambda reaches 0 within ``EIGENVALUE_ATOL`` of the sup p = 1.
         """
-        if x == 1.0:
-            return None
         target = 1.0 - 2.0 * (d - 1) / (d * (1.0 - x))
-        if target < -1.0 - THRESHOLD_ATOL:
-            return None
         return _finite(math.acos(max(target, -1.0)) / self.omega, "the singular time", omega=self.omega)
 
     def _decay_rate(self, t: float) -> float:
@@ -296,6 +294,7 @@ class Plateau(DecoherenceFunction):
     """Linear ramp p(t) = t / (2 t_sharp) up to 1/2 at t_sharp, constant at 1/2 afterwards."""
 
     family = "plateau"
+    n_sup = 2.0
 
     def __init__(self, t_sharp: float) -> None:
         _check_finite(t_sharp=t_sharp)
@@ -313,14 +312,8 @@ class Plateau(DecoherenceFunction):
             return 0.0
         return 1.0 / (2.0 * self.t_sharp)
 
-    def _singular_time(self, d: int, x: float) -> Optional[float]:
-        """p tops out at 1/2, and the target (d-1)/(d(1-x)) is 1/2 only at d = 2, x = 0.
-
-        That single-map corner is singular exactly at t_sharp, where the
-        ramp first reaches 1/2; every other (d, x) gives None.
-        """
-        if d > 2 or x > 0.0:
-            return None
+    def _singular_time(self, d: int, x: float) -> float:
+        """t_sharp, where the ramp first reaches its sup 1/2; lambda is smallest from there on."""
         return self.t_sharp
 
     def horizon(self) -> float:
@@ -453,7 +446,7 @@ def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> tuple[float, .
     if t + h == t:  # covers t - h == t too: the float spacing below t is at most that above
         raise ValidationError(f"step h={h} is below the float spacing at t={t}: t + h rounds to t")
     lam = m.eigenvalues(t)
-    if min(map(abs, lam)) < 1e-12:
+    if min(map(abs, lam)) < EIGENVALUE_ATOL:
         raise SingularAtTimeError(f"map has a zero eigenvalue at t={t}")
     return lam
 

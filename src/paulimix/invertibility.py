@@ -24,12 +24,10 @@ from typing import Callable, Optional
 
 from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _weight_tuple
 from .errors import Frozen, SingularAtGridPointError, ValidationError
-from .threshold import _interval, _invertible_floor
+from .threshold import EIGENVALUE_ATOL, _interval, _invertible_floor
 
-# a sample below -_SCAN_TOL certifies a crossing, and |lambda| <= _SCAN_TOL at a
-# refined tangential minimum is a root; only minima below _COARSE_JUMP are
-# refined, and a jump between samples above it earns the GridTooCoarse advisory
-_SCAN_TOL = 1e-12
+# only scan minima below _COARSE_JUMP are refined, and a jump between samples
+# above it earns the GridTooCoarse advisory
 _COARSE_JUMP = 0.1
 
 # --- output invertibility -----------------------------------------------------
@@ -40,7 +38,7 @@ def output_invertible(d: int, n: float, weights) -> bool:
 
     The boundary x_i = g counts as invertible: the singular time diverges.
     So do weights up to 1e-12 below g (``threshold._invertible_floor``), as
-    in ``Exponential.singular_time`` and the Monte Carlo count.
+    in every singular time and the Monte Carlo count.
     """
     w = _weight_tuple(weights, d)
     floor = _invertible_floor(d, n)
@@ -64,13 +62,11 @@ class InvertibilityReport:
         classification: Classification,
         singular_times: list[Optional[float]],
         t_star: Optional[float],
-        method: str,  # "analytic" | "numeric"
         warnings: Optional[list[str]] = None,
     ) -> None:
         self.classification = classification
         self.singular_times = singular_times
         self.t_star = t_star
-        self.method = method
         self.warnings = [] if warnings is None else warnings
 
 
@@ -82,10 +78,7 @@ def _is_semigroup_point(m: MixtureMap) -> bool:
 
 
 def _build_report(
-    m: MixtureMap,
-    times: list[Optional[float]],
-    method: str,
-    warnings: Optional[list[str]] = None,
+    m: MixtureMap, times: list[Optional[float]], warnings: Optional[list[str]] = None
 ) -> InvertibilityReport:
     if _is_semigroup_point(m):
         # lambda_i(t) = e^{-ct} exactly; any root located here is float noise
@@ -95,13 +88,12 @@ def _build_report(
     else:
         kind = Classification.INVERTIBLE
     t_star = min((t for t in times if t is not None), default=None)
-    return InvertibilityReport(kind, times, t_star, method, warnings or [])
+    return InvertibilityReport(kind, times, t_star, warnings or [])
 
 
 def analytic_singularity_report(m: MixtureMap) -> InvertibilityReport:
     """Closed-form singular times for every mixing index of a map."""
-    times = [m.pf.singular_time(m.d, x) for x in m.weights]
-    return _build_report(m, times, method="analytic")
+    return _build_report(m, [m.pf.singular_time(m.d, x) for x in m.weights])
 
 
 # --- numeric scan ---------------------------------------------------------------
@@ -156,11 +148,10 @@ def numeric_singularity_scan(
 
     Sign changes on the grid are refined by bisection; a tangential dip
     (double root) is caught by minimizing lambda around interior grid
-    minima and accepting |lambda| <= ``_SCAN_TOL``. A periodic family's
+    minima and accepting |lambda| <= ``EIGENVALUE_ATOL``. A periodic family's
     scan stops at its horizon, one period, since the roots repeat. A
     GridTooCoarse advisory is attached when consecutive grid values jump
-    by more than ``_COARSE_JUMP``. The (d+1) x grid table of eigenvalues is
-    built one row at a time.
+    by more than ``_COARSE_JUMP``.
     """
     if not 0 < t_max < math.inf:
         raise ValidationError(f"t_max must be finite and > 0, got {t_max}")
@@ -186,9 +177,9 @@ def numeric_singularity_scan(
         # transversal roots must be certified by genuinely negative values;
         # near the divergence threshold the eigenvalue can underflow to a
         # zero-ish float without ever crossing, which is not a singularity
-        if low < -_SCAN_TOL:
-            j_neg = next(j for j, v in enumerate(lam) if v < -_SCAN_TOL)
-            j_pos = next((j for j in range(j_neg - 1, -1, -1) if lam[j] > _SCAN_TOL), 0)
+        if low < -EIGENVALUE_ATOL:
+            j_neg = next(j for j, v in enumerate(lam) if v < -EIGENVALUE_ATOL)
+            j_pos = next((j for j in range(j_neg - 1, -1, -1) if lam[j] > EIGENVALUE_ATOL), 0)
             root = _bisect_root(f, grid[j_pos], grid[j_neg])
         else:
             # tangential dip (double root): refine around a strict interior
@@ -201,7 +192,7 @@ def numeric_singularity_scan(
                 and lam[j - 1] > low < lam[j + 1]
             ):
                 t_min, f_min = _refine_minimum(f, grid[j - 1], grid[j + 1])
-                if abs(f_min) <= _SCAN_TOL:
+                if abs(f_min) <= EIGENVALUE_ATOL:
                     root = t_min
         times.append(root)
 
@@ -211,7 +202,7 @@ def numeric_singularity_scan(
             f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "
             "double roots may be missed"
         )
-    return _build_report(m, times, method="numeric", warnings=warnings)
+    return _build_report(m, times, warnings)
 
 
 # --- CP divisibility -------------------------------------------------------------
@@ -254,7 +245,7 @@ def cp_divisibility_check(
         raise ValidationError("times must be nondecreasing")
     lams = [m.eigenvalues(t) for t in ts]
     for t, lam in zip(ts, lams):
-        if min(map(abs, lam)) < 1e-12:
+        if min(map(abs, lam)) < EIGENVALUE_ATOL:
             raise SingularAtGridPointError(f"map is singular at grid time t={t}")
 
     d = m.d

@@ -1,11 +1,12 @@
-"""The weight threshold g(d, n) that decides invertibility, its tolerance, and the regime of n.
+"""The weight threshold g(d, n) that decides invertibility, its tolerances, and the regime of n.
 
-For the exponential family the output map is invertible exactly when every
-mixing weight clears g(d, n) = 1 - n(d-1)/d. ``_invertible_floor`` is that
-rule with its tolerance, g - ``THRESHOLD_ATOL``, and the Monte Carlo count,
-``Exponential``'s singular time and ``invertibility.output_invertible`` all
-read it from here, so they agree on every weight and the eigenvalue commands
-run without ``paulimix.measure``.
+Eigenvalue i of a mixture, 1 - d/(d-1) (1 - x_i) p(t), vanishes iff it does at
+sup p; ``_reaches_zero`` decides that for every family. The exponential p
+never attains its sup 1/n, so the output map is invertible exactly when every
+weight clears g(d, n) = 1 - n(d-1)/d. ``_invertible_floor`` is that rule with
+its tolerance, g - ``THRESHOLD_ATOL``; the Monte Carlo count, every singular
+time and ``invertibility.output_invertible`` read it here, so they agree on
+every weight and the eigenvalue commands run without ``paulimix.measure``.
 
 ``classify_regime`` places n against the intermediate interval
 [d^2/(d^2-1), d/(d-1)] (``_interval``, which the measure routes read too).
@@ -24,6 +25,8 @@ from .finite_field import factor_prime_power
 # weights this close to the threshold g(d, n) count as on the boundary, which
 # is invertible (the singular time diverges); absorbs float noise in g itself
 THRESHOLD_ATOL = 1e-12
+# an eigenvalue this close to 0 is 0, in the singularity rule, the scan and the CP check
+EIGENVALUE_ATOL = 1e-12
 
 
 def _check_n(n: float) -> None:
@@ -42,6 +45,17 @@ def weight_threshold(d: int, n: float) -> float:
 def _invertible_floor(d: int, n: float) -> float:
     """The smallest weight that keeps the output map invertible: g(d, n) - ``THRESHOLD_ATOL``."""
     return weight_threshold(d, n) - THRESHOLD_ATOL
+
+
+def _reaches_zero(d: int, n_sup: float, attained: bool, x: float) -> bool:
+    """Whether lambda = 1 - d/(d-1) (1 - x) p vanishes for some t, where sup p = 1/``n_sup``.
+
+    A sup p only approaches needs x below ``_invertible_floor``; an attained
+    one needs lambda there to be at most ``EIGENVALUE_ATOL``.
+    """
+    if attained:
+        return 1.0 - d / (d - 1) * (1.0 - x) / n_sup <= EIGENVALUE_ATOL
+    return x < _invertible_floor(d, n_sup)
 
 
 def _interval(d: int) -> tuple[float, float]:

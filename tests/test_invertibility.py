@@ -96,6 +96,10 @@ def test_plateau_singular_time():
         assert Plateau(t_sharp=1.0).singular_time(2, x) is None
     # p <= 1/2 < (d-1)/(d(1-x)) for every d > 2
     assert Plateau(t_sharp=1.0).singular_time(3, 0.1) is None
+    assert Plateau(t_sharp=1.0).singular_time(3, 0.0) is None
+    # on the plateau lambda_0 = x at d = 2: zero within 1e-12, as the generator and cp-check take it
+    assert Plateau(t_sharp=1.0).singular_time(2, 5e-13) == 1.0
+    assert Plateau(t_sharp=1.0).singular_time(2, 2e-12) is None
 
 
 # --- regimes ------------------------------------------------------------------------
@@ -162,6 +166,19 @@ def test_every_analytic_route_shares_the_boundary_band(d, n, off, invertible):
     kind = analytic_singularity_report(mixture_map(d, weights, pf)).classification
     assert kind is (Classification.INVERTIBLE if invertible else Classification.NONINVERTIBLE)
     assert output_invertible(d, n, weights) == invertible
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16, 32])
+def test_cosine_singular_time_and_scan_share_the_band_at_the_sup(d):
+    # lambda_0 at the sup p = 1 is d/(d-1) (x - 1/d); the scan takes a dip to
+    # within 1e-12 of 0 for a root at the half period, and the closed form agrees
+    pf = Cosine(omega=1.0)
+    for k in range(-9, 10):
+        x = 1 / d + k * 1e-13
+        m = mixture_map(d, [x] + [(1 - x) / d] * d, pf)
+        analytic = analytic_singularity_report(m).singular_times[0]
+        numeric = numeric_singularity_scan(m, pf.horizon(), 4001).singular_times[0]
+        assert (analytic is None) == (numeric is None), k
 
 
 # --- numeric scan ---------------------------------------------------------------------

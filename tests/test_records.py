@@ -94,7 +94,7 @@ SIGNATURES = {
     MixtureMap: [("dim", _EMPTY), ("weights", _EMPTY), ("pf", _EMPTY)],
     # the dataclass default was a new empty list per report; None stands for it
     InvertibilityReport: [("classification", _EMPTY), ("singular_times", _EMPTY), ("t_star", _EMPTY),
-                          ("method", _EMPTY), ("warnings", None)],
+                          ("warnings", None)],
     PropagatorStep: [("t_start", _EMPTY), ("t_end", _EMPTY), ("choi_min_eigenvalue", _EMPTY), ("cp", _EMPTY)],
     Threshold: [("d", _EMPTY), ("n", _EMPTY), ("g", _EMPTY)],
     Regime: [("d", _EMPTY), ("n", _EMPTY), ("kind", _EMPTY), ("lower", _EMPTY), ("upper", _EMPTY)],
@@ -161,9 +161,9 @@ def test_records_compare_by_class_and_value():
 
 
 def test_the_mutable_records_keep_their_defaults_and_validation():
-    a = InvertibilityReport(Classification.NONINVERTIBLE, [0.5, None, 1.25], 0.5, "analytic")
+    a = InvertibilityReport(Classification.NONINVERTIBLE, [0.5, None, 1.25], 0.5)
     b = InvertibilityReport(classification=Classification.NONINVERTIBLE, singular_times=[0.5, None, 1.25],
-                            t_star=0.5, method="analytic")
+                            t_star=0.5)
     assert vars(a) == vars(b)
     assert a.warnings == [] and a.warnings is not b.warnings
     a.warnings.append("w")
