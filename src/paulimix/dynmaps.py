@@ -211,9 +211,7 @@ class Exponential(DecoherenceFunction):
             raise ValidationError(f"decay factor c must be > 0, got {c}")
         vars(self).update(n=n, c=c)
 
-    @property
-    def n_sup(self) -> float:
-        return self.n
+    n_sup = property(lambda self: self.n)  # sup p = 1/n, approached as t grows
 
     def _value(self, t: float) -> float:
         return (1.0 - math.exp(-self.c * t)) / self.n

@@ -38,7 +38,7 @@ def output_invertible(d: int, n: float, weights) -> bool:
 
     The boundary x_i = g counts as invertible: the singular time diverges.
     So do weights up to 1e-12 below g (``threshold._invertible_floor``), as
-    in every singular time and the Monte Carlo count.
+    in the exponential singular time and the Monte Carlo count.
     """
     w = _weight_tuple(weights, d)
     floor = _invertible_floor(d, n)
@@ -146,12 +146,12 @@ def numeric_singularity_scan(
 ) -> InvertibilityReport:
     """Locate the first zero of each lambda_i(t) on [0, t_max] numerically.
 
-    Sign changes on the grid are refined by bisection; a tangential dip
-    (double root) is caught by minimizing lambda around interior grid
-    minima and accepting |lambda| <= ``EIGENVALUE_ATOL``. A periodic family's
-    scan stops at its horizon, one period, since the roots repeat. A
-    GridTooCoarse advisory is attached when consecutive grid values jump
-    by more than ``_COARSE_JUMP``.
+    Sign changes on the grid are refined by bisection. A tangential dip
+    (double root), around a strict interior grid minimum or where p holds
+    its attained sup, is a root if |lambda| <= ``EIGENVALUE_ATOL`` there. A
+    periodic family's scan stops at its horizon, one period, since the roots
+    repeat. A GridTooCoarse advisory is attached when consecutive grid
+    values jump by more than ``_COARSE_JUMP``.
     """
     if not 0 < t_max < math.inf:
         raise ValidationError(f"t_max must be finite and > 0, got {t_max}")
@@ -183,17 +183,17 @@ def numeric_singularity_scan(
             root = _bisect_root(f, grid[j_pos], grid[j_neg])
         else:
             # tangential dip (double root): refine around a strict interior
-            # minimum; a flat run of zero-ish values is precision underflow
-            # at the divergence threshold, not a singularity
+            # minimum. A minimum held past grid[j] is a root, where lambda first
+            # reaches it, only if p attains its sup (a plateau); for an
+            # exponential p it is float underflow at the divergence threshold
             j = lam.index(low)
-            if (
-                0 < j < grid_points - 1
-                and low < min(lam[0], _COARSE_JUMP)
-                and lam[j - 1] > low < lam[j + 1]
-            ):
-                t_min, f_min = _refine_minimum(f, grid[j - 1], grid[j + 1])
-                if abs(f_min) <= EIGENVALUE_ATOL:
-                    root = t_min
+            if 0 < j and low < min(lam[0], _COARSE_JUMP) and lam[j - 1] > low:
+                if j < grid_points - 1 and low < lam[j + 1]:
+                    t_min, f_min = _refine_minimum(f, grid[j - 1], grid[j + 1])
+                    if abs(f_min) <= EIGENVALUE_ATOL:
+                        root = t_min
+                elif m.pf.attains_sup and abs(low) <= EIGENVALUE_ATOL:
+                    root = _bisect_root(lambda t: (f(t) > low) - 0.5, grid[j - 1], grid[j])
         times.append(root)
 
     warnings: list[str] = []

@@ -1,11 +1,12 @@
 """The weight threshold g(d, n) that decides invertibility, its tolerances, and the regime of n.
 
 Eigenvalue i of a mixture, 1 - d/(d-1) (1 - x_i) p(t), vanishes iff it does at
-sup p; ``_reaches_zero`` decides that for every family. The exponential p
-never attains its sup 1/n, so the output map is invertible exactly when every
-weight clears g(d, n) = 1 - n(d-1)/d. ``_invertible_floor`` is that rule with
-its tolerance, g - ``THRESHOLD_ATOL``; the Monte Carlo count, every singular
-time and ``invertibility.output_invertible`` read it here, so they agree on
+sup p; ``_reaches_zero`` decides that for every family. Where p attains its
+sup, lambda there must be within ``EIGENVALUE_ATOL`` of 0, as in the numeric
+scan. The exponential p only approaches 1/n, so its output map is invertible
+iff every weight clears g(d, n) = 1 - n(d-1)/d less ``THRESHOLD_ATOL``
+(``_invertible_floor``); its singular time, the Monte Carlo count and
+``invertibility.output_invertible`` read that floor here, so they agree on
 every weight and the eigenvalue commands run without ``paulimix.measure``.
 
 ``classify_regime`` places n against the intermediate interval

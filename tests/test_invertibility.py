@@ -70,6 +70,9 @@ def test_cosine_singular_time_examples():
     # d = 3: cos(omega t*) = 1 - 4/(3(1 - x)), reachable iff x <= 1/3
     assert Cosine(omega=1.0).singular_time(3, 0.0) == pytest.approx(math.acos(-1 / 3), abs=1e-15)
     assert Cosine(omega=1.0).singular_time(3, 0.5) is None
+    # x = 1: lambda = 1 for all t, and the inverse formula's d(1 - x) is never divided by
+    assert Cosine(omega=1.0).singular_time(2, 1.0) is None
+    assert Cosine(omega=1.0).singular_time(5, 1.0) is None
     with pytest.raises(ValidationError):
         Cosine(omega=1.0).singular_time(1, 0.2)
 
@@ -100,6 +103,19 @@ def test_plateau_singular_time():
     # on the plateau lambda_0 = x at d = 2: zero within 1e-12, as the generator and cp-check take it
     assert Plateau(t_sharp=1.0).singular_time(2, 5e-13) == 1.0
     assert Plateau(t_sharp=1.0).singular_time(2, 2e-12) is None
+
+
+@pytest.mark.parametrize("d, x", [(2, 0.0), (2, 5e-13), (2, 2e-12), (3, 0.0)])
+def test_plateau_singular_time_and_scan_agree_at_the_plateau(d, x):
+    # lambda_0 holds its minimum from t_sharp on; the scan takes that held
+    # minimum for a root exactly where the closed form does
+    pf = Plateau(t_sharp=1.0)
+    m = mixture_map(d, [x] + [(1 - x) / d] * d, pf)
+    analytic = analytic_singularity_report(m).singular_times[0]
+    numeric = numeric_singularity_scan(m, pf.horizon(), 4001).singular_times[0]
+    assert (analytic is not None) == (numeric is not None) == (d == 2 and x < 1e-12)
+    if analytic is not None:
+        assert numeric == pytest.approx(analytic, abs=1e-9)
 
 
 # --- regimes ------------------------------------------------------------------------
