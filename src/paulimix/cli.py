@@ -158,7 +158,9 @@ def _parse_weights(text: str, d: int) -> list[float]:
         raise ValidationError(
             "weights must be strictly positive; replace zeros with a small epsilon (e.g. 5e-4)"
         )
-    total = sum(parts)
+    total = 0.0
+    for w in parts:  # left to right: from Python 3.12 on, sum() compensates and rounds differently
+        total += w
     if abs(total - 1.0) > 1e-6:
         raise ValidationError(f"weights must sum to 1 (got {total!r})")
     if abs(total - 1.0) > 1e-9:

@@ -225,9 +225,14 @@ class Exponential(DecoherenceFunction):
         return _finite(math.log(numer / (numer - self.n * (d - 1))) / self.c, "the singular time", c=self.c)
 
     def _decay_rate(self, t: float) -> float:
-        """gamma = c / ((n - 2) e^{c t} + 2)."""
-        scale = abs(self.n - 2.0) * math.exp(self.c * t) + 2.0
-        denom = (self.n - 2.0) * math.exp(self.c * t) + 2.0
+        """gamma = c / ((n - 2) e^{c t} + 2); ValidationError once e^{c t} overflows."""
+        try:
+            growth = math.exp(self.c * t)
+        except OverflowError:
+            growth = math.inf
+        growth = _finite(growth, "e^(c*t) in the decay rate", c=self.c, t=t)
+        scale = abs(self.n - 2.0) * growth + 2.0
+        denom = (self.n - 2.0) * growth + 2.0
         if abs(denom) < 1e-12 * scale:
             raise RateSingularError(f"decay rate diverges at t={t}")
         return self.c / denom
@@ -275,10 +280,10 @@ class Cosine(DecoherenceFunction):
 
     def _decay_rate(self, t: float) -> float:
         """gamma = omega/2 * tan(omega t)."""
-        cos = math.cos(self.omega * t)
-        if abs(cos) < 1e-12:
+        phase = self._phase(t)
+        if abs(math.cos(phase)) < 1e-12:
             raise RateSingularError(f"decay rate diverges at t={t}")
-        return 0.5 * self.omega * math.tan(self.omega * t)
+        return 0.5 * self.omega * math.tan(phase)
 
     def horizon(self) -> float:
         """One period, 2 pi/omega; the singular times repeat after it."""

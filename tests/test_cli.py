@@ -128,6 +128,8 @@ _OVERFLOWING_SCALES = {
     "generator-rate-c": (["generator", "--d", "2", "--n", "1", "--c", "1.7e308", "--t", "0"], "c=1.7e+308"),
     "generator-rate-omega": (["generator", "--d", "2", "--family", "cosine", "--omega", "1e308", "--t", "0.5"],
                              "omega=1e+308"),
+    # p'(t) underflows to 0 first, so only e^(c t) in the single map's decay rate overflows
+    "generator-decay-rate": (["generator", "--d", "2", "--n", "3", "--c", "1", "--t", "800"], "t=800.0"),
 }
 
 
@@ -138,6 +140,7 @@ def test_an_overflowing_family_scale_is_refused(runner, args, named):
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2, result.output
     assert named in result.stderr and "nan" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert result.stdout == ""
 
 
@@ -694,6 +697,14 @@ def test_weight_sum_near_one_renormalized_with_warning(runner):
     )
     assert result.exit_code == 0
     assert "renormalizing" in result.stderr
+
+
+def test_weights_renormalize_by_a_left_to_right_sum():
+    # these sum to 1.0000000000000002 left to right, and to 1.0 by the compensated sum() of Python 3.12+
+    assert cli_mod._parse_weights("0.1,0.3,0.2,0.15,0.15,0.1", 5) == [
+        0.09999999999999998, 0.29999999999999993, 0.19999999999999996,
+        0.14999999999999997, 0.14999999999999997, 0.09999999999999998,
+    ]
 
 
 def test_wrong_weight_count_rejected(runner):

@@ -376,6 +376,17 @@ def test_decay_rate_singularities():
         Plateau(t_sharp=1.0).decay_rate(0.5)
 
 
+def test_an_exponential_decay_rate_whose_growth_overflows_is_refused():
+    assert 0.0 < Exponential(n=3, c=1).decay_rate(709.0) < 1e-300
+    with pytest.raises(ValidationError, match=r"overflows at c=1, t=800"):
+        Exponential(n=3, c=1).decay_rate(800.0)
+
+
+def test_a_cosine_decay_rate_whose_phase_overflows_is_refused():
+    with pytest.raises(ValidationError, match=r"overflows at omega=1e\+300, t=10000000000.0"):
+        Cosine(omega=1e300).decay_rate(1e10)
+
+
 # --- numeric generator -------------------------------------------------------------
 
 

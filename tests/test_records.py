@@ -11,28 +11,14 @@ import math
 
 import pytest
 
-from paulimix import (
-    Classification,
-    Cosine,
-    DualMapResult,
-    Exponential,
-    InvertibilityReport,
-    KrausSet,
-    MeasureResult,
-    MixtureMap,
-    MubSet,
-    MubVerification,
-    Plateau,
-    PrimePowerDim,
-    PropagatorStep,
-    Regime,
-    RegimeKind,
-    SweepRow,
-    Threshold,
-    build_mub,
-    factor_prime_power,
-)
+from paulimix.dynmaps import Cosine, Exponential, MixtureMap, Plateau
+from paulimix.finite_field import PrimePowerDim, factor_prime_power
+from paulimix.invertibility import Classification, InvertibilityReport, PropagatorStep
+from paulimix.measure import MeasureResult, SweepRow, Threshold
+from paulimix.mub import MubSet, MubVerification, build_mub
+from paulimix.oracle import DualMapResult, KrausSet
 from paulimix.serialization import dumps_canonical
+from paulimix.threshold import Regime, RegimeKind
 
 _EMPTY = inspect.Parameter.empty
 
