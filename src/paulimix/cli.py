@@ -71,11 +71,13 @@ if TYPE_CHECKING:
     from .dynmaps import DecoherenceFunction, MixtureMap
 
 # the eigenvalue commands and evolve are refused beyond this many values,
-# times * (values per time). One value costs 0.35-0.5 us in the singular-time
-# scan, 1.6 us in cp-check at d=32, and 11-15 us in cp-check and evolve at d=2,
-# where the JSON of each time dominates; so this is 0.4-16 s of work, and
-# 130-430 MB at the top (one process, 2-core VM). singular-time's default grid
-# of 4001 points fits up to d = 261.
+# times * (values per time). One value costs 1.6 us in cp-check at d=32, and
+# 11-15 us in cp-check and evolve at d=2, where the JSON of each time
+# dominates; so this is 1.7-16 s of work, and 130-430 MB at the top (one
+# process, 2-core VM). The singular-time scan reads p once per grid point for
+# all d+1 eigenvalues, 0.6-1.4 us a point at any d, so its grid * (d+1) values
+# cost at most 0.5 s at the limit. singular-time's default grid of 4001 points
+# fits up to d = 261.
 _MAX_VALUES = 1 << 20
 
 

@@ -366,7 +366,7 @@ class MixtureMap:
 
     Weights may sit on the boundary of the simplex (zeros allowed), which
     covers the single-input-map limit, so a one-hot weight vector is a
-    single input map; they must be finite, nonnegative and sum to one
+    single input map; they must be finite, lie in [0, 1] and sum to one
     within 1e-12. They are kept as a tuple of floats.
     """
 
@@ -376,6 +376,8 @@ class MixtureMap:
             raise ValidationError("weights must be finite numbers")
         if any(x < 0 for x in w):
             raise ValidationError("weights must be nonnegative")
+        if any(x > 1 for x in w):  # so every slope is >= 0, as the numeric scan needs
+            raise ValidationError(f"mixing weight must lie in [0, 1], got {max(w)!r}")
         total = _pairwise_sum(w)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"weights must sum to 1, got {total!r}")

@@ -755,6 +755,9 @@ def test_byte_identical_reruns(runner):
 # sha256 of stdout for one fixed call of each command that prints no float from
 # BLAS or a random stream; a change that alters any printed byte fails here.
 # The digests were taken on Linux: the singular times and rates go through its libm.
+# The singular-time calls at d = 32, on a coarse grid and within 1e-13 of a
+# family's band were pinned from the per-index scan, before the one-pass rewrite.
+_D32_WEIGHTS = ",".join(["0.01"] * 16 + ["0.05"] * 16 + ["0.04"])
 _STDOUT_SHA256 = {
     "regime": (["regime", "--d", "7", "--n", "1.1"],
                "a9cc5ad539f8d465eecf7646991af96a33535577e7ad9a1afbf81735e96f3d84"),
@@ -767,6 +770,27 @@ _STDOUT_SHA256 = {
     "singular-time-plateau": (
         ["singular-time", "--d", "2", "--family", "plateau", "--t-sharp", "0.7", "--weights", "0.2,0.3,0.5"],
         "4edef9f71b55849b83e7e3f81b2f80487ba9b0d061d4ee711c06ce2194ccc968"),
+    "singular-time-d32-exponential": (
+        ["singular-time", "--d", "32", "--n", "1.02", "--weights", _D32_WEIGHTS],
+        "7cffef97a70674d35ec1a1b183c2e83f1e5e98d2b8785a88f987280cac555560"),
+    "singular-time-d32-cosine": (
+        ["singular-time", "--d", "32", "--family", "cosine", "--omega", "1.3", "--weights", _D32_WEIGHTS],
+        "9398c1848a1a00afbb0fe1adc74fdb4ec64be4e89c3e962ffe4610bfd9ccbc8c"),
+    "singular-time-d32-plateau": (
+        ["singular-time", "--d", "32", "--family", "plateau", "--t-sharp", "0.7", "--weights", _D32_WEIGHTS],
+        "d4d6b0b6fc8f3b4efadfd2322b3a7b84824cc02e8d39ca3cfa8eb878c962023d"),
+    "singular-time-grid-too-coarse": (
+        ["singular-time", "--d", "2", "--family", "cosine", "--omega", "40", "--grid", "12", "--t-max", "0.5",
+         "--weights", "0.05,0.05,0.9"],
+        "66bb7119f64ab0f0d98d454c3a2c27a9720c38ba6ce986dc8f3e7070102b9edb"),
+    "singular-time-cosine-band": (
+        ["singular-time", "--d", "4", "--family", "cosine", "--omega", "1.3",
+         "--weights", "0.25000000000005,0.1874999999999875,0.1874999999999875,0.1874999999999875,0.1874999999999875"],
+        "12162707a3d3b6b7ae9714cc3ea25d98b2052a501a403b2112d42f30cb50ae72"),
+    "singular-time-plateau-band": (
+        ["singular-time", "--d", "2", "--family", "plateau", "--t-sharp", "1",
+         "--weights", "5e-13,0.49999999999975,0.49999999999975"],
+        "e6d5a9bb7a9c1f19ab97e08d1b17ec31e1066df4b43ccde38c79b1c5f511651f"),
     "cp-check": (
         ["cp-check", "--d", "5", "--n", "1.1", "--c", "0.8", "--weights", "0.1,0.3,0.2,0.15,0.15,0.1", "--steps", "12"],
         "53c2d6e35b71a3e94965b58c42d2da6a1b5c60ab9b454545b3314402bcd06d46"),

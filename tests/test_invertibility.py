@@ -1,23 +1,28 @@
 import math
+from operator import sub
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from paulimix.dynmaps import Cosine, Exponential, Plateau, mixture_map
+from paulimix.dynmaps import Cosine, Exponential, Plateau, _linspace, mixture_map
 from paulimix.errors import SingularAtGridPointError, ValidationError
 from paulimix.invertibility import (
+    _COARSE_JUMP,
     Classification,
+    _bisect_root,
+    _build_report,
+    _refine_minimum,
     analytic_singularity_report,
     cp_divisibility_check,
     numeric_singularity_scan,
     output_invertible,
 )
-from paulimix.measure import g_threshold
+from paulimix.measure import g_threshold, prime_powers_in
 from paulimix.oracle import is_cp, to_choi
-from paulimix.threshold import RegimeKind, classify_regime
+from paulimix.threshold import EIGENVALUE_ATOL, RegimeKind, classify_regime
 
 
 # --- analytic singular times -----------------------------------------------------
@@ -284,6 +289,131 @@ def test_scan_validates_arguments():
             numeric_singularity_scan(m, t_max=t_max, grid_points=100)
     with pytest.raises(ValidationError):
         numeric_singularity_scan(m, t_max=1.0, grid_points=1)
+
+
+def test_mixture_refuses_a_weight_above_one():
+    # within the 1e-12 tolerance of the sum, a weight above 1 would give a
+    # negative slope, which the closed form refuses and the scan cannot order
+    with pytest.raises(ValidationError, match=r"mixing weight must lie in \[0, 1\]"):
+        mixture_map(2, [1.0000000000005, 0, 0], Exponential(1.5, 1))
+    m = mixture_map(2, [1.0, 0, 0], Exponential(1.5, 1))
+    assert m.slopes[0] == 0.0 and min(m.slopes) >= 0
+
+
+# --- the one-pass scan against the per-index scan ------------------------------------
+
+
+def _per_index_scan(m, t_max, grid_points):
+    """The scan as it was before the one-pass rewrite: one list of lambda_i per index, O(grid * d)."""
+    if m.pf.periodic:
+        t_max = min(t_max, m.pf.horizon())
+    grid = _linspace(0.0, t_max, grid_points)
+    p_vals = [m.pf.value(t) for t in grid]
+    jump = 0.0
+    times = []
+    for slope in m.slopes:
+        lam = [1.0 - slope * p for p in p_vals]
+        jump = max(jump, max(map(abs, map(sub, lam[1:], lam))))
+
+        def f(t, slope=slope):
+            return 1.0 - slope * m.pf.value(t)
+
+        root = None
+        low = min(lam)
+        if low < -EIGENVALUE_ATOL:
+            j_neg = next(j for j, v in enumerate(lam) if v < -EIGENVALUE_ATOL)
+            j_pos = next((j for j in range(j_neg - 1, -1, -1) if lam[j] > EIGENVALUE_ATOL), 0)
+            root = _bisect_root(f, grid[j_pos], grid[j_neg])
+        else:
+            j = lam.index(low)
+            if 0 < j and low < min(lam[0], _COARSE_JUMP) and lam[j - 1] > low:
+                if j < grid_points - 1 and low < lam[j + 1]:
+                    t_min, f_min = _refine_minimum(f, grid[j - 1], grid[j + 1])
+                    if abs(f_min) <= EIGENVALUE_ATOL:
+                        root = t_min
+                elif m.pf.attains_sup and abs(low) <= EIGENVALUE_ATOL:
+                    root = _bisect_root(lambda t: (f(t) > low) - 0.5, grid[j - 1], grid[j])
+        times.append(root)
+    warnings = []
+    if jump > _COARSE_JUMP:
+        warnings.append(
+            f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "
+            "double roots may be missed"
+        )
+    return _build_report(m, times, warnings)
+
+
+def _assert_scans_agree(m, t_max, grid_points):
+    new = numeric_singularity_scan(m, t_max, grid_points)
+    ref = _per_index_scan(m, t_max, grid_points)
+    assert repr(new.singular_times) == repr(ref.singular_times)
+    assert repr(new.t_star) == repr(ref.t_star)
+    assert new.classification is ref.classification
+    assert new.warnings == ref.warnings
+
+
+_FAMILIES = ["exponential", "cosine", "plateau"]
+
+
+def _family_and_band(family, d, n, scale):
+    """A decoherence function and the weight at which an eigenvalue of it just reaches zero."""
+    if family == "exponential":
+        return Exponential(n=n, c=scale), 1.0 - n * (d - 1) / d
+    if family == "cosine":
+        return Cosine(omega=scale), 1.0 / d
+    return Plateau(t_sharp=scale), 0.0
+
+
+def _weights_near(d, band, offset, at):
+    """Weight band + offset (clipped to [0, 1]) at index ``at``, the rest spread evenly."""
+    x = min(1.0, max(0.0, band + offset))
+    w = [(1.0 - x) / d] * (d + 1)
+    w[at] = x
+    return w
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("d", prime_powers_in(2, 32))
+def test_one_pass_scan_matches_the_per_index_scan_at_every_dimension(family, d):
+    pf, band = _family_and_band(family, d, n=1.0 + 0.5 / d, scale=1.3)
+    weightings = [[1.0 / (d + 1)] * (d + 1), [0.0] * d + [1.0]]
+    weightings += [_weights_near(d, band, offset, 0) for offset in (-1e-13, 1e-13, 1e-3)]
+    for w in weightings:
+        _assert_scans_agree(mixture_map(d, w, pf), pf.horizon(), 4001)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(_FAMILIES),
+    d=st.sampled_from(prime_powers_in(2, 32)),
+    grid_points=st.sampled_from([2, 3, 12, 4001]),
+    span=st.sampled_from([1.0, 0.37, 0.7, 2.5]),
+    n_frac=st.floats(0.0, 1.0),
+    scale=st.floats(0.05, 50.0),
+    weighting=st.sampled_from(["band", "equal", "one-hot"]),
+    offset=st.floats(-14.0, -2.0),
+    sign=st.sampled_from([-1.0, 0.0, 1.0]),
+    at=st.integers(0, 32),
+)
+# past the half period p falls again: the first crossing, and the grid minimum
+# of a double root, lie before the grid's middle index
+@example("cosine", 3, 4001, 0.7, 0.0, 1.0, "band", -4.0, -1.0, 0)
+@example("cosine", 3, 4001, 0.7, 0.0, 1.0, "band", -13.0, 1.0, 0)
+def test_one_pass_scan_matches_the_per_index_scan(
+    family, d, grid_points, span, n_frac, scale, weighting, offset, sign, at
+):
+    n = 1.0 + n_frac / (d - 1)  # inside [1, d/(d-1)], where g lies in [0, 1/d]
+    pf, band = _family_and_band(family, d, n, scale)
+    at %= d + 1
+    if weighting == "equal":
+        w = [1.0 / (d + 1)] * (d + 1)
+    elif weighting == "one-hot":
+        w = [0.0] * (d + 1)
+        w[at] = 1.0
+    else:
+        w = _weights_near(d, band, sign * 10.0**offset, at)
+    # t_max at, below and above the horizon; a periodic scan stops at its horizon
+    _assert_scans_agree(mixture_map(d, w, pf), span * pf.horizon(), grid_points)
 
 
 # --- CP divisibility -------------------------------------------------------------------
