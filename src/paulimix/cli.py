@@ -49,9 +49,10 @@ user sets is kept.
 
 The eigenvalue commands and ``evolve`` refuse, before their work per time
 starts, to compute more than ``_MAX_VALUES`` values: the d+1 eigenvalues at each of the
-``--steps`` + 1 times of ``cp-check``, the ``--grid`` times of
-``singular-time`` and the five times of a single-map ``generator``, and for
-``evolve`` the eigenvalues and the d*d state entries at each time.
+``--steps`` + 1 times of ``cp-check`` and the five times of a single-map
+``generator``, and for ``evolve`` the eigenvalues and the d*d state entries
+at each time. ``singular-time`` counts one value per ``--grid`` point, where
+its scan reads p once for all d+1 eigenvalues, plus its d+1 entries.
 """
 
 from __future__ import annotations
@@ -74,19 +75,22 @@ if TYPE_CHECKING:
 # times * (values per time). One value costs 1.6 us in cp-check at d=32, and
 # 11-15 us in cp-check and evolve at d=2, where the JSON of each time
 # dominates; so this is 1.7-16 s of work, and 130-430 MB at the top (one
-# process, 2-core VM). The singular-time scan reads p once per grid point for
-# all d+1 eigenvalues, 0.6-1.4 us a point at any d, so its grid * (d+1) values
-# cost at most 0.5 s at the limit. singular-time's default grid of 4001 points
-# fits up to d = 261.
+# process, 2-core VM). singular-time counts grid + d + 1 values: its scan
+# reads p once per grid point for all d+1 eigenvalues, and 2^20 - d - 1 points
+# took 0.5-1.1 s and 79-111 MB at d = 2 and 32, each of the three families
+# (one process, 2-core VM). Its default grid of 4001 points fits up to
+# d = 1044574, but each entry costs about 40 us more, in its bisection, its
+# closed form and its JSON, so the default grid takes about 1.2 s at d = 32768
 _MAX_VALUES = 1 << 20
 
 
-def _check_work(times: int, per_time: int) -> None:
-    """Refuses a command that would compute ``per_time`` values at each of ``times`` times."""
-    work = times * per_time
+def _check_work(times: int, per_time: int, entries: int = 0) -> None:
+    """Refuses a command that would compute ``per_time`` values at each of ``times`` times, and ``entries`` more."""
+    work = times * per_time + entries
     if work > _MAX_VALUES:
+        more = f" and {entries} entries" if entries else ""
         raise ValidationError(
-            f"{times} times of {per_time} values each make {work} values, over the limit of {_MAX_VALUES}; "
+            f"{times} times of {per_time} values each{more} make {work} values, over the limit of {_MAX_VALUES}; "
             "use fewer steps, times or grid points"
         )
 
@@ -231,7 +235,7 @@ def singular_time(
     from .invertibility import analytic_singularity_report, numeric_singularity_scan
 
     m = _mixture(d, weights, family)
-    _check_work(grid, d + 1)
+    _check_work(grid, 1, d + 1)
     if t_max is None:
         t_max = m.pf.horizon()
     analytic = analytic_singularity_report(m)
@@ -306,7 +310,7 @@ def sweep_cmd(
     from . import measure as measure_mod
 
     method_name = {"closed": "closed_form", "quadrature": "quadrature", "mc": "monte_carlo"}[method]
-    rows = measure_mod.sweep_range(lo, hi, n, method=method_name, samples=samples, seed=seed)
+    rows = measure_mod.sweep(lo, hi, n, method=method_name, samples=samples, seed=seed)
     if fmt == "csv":
         lines = ["d,delta,log10_delta"]
         for row in rows:

@@ -166,9 +166,9 @@ def numeric_singularity_scan(
     running maximum is p itself: the index, and every value read there, are
     the ones a list of lambda_i on the grid would give. The cost is O(grid)
     for p and its running maximum, plus O(log grid) per eigenvalue and the
-    few samples each refinement reads; the exact jump of an eigenvalue
-    costs O(grid) more, only for a slope whose samples can jump by more
-    than ``_COARSE_JUMP``.
+    few samples each refinement reads; where some slope's samples can jump
+    by more than ``_COARSE_JUMP``, the exact jump costs O(grid) more, and a
+    few samples per distinct such slope.
     """
     if not 0 < t_max < math.inf:
         raise ValidationError(f"t_max must be finite and > 0, got {t_max}")
@@ -181,16 +181,22 @@ def numeric_singularity_scan(
     p_vals = [m.pf.value(t) for t in grid]
     p_run = list(accumulate(p_vals, max))
     p_step = max(map(abs, map(sub, p_vals[1:], p_vals)))
-    # the samples of a slope s jump by at most s * p_step, plus a few ulps of 1 + s p
+    # each step of the samples of a slope s is within a few ulps of 1 + s p of s
+    # times p's step there, so within slack
     slack = 1e-12 * (1.0 + max(m.slopes) * p_run[-1])
 
     jump = 0.0
+    coarse = [s for s in set(m.slopes) if s * p_step + slack > _COARSE_JUMP]
+    if coarse:
+        # a slope s jumps most at a step of p within 2 slack / s of p_step. Each
+        # such step is over _COARSE_JUMP / s, a sizable part of the variation of
+        # p, so there are few of them, and the jump costs O(grid) for any d
+        near = p_step - 2.0 * slack / min(coarse)
+        widest = [j for j in range(grid_points - 1) if abs(p_vals[j + 1] - p_vals[j]) >= near]
+        jump = max(abs((1.0 - s * p_vals[j + 1]) - (1.0 - s * p_vals[j])) for s in coarse for j in widest)
+
     times: list[Optional[float]] = []
     for slope in m.slopes:
-        if slope * p_step + slack > _COARSE_JUMP:
-            lam = [1.0 - slope * p for p in p_vals]
-            jump = max(jump, max(map(abs, map(sub, lam[1:], lam))))
-
         def f(t: float, slope: float = slope) -> float:
             return 1.0 - slope * m.pf.value(t)
 

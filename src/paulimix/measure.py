@@ -431,18 +431,8 @@ def _check_range(lo: int, hi: int) -> None:
         raise ValidationError(f"need 2 <= lo <= hi < {_MR_EXACT_BELOW}, got lo={lo}, hi={hi}")
 
 
-# offenders a regime-mismatch error names one by one; the rest are summed up
+# offenders a regime-mismatch error names one by one; the rest are given by their ranges
 _LISTED_OFFENDERS = 8
-
-
-def _regime_mismatch(n: float, listed: list[int], rest: str) -> RegimeMismatchError:
-    needs = []
-    for d in listed:
-        lower, upper = _interval(d)
-        needs.append(f"d={d} needs n in [{lower:.6g}, {upper:.6g}]")
-    if rest:
-        needs.append(f"and {rest}")
-    return RegimeMismatchError(f"n={n} outside the intermediate interval for: " + "; ".join(needs))
 
 
 def sweep_dimensions(lo: int, hi: int, n: float) -> list[int]:
@@ -470,12 +460,15 @@ def sweep_dimensions(lo: int, hi: int, n: float) -> list[int]:
     )
     offenders = (d for band in bands for d in band if is_prime_power(d))
     listed = list(islice(offenders, _LISTED_OFFENDERS + 1))
-    rest = ""
+    needs = []
+    for d in listed[:_LISTED_OFFENDERS]:
+        lower, upper = _interval(d)
+        needs.append(f"d={d} needs n in [{lower:.6g}, {upper:.6g}]")
     if len(listed) > _LISTED_OFFENDERS:
-        unlisted = listed.pop()
-        ranges = [range(max(b.start, unlisted), b.stop) for b in bands]
-        rest = "every other prime power in " + " or ".join(f"[{r.start}, {r.stop - 1}]" for r in ranges if r)
-    raise _regime_mismatch(n, listed, rest)
+        ranges = [range(max(b.start, listed[-1]), b.stop) for b in bands]
+        rest = " or ".join(f"[{r.start}, {r.stop - 1}]" for r in ranges if r)
+        needs.append(f"and every other prime power in {rest}")
+    raise RegimeMismatchError(f"n={n} outside the intermediate interval for: " + "; ".join(needs))
 
 
 def _first(lo: int, hi: int, pred) -> int:
@@ -498,37 +491,6 @@ _SWEEP_METHODS = ("closed_form", "quadrature", "monte_carlo")
 
 
 def sweep(
-    d_list,
-    n: float,
-    method: str = "closed_form",
-    samples: int = 10**6,
-    seed: int = 0,
-) -> list[SweepRow]:
-    """Invertible fraction per dimension at a fixed n.
-
-    Every dimension must contain n in its closed intermediate interval;
-    otherwise a RegimeMismatchError names the first offenders and counts the
-    rest. With ``method="monte_carlo"`` every dimension reads the one shared
-    stream of the seed in a single pass, and each row's delta is exactly
-    ``delta_monte_carlo(d, n, samples, seed).delta``.
-    """
-    if method not in _SWEEP_METHODS:
-        raise ValidationError(f"unknown method {method!r}")
-    _check_n(n)
-    ds = [int(d) for d in d_list]
-    offenders = []
-    for d in ds:
-        factor_prime_power(d)
-        lower, upper = _interval(d)
-        if not lower <= n <= upper:
-            offenders.append(d)
-    if offenders:
-        more = len(offenders) - _LISTED_OFFENDERS
-        raise _regime_mismatch(n, offenders[:_LISTED_OFFENDERS], f"{more} more" if more > 0 else "")
-    return _sweep_rows(ds, n, method, samples, seed)
-
-
-def sweep_range(
     lo: int,
     hi: int,
     n: float,
@@ -536,19 +498,18 @@ def sweep_range(
     samples: int = 10**6,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """``sweep(sweep_dimensions(lo, hi, n), n, ...)``, without checking its prime powers again.
+    """Invertible fraction per prime-power dimension in [lo, hi] at a fixed n.
 
-    ``sweep_dimensions`` has found them by the sieve and checked n against
-    both ends of the range, so no row is factored or classified twice.
+    Every dimension must contain n in its closed intermediate interval;
+    otherwise ``sweep_dimensions`` raises a RegimeMismatchError that names
+    the first offenders and gives the rest by their ranges. With
+    ``method="monte_carlo"`` every dimension reads the one shared stream of
+    the seed in a single pass, and each row's delta is exactly
+    ``delta_monte_carlo(d, n, samples, seed).delta``.
     """
     ds = sweep_dimensions(lo, hi, n)
     if method not in _SWEEP_METHODS:
         raise ValidationError(f"unknown method {method!r}")
-    return _sweep_rows(ds, n, method, samples, seed)
-
-
-def _sweep_rows(ds: list[int], n: float, method: str, samples: int, seed: int) -> list[SweepRow]:
-    """The rows of ``sweep`` for prime powers ``ds`` whose intervals all hold n."""
     if method == "closed_form":
         deltas = [_closed_form_delta(d, n) for d in ds]
     elif method == "quadrature":

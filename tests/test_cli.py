@@ -242,7 +242,7 @@ _OVER_THE_WORK_LIMIT = {
     "cp-check-steps": (["cp-check", "--d", "2", "--n", "1.5", "--weights", "0.5,0.3,0.2", "--steps", "1000000"],
                        (invertibility, "cp_divisibility_check")),
     "singular-time-grid": (["singular-time", "--d", "32", "--n", "1.03", "--weights", ",".join([repr(1 / 33)] * 33),
-                            "--grid", "40000"], (invertibility, "numeric_singularity_scan")),
+                            "--grid", "1048576"], (invertibility, "numeric_singularity_scan")),
     "evolve-steps": (["evolve", "--d", "32", "--n", "1.03", "--weights", ",".join([repr(1 / 33)] * 33),
                       "--steps", "1000"], (dynmaps.MixtureMap, "apply")),
     "evolve-times": (["evolve", "--d", "2", "--n", "1.5", "--weights", "0.5,0.3,0.2",
@@ -274,11 +274,14 @@ def test_map_commands_refuse_work_beyond_their_limit_at_once(runner, monkeypatch
 
 
 def test_map_commands_answer_up_to_their_limit(runner):
-    # singular-time's default grid at d = 257: (d+1) * 4001 values, just under the limit
+    # singular-time counts one value per grid point and one per entry, whatever d
     weights = ",".join([repr(1 / 258)] * 258)
     payload = run_ok(runner, ["singular-time", "--d", "257", "--n", "1.004", "--weights", weights])
     assert len(payload["entries"]) == 258
-    grid = cli_mod._MAX_VALUES // 3  # grid * (d + 1) values at d = 2
+    for d, grid in ((2, 349526), (32, 31776)):  # grid * (d + 1) is over the limit, grid + d + 1 is not
+        args = ["singular-time", "--d", str(d), "--n", "1.03", "--weights", ",".join([repr(1 / (d + 1))] * (d + 1))]
+        assert runner.invoke(main, args + ["--grid", str(grid)]).exit_code == 0
+    grid = cli_mod._MAX_VALUES - 3  # grid + d + 1 values at d = 2
     args = ["singular-time", "--d", "2", "--n", "1.5", "--weights", "0.5,0.3,0.2", "--grid"]
     assert runner.invoke(main, args + [str(grid)]).exit_code == 0
     assert runner.invoke(main, args + [str(grid + 1)]).exit_code == 2

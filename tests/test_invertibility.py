@@ -390,7 +390,7 @@ def test_one_pass_scan_matches_the_per_index_scan_at_every_dimension(family, d):
     span=st.sampled_from([1.0, 0.37, 0.7, 2.5]),
     n_frac=st.floats(0.0, 1.0),
     scale=st.floats(0.05, 50.0),
-    weighting=st.sampled_from(["band", "equal", "one-hot"]),
+    weighting=st.sampled_from(["band", "equal", "one-hot", "ramp"]),
     offset=st.floats(-14.0, -2.0),
     sign=st.sampled_from([-1.0, 0.0, 1.0]),
     at=st.integers(0, 32),
@@ -410,6 +410,9 @@ def test_one_pass_scan_matches_the_per_index_scan(
     elif weighting == "one-hot":
         w = [0.0] * (d + 1)
         w[at] = 1.0
+    elif weighting == "ramp":  # d+1 distinct slopes, 10^offset apart
+        w = [1.0 + i * 10.0**offset for i in range(d + 1)]
+        w = [x / math.fsum(w) for x in w]
     else:
         w = _weights_near(d, band, sign * 10.0**offset, at)
     # t_max at, below and above the horizon; a periodic scan stops at its horizon

@@ -23,7 +23,6 @@ from paulimix.measure import (
     sample_simplex,
     sweep,
     sweep_dimensions,
-    sweep_range,
 )
 from paulimix.threshold import THRESHOLD_ATOL, classify_regime
 
@@ -108,7 +107,7 @@ def test_closed_form_monotone_in_n(d, fracs):
         lambda n: delta_quadrature(2, n),
         lambda n: classify_regime(2, n),
         lambda n: Exponential(n=n, c=1.0).singular_time(2, 0.2),
-        lambda n: sweep([7, 8], n),
+        lambda n: sweep(7, 8, n),
     ],
     ids=["g_threshold", "delta_closed_form", "delta_quadrature", "classify_regime",
          "singular_time_exponential", "sweep"],
@@ -296,12 +295,12 @@ def test_sweep_draws_the_stream_once(monkeypatch):
             return out
 
     monkeypatch.setattr(np.random, "default_rng", Counting)
-    ds, samples = [13, 7, 32, 9, 8, 7], 5001
-    rows = sweep(ds, 1.03, method="monte_carlo", samples=samples, seed=3)
+    samples = 5001
+    rows = sweep(7, 32, 1.03, method="monte_carlo", samples=samples, seed=3)
     assert len(made) == 1
-    assert made[0].drawn == samples * (max(ds) + 1)
+    assert made[0].drawn == samples * 33
     monkeypatch.undo()
-    assert rows == sweep(ds, 1.03, method="monte_carlo", samples=samples, seed=3)
+    assert rows == sweep(7, 32, 1.03, method="monte_carlo", samples=samples, seed=3)
 
 
 def test_sample_simplex_is_normalized():
@@ -339,19 +338,28 @@ def test_a_sweep_wider_than_its_limit_is_refused():
         prime_powers_in(10**12, 10**12 + width)
     # n = 1.0 lies in the interval of every d above 1e8, so the regime lets the range through
     with pytest.raises(ValidationError, match=f"limited to {width} integers"):
-        sweep_range(10**9, 10**12, 1.0)
+        sweep(10**9, 10**12, 1.0)
 
 
-def test_sweep_range_is_sweep_of_the_dimensions():
-    for lo, hi, n in ((7, 32, 1.03), (200, 5000, 1.0002), (1000, 100000, 1.000001)):
-        assert sweep_range(lo, hi, n) == sweep(sweep_dimensions(lo, hi, n), n)
-    assert sweep_range(7, 32, 1.03, method="monte_carlo", samples=500, seed=4) == sweep(
-        prime_powers_in(7, 32), 1.03, method="monte_carlo", samples=500, seed=4
-    )
+def test_each_sweep_row_is_its_per_dimension_route():
+    routes = {
+        "closed_form": lambda d, n: delta_closed_form(d, n),
+        "quadrature": lambda d, n: delta_quadrature(d, n),
+        "monte_carlo": lambda d, n: delta_monte_carlo(d, n, samples=500, seed=4),
+    }
+    # a range, a long range by the closed form only, one dimension, and no prime power
+    for lo, hi, n, methods in ((7, 32, 1.03, routes), (200, 5000, 1.0002, ["closed_form"]),
+                               (13, 13, 1.05, routes), (33, 36, 1.2, routes)):
+        for method in methods:
+            rows = sweep(lo, hi, n, method=method, samples=500, seed=4)
+            assert [row.d for row in rows] == prime_powers_in(lo, hi)
+            for row in rows:
+                assert row.delta == routes[method](row.d, n).delta
+                assert row.log10_delta == (math.log10(row.delta) if row.delta > 0 else -math.inf)
 
 
 def test_sweep_reproduces_superexponential_growth():
-    rows = sweep(prime_powers_in(7, 32), 1.03)
+    rows = sweep(7, 32, 1.03)
     assert len(rows) == 14
     deltas = [r.delta for r in rows]
     assert all(a < b for a, b in zip(deltas, deltas[1:]))
@@ -363,19 +371,9 @@ def test_sweep_reproduces_superexponential_growth():
 
 def test_sweep_regime_mismatch_lists_offenders():
     with pytest.raises(RegimeMismatchError) as err:
-        sweep([2, 3], 1.03)
+        sweep(2, 3, 1.03)
     assert "d=2" in str(err.value)
     assert "d=3" in str(err.value)
-
-
-def test_sweep_caps_the_offender_list():
-    ds = prime_powers_in(2, 200)
-    with pytest.raises(RegimeMismatchError) as err:
-        sweep(ds, 1.5)
-    text = str(err.value)
-    offenders = [d for d in ds if d > 3]  # 1.5 is in the intervals of d=2 and d=3 only
-    assert [int(x) for x in re.findall(r"d=(\d+) needs", text)] == offenders[:8]
-    assert text.endswith(f"; and {len(offenders) - 8} more")
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,22 +421,22 @@ def test_sweep_dimensions_does_not_enumerate_a_refused_range(monkeypatch):
 def test_sweep_excludes_d5_at_low_n():
     # 1.03 < 25/24, so d=5 falls below its intermediate interval
     with pytest.raises(RegimeMismatchError):
-        sweep([5], 1.03)
-    assert sweep([5], 1.05)[0].delta > 0  # 25/24 < 1.05 < 5/4 is fine
+        sweep(5, 5, 1.03)
+    assert sweep(5, 5, 1.05)[0].delta > 0  # 25/24 < 1.05 < 5/4 is fine
 
 
 def test_sweep_upper_boundary_gives_unity():
-    rows = sweep([7], 7 / 6)
+    rows = sweep(7, 7, 7 / 6)
     assert rows[0].delta == pytest.approx(1.0, abs=1e-12)
     assert rows[0].log10_delta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sweep_methods_agree():
     # 1.05 lies above d=32's interval [1024/1023, 32/31]
-    for ds, n in (([7, 8], 1.05), ([32], 1.03)):
-        closed = sweep(ds, n, method="closed_form")
-        quad = sweep(ds, n, method="quadrature")
-        mc = sweep(ds, n, method="monte_carlo", samples=200_000, seed=3)
+    for lo, hi, n in ((7, 8, 1.05), (32, 32, 1.03)):
+        closed = sweep(lo, hi, n, method="closed_form")
+        quad = sweep(lo, hi, n, method="quadrature")
+        mc = sweep(lo, hi, n, method="monte_carlo", samples=200_000, seed=3)
         for c_row, q_row, m_row in zip(closed, quad, mc):
             assert q_row.delta == pytest.approx(c_row.delta, abs=1e-10)
             assert q_row.delta == pytest.approx(c_row.delta, rel=1e-12)
@@ -446,12 +444,11 @@ def test_sweep_methods_agree():
 
 
 def test_sweep_monte_carlo_matches_delta_monte_carlo_row_for_row():
-    ds = [13, 7, 32, 9, 8, 7]
-    rows = sweep(ds, 1.03, method="monte_carlo", samples=5001, seed=3)
-    assert [r.d for r in rows] == ds
+    rows = sweep(7, 32, 1.03, method="monte_carlo", samples=5001, seed=3)
+    assert [r.d for r in rows] == SWEEP_DIMS
     for row in rows:
         assert row.delta == delta_monte_carlo(row.d, 1.03, samples=5001, seed=3).delta
-    assert sweep([], 1.03, method="monte_carlo", samples=10, seed=0) == []
+    assert sweep(33, 36, 1.03, method="monte_carlo", samples=10, seed=0) == []
 
 
 @pytest.mark.parametrize("samples, seed", [(0, 1), (-5, 1), (10, -1)])
@@ -461,7 +458,7 @@ def test_sweep_monte_carlo_checks_arguments_before_any_draw(monkeypatch, samples
 
     monkeypatch.setattr(measure_mod, "_mc_hits", no_draw)
     with pytest.raises(ValidationError):
-        sweep([7, 8], 1.05, method="monte_carlo", samples=samples, seed=seed)
+        sweep(7, 8, 1.05, method="monte_carlo", samples=samples, seed=seed)
 
 
 # --- Monte Carlo: the shared path and its exact recheck ----------------------------
@@ -579,7 +576,7 @@ def test_monte_carlo_refuses_work_beyond_the_limit(monkeypatch):
     with pytest.raises(ValidationError, match=str(limit)):
         delta_monte_carlo(7, 1.15, samples=limit // 8 + 1, seed=0)
     with pytest.raises(ValidationError, match=str(limit)):
-        sweep([7, 32], 1.03, method="monte_carlo", samples=limit // 33 + 1, seed=0)
+        sweep(31, 32, 1.03, method="monte_carlo", samples=limit // 33 + 1, seed=0)
 
 
 def test_monte_carlo_work_at_the_limit_is_accepted(monkeypatch):
@@ -587,7 +584,7 @@ def test_monte_carlo_work_at_the_limit_is_accepted(monkeypatch):
     monkeypatch.setattr(measure_mod, "_mc_hits", lambda ds, hs, samples, seed: calls.append(samples) or [0] * len(ds))
     limit = measure_mod._MC_MAX_VALUES
     assert delta_monte_carlo(7, 1.15, samples=limit // 8, seed=0).delta == 0.0
-    sweep([7, 32], 1.03, method="monte_carlo", samples=limit // 33, seed=0)
+    sweep(31, 32, 1.03, method="monte_carlo", samples=limit // 33, seed=0)
     assert calls == [limit // 8, limit // 33]
 
 
@@ -602,10 +599,9 @@ def test_monte_carlo_bounds_the_values_reduced_and_the_dimension(monkeypatch):
     monkeypatch.setattr(measure_mod, "_mc_hits", lambda ds, hs, samples, seed: calls.append(samples) or [0] * len(ds))
     reduced, max_d = measure_mod._MC_MAX_REDUCED, measure_mod._MC_MAX_D
     # 7, 8, 9, 11 and 13 read 8 + 9 + 10 + 12 + 14 = 53 values a sample
-    ds = [7, 8, 9, 11, 13]
-    sweep(ds, 1.05, method="monte_carlo", samples=reduced // 53, seed=0)
+    sweep(7, 13, 1.05, method="monte_carlo", samples=reduced // 53, seed=0)
     with pytest.raises(ValidationError, match=str(reduced)):
-        sweep(ds, 1.05, method="monte_carlo", samples=reduced // 53 + 1, seed=0)
+        sweep(7, 13, 1.05, method="monte_carlo", samples=reduced // 53 + 1, seed=0)
     # d = 2^22 is allowed; 4194319, the next prime power, is not
     assert factor_prime_power(max_d)
     assert delta_monte_carlo(max_d, 1.5, samples=2, seed=0).delta == 0.0
