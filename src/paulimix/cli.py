@@ -6,7 +6,9 @@ byte-identical. Exit codes: 0 success, 1 computation-level failure (e.g. a
 regime mismatch, or running out of memory), 2 usage or validation error,
 which includes every non-finite number. An error prints nothing on stdout
 and one ``error:`` line on stderr; a group given no command prints its help
-there instead.
+there instead. A stdout pipe whose reader has closed it
+(``paulimix regime --d 7 --n 1.1 | true``) ends the command with exit 1 and
+nothing on stderr.
 
 The commands are one table at the end of this module: a row per command
 with its callback (whose docstring is its help) and its options, each with
@@ -52,7 +54,8 @@ starts, to compute more than ``_MAX_VALUES`` values: the d+1 eigenvalues at each
 ``--steps`` + 1 times of ``cp-check`` and the five times of a single-map
 ``generator``, and for ``evolve`` the eigenvalues and the d*d state entries
 at each time. ``singular-time`` counts one value per ``--grid`` point, where
-its scan reads p once for all d+1 eigenvalues, plus its d+1 entries.
+its scan reads p once for all d+1 eigenvalues, plus ``_ENTRY_VALUES`` for
+each of its d+1 entries.
 """
 
 from __future__ import annotations
@@ -75,20 +78,23 @@ if TYPE_CHECKING:
 # times * (values per time). One value costs 1.6 us in cp-check at d=32, and
 # 11-15 us in cp-check and evolve at d=2, where the JSON of each time
 # dominates; so this is 1.7-16 s of work, and 130-430 MB at the top (one
-# process, 2-core VM). singular-time counts grid + d + 1 values: its scan
-# reads p once per grid point for all d+1 eigenvalues, and 2^20 - d - 1 points
-# took 0.5-1.1 s and 79-111 MB at d = 2 and 32, each of the three families
-# (one process, 2-core VM). Its default grid of 4001 points fits up to
-# d = 1044574, but each entry costs about 40 us more, in its bisection, its
-# closed form and its JSON, so the default grid takes about 1.2 s at d = 32768
+# process, 2-core VM). singular-time counts one value per grid point, as its
+# scan reads p once per grid point for all d+1 eigenvalues: 2^20 - d - 1
+# points took 0.5-1.1 s and 79-111 MB at d = 2 and 32, each of the three
+# families. Each of its d+1 entries counts _ENTRY_VALUES = 64 values: an entry
+# (bisection, closed form, JSON) took up to 50 us, 8-37 us outside the
+# exponential family, with every weight singular at d = 16319 and 16384
+# (median of 5, one process). So the default grid answers up to d = 16319, in
+# at most 0.72 s, and refuses 16333, the next prime power
 _MAX_VALUES = 1 << 20
+_ENTRY_VALUES = 64
 
 
 def _check_work(times: int, per_time: int, entries: int = 0) -> None:
-    """Refuses a command that would compute ``per_time`` values at each of ``times`` times, and ``entries`` more."""
-    work = times * per_time + entries
+    """Refuses a command that would compute ``per_time`` values at each of ``times`` times, and ``entries`` entries."""
+    work = times * per_time + entries * _ENTRY_VALUES
     if work > _MAX_VALUES:
-        more = f" and {entries} entries" if entries else ""
+        more = f" and {entries} entries of {_ENTRY_VALUES} values each" if entries else ""
         raise ValidationError(
             f"{times} times of {per_time} values each{more} make {work} values, over the limit of {_MAX_VALUES}; "
             "use fewer steps, times or grid points"
@@ -557,7 +563,7 @@ class _Command:
                 given[flag] = value
         if show_help:
             rows = [o.describe() for o in self.options] + [_HELP_ROW]
-            print(_help_text(f"{prog} [OPTIONS]", self.help, [("Options:", rows)]))
+            sys.stdout.write(_help_text(f"{prog} [OPTIONS]", self.help, [("Options:", rows)]) + "\n")
             return None
         kwargs = {}
         for o in self.options:
@@ -595,7 +601,7 @@ class _Group:
             text = _help_text(f"{prog} [OPTIONS] COMMAND [ARGS]...", self.help,
                               [("Options:", [_HELP_ROW]), ("Commands:", listing)])
             if show_help:
-                print(text)
+                sys.stdout.write(text + "\n")
                 return
             print(text, file=sys.stderr)
             sys.exit(2)
@@ -615,9 +621,13 @@ class _Group:
         args = sys.argv[1:] if args is None else list(args)
         try:
             self.run(args, prog_name or os.path.basename(sys.argv[0]))
+            sys.stdout.flush()
         except (PaulimixError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             sys.exit(2 if isinstance(exc, ValidationError) else 1)
+        except BrokenPipeError:  # stdout to devnull, so the flush at exit cannot fail (Python signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
 
     __call__ = main
 

@@ -4,9 +4,9 @@ Elements are polynomials over GF(p) reduced modulo a fixed monic irreducible
 polynomial, handled as int indices whose base-p digits are the coefficients.
 Polynomials are tuples stored lowest degree first, so ``(c0, c1)`` means
 ``c0 + c1*x``; the same helpers, taken mod 4, give the Galois ring GR(4, k)
-of the even MUB construction. The modulus is the lexicographically smallest
-monic irreducible (ordering the non-leading coefficients from the highest
-degree down), which makes every field construction deterministic.
+of the MUB construction for q = 2^k. The modulus is the lexicographically
+smallest monic irreducible (ordering the non-leading coefficients from the
+highest degree down), which makes every field construction deterministic.
 
 Intended scale: the dimensions of a desk-size sweep (q <= 32 exercised
 exhaustively in the tests). Everything is pure and immutable.

@@ -5,11 +5,15 @@ with |<a|b>|^2 = 1/d across any two distinct bases. ``MixtureMap.apply``
 dephases in them, and ``paulimix.oracle`` builds from them the phase
 unitaries whose powers are the eigenoperators of every map.
 
-Constructions:
-  * odd prime power q = p^k: quadratic Gauss-phase bases with amplitudes
-    exp(2 pi i tr(a s^2 + b s) / p) / sqrt(q) over the field GF(q),
-  * q = 2^k: quartic-phase bases i^tr((a + 2b) x) / sqrt(q) with a, b, x
-    running over the Teichmuller set of the Galois ring Z4[x]/(f),
+Construction: one for every prime power q = p^k. Vector b of basis a+1
+(a, b, x running over q elements) has amplitudes
+w^(tr(a y(x)) + c tr(b x)) / sqrt(q), w = exp(2 pi i / m), where tr is an
+integer bilinear trace form over Z_m:
+  * odd q: m = p, y(x) = x^2 and c = 1, over the field GF(q) (the quadratic
+    Gauss phases of Wootters & Fields, Ann. Phys. 191, 363, 1989),
+  * q = 2^k: m = 4, y(x) = x and c = 2, over the Teichmuller set of the
+    Galois ring GR(4, k) = Z4[x]/(f) (the quartic phases of Klappenecker &
+    Roetteler, LNCS 2948, 2004),
 and basis 0 is always the computational basis. Nothing downstream trusts
 the construction: ``verify_mub`` measures the actual deviations. Basis sets
 are built or read only up to d = 128, where verifying one takes seconds.
@@ -38,7 +42,7 @@ from .finite_field import (
 
 MUB_TOLERANCE = 1e-12
 # build_mub and mub_from_payload refuse d above this. verify_mub costs about
-# d^5: 0.2 s at d = 64 and 4.7 s at d = 128 (build_mub 0.06 s and 0.3 s),
+# d^5: 0.2 s at d = 64 and 4.7 s at d = 128 (build_mub 9 ms and 80 ms),
 # in one process with one BLAS thread on a 2-core VM; the bases take
 # (d+1) d^2 complex values, 34 MB at d = 128
 _MAX_D = 128
@@ -99,57 +103,41 @@ def _fix_phases(basis: np.ndarray) -> np.ndarray:
     return basis * (np.abs(pivots) / pivots)
 
 
-def _odd_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
+def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
+    """Basis 0 = I, then basis a+1 with entry [x, b] w^(tr(a y(x)) + c tr(b x)) / sqrt(q).
+
+    Elements are digit vectors over Z_m, on which the trace is linear:
+    tr(s t) = s^T M t with M[i, j] = tr(x^(i+j)), so two integer matrix
+    products give every exponent.
+    """
     p, k, q = dim.p, dim.k, dim.q
     field = galois_field(p, k)
+    if p == 2:
+        # the Teichmuller lift r^(2^k) in GR(4, k), whose modulus f mod 4 is
+        # irreducible mod 2, of the binary representative r of each element
+        m, c, roots = 4, 2, np.array([1, 1j, -1, -1j])
+        elements = []
+        for i in range(q):
+            t = _digits(i, 2, k)
+            for _ in range(k):
+                t = _poly_mod(_poly_mul(t, t, 4), field.modulus, 4)
+            elements.append(t + (0,) * (k - len(t)))
+        ys = elements
+    else:
+        m, c, roots = p, 1, np.exp(2j * np.pi * np.arange(p) / p)
+        elements = [_digits(x, p, k) for x in range(q)]
+        ys = [elements[field.mul(x, x)] for x in range(q)]
 
-    # tr(a s^2 + b s) = tr(a s^2) + tr(b s), so the q^3 amplitude exponents
-    # are numpy gathers from the multiplication table and the trace vector
-    mul_idx = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-    trace_vec = np.array([field.trace(a) for a in range(q)], dtype=np.int64)
-    square_idx = mul_idx.diagonal()
-    tr_bs = trace_vec[mul_idx]  # [s, b] -> tr(b s)
+    traces = _power_traces(field.modulus, m, 2 * k - 1)
+    tmat = np.array([[traces[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
+    vecs = np.array(elements, dtype=np.int64)  # (q, k)
+    tr_ay = vecs @ tmat @ np.array(ys, dtype=np.int64).T  # [a, x] -> tr(a y(x))
+    c_tr_xb = c * (vecs @ tmat @ vecs.T)  # [x, b] -> c tr(b x)
 
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
     bases = np.empty((q + 1, q, q), dtype=complex)
     bases[0] = np.eye(q, dtype=complex)
     for a in range(q):
-        tr_as2 = trace_vec[mul_idx[a, square_idx]]  # [s] -> tr(a s^2)
-        bases[a + 1] = roots[(tr_as2[:, None] + tr_bs) % p] / np.sqrt(q)
-    return bases
-
-
-def _even_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
-    """Quartic phases over the Galois ring GR(4, k) = Z4[x]/(f).
-
-    f is the GF(2) modulus read mod 4: it is irreducible mod 2, so it lifts
-    to GR(4, k).
-    """
-    k, q = dim.k, dim.q
-    modulus = galois_field(2, k).modulus
-
-    # Teichmuller lift t = r^(2^k) of each binary representative r; entry i
-    # reduces mod 2 to the field element with index i
-    lifts = []
-    for i in range(q):
-        t = _digits(i, 2, k)
-        for _ in range(k):
-            t = _poly_mod(_poly_mul(t, t, 4), modulus, 4)
-        lifts.append(t + (0,) * (k - len(t)))
-
-    # the trace is Z4-linear, so tr(s * x) = s^T M x with
-    # M[i, j] = tr(x^(i+j)); one integer matrix product covers all triples
-    tr_mono = _power_traces(modulus, 4, 2 * k - 1)
-    tmat = np.array([[tr_mono[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
-
-    tvecs = np.array(lifts, dtype=np.int64)  # (q, k)
-    quartic_roots = np.array([1, 1j, -1, -1j], dtype=complex)
-    bases = np.empty((q + 1, q, q), dtype=complex)
-    bases[0] = np.eye(q, dtype=complex)
-    for ia in range(q):
-        phases = (tvecs[ia][None, :] + 2 * tvecs) % 4  # (q, k), row b -> a + 2b
-        expo = (phases @ tmat @ tvecs.T) % 4  # (q_b, q_x)
-        bases[ia + 1] = quartic_roots[expo].T / np.sqrt(q)
+        bases[a + 1] = roots[(tr_ay[a][:, None] + c_tr_xb) % m] / np.sqrt(q)
     return bases
 
 
@@ -166,11 +154,7 @@ def build_mub(dim: PrimePowerDim) -> MubSet:
     Basis 0 is the computational basis. Raises ValidationError beyond _MAX_D.
     """
     _check_dimension(dim.q)
-    if dim.p == 2:
-        bases = _even_prime_power_bases(dim)
-    else:
-        bases = _odd_prime_power_bases(dim)
-    bases = np.stack([_fix_phases(b) for b in bases])
+    bases = np.stack([_fix_phases(b) for b in _phase_bases(dim)])
     bases.setflags(write=False)
     return MubSet(dim=dim, bases=bases)
 

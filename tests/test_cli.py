@@ -19,6 +19,7 @@ from paulimix import dynmaps, invertibility, serialization
 from paulimix import measure as measure_mod
 from paulimix import mub as mub_mod
 from paulimix.cli import main
+from paulimix.finite_field import is_prime_power
 from paulimix.oracle import random_density_matrix
 from paulimix.serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
 
@@ -274,17 +275,40 @@ def test_map_commands_refuse_work_beyond_their_limit_at_once(runner, monkeypatch
 
 
 def test_map_commands_answer_up_to_their_limit(runner):
-    # singular-time counts one value per grid point and one per entry, whatever d
+    # singular-time counts one value per grid point and _ENTRY_VALUES per entry, whatever d
     weights = ",".join([repr(1 / 258)] * 258)
     payload = run_ok(runner, ["singular-time", "--d", "257", "--n", "1.004", "--weights", weights])
     assert len(payload["entries"]) == 258
-    for d, grid in ((2, 349526), (32, 31776)):  # grid * (d + 1) is over the limit, grid + d + 1 is not
+    for d, grid in ((2, 349526), (32, 31776)):  # grid * (d + 1) is over the limit, grid and the entries are not
         args = ["singular-time", "--d", str(d), "--n", "1.03", "--weights", ",".join([repr(1 / (d + 1))] * (d + 1))]
         assert runner.invoke(main, args + ["--grid", str(grid)]).exit_code == 0
-    grid = cli_mod._MAX_VALUES - 3  # grid + d + 1 values at d = 2
+    grid = cli_mod._MAX_VALUES - 3 * cli_mod._ENTRY_VALUES  # the grid and 3 entries at d = 2
     args = ["singular-time", "--d", "2", "--n", "1.5", "--weights", "0.5,0.3,0.2", "--grid"]
     assert runner.invoke(main, args + [str(grid)]).exit_code == 0
     assert runner.invoke(main, args + [str(grid + 1)]).exit_code == 2
+
+
+def test_singular_time_default_grid_answers_up_to_its_edge(runner, monkeypatch):
+    # 4001 grid points and _ENTRY_VALUES per entry fit d = 16319, not the next prime power 16333
+    assert [d for d in range(16319, 16334) if is_prime_power(d)] == [16319, 16333]
+    assert 4001 + cli_mod._ENTRY_VALUES * 16320 <= cli_mod._MAX_VALUES < 4001 + cli_mod._ENTRY_VALUES * 16334
+
+    def run(d):
+        weights = ",".join([repr(1 / (d + 1))] * (d + 1))
+        return runner.invoke(main, ["singular-time", "--d", str(d), "--n", "1.00001", "--weights", weights])
+
+    assert len(json.loads(run(16319).stdout)["entries"]) == 16320
+
+    def no_p(*args, **kwargs):
+        raise AssertionError("p(t) was read before the refusal")
+
+    monkeypatch.setattr(dynmaps.DecoherenceFunction, "value", no_p)
+    monkeypatch.setattr(invertibility, "numeric_singularity_scan", no_p)
+    result = run(16333)
+    assert result.exit_code == 2, result.output
+    assert f"16334 entries of {cli_mod._ENTRY_VALUES} values each" in result.stderr
+    assert f"over the limit of {cli_mod._MAX_VALUES}" in result.stderr
+    assert result.stdout == ""
 
 
 def test_sweep_refuses_a_range_wider_than_its_limit(runner):
@@ -497,8 +521,7 @@ def test_mub_work_beyond_its_limit_is_refused_at_once(runner, monkeypatch, tmp_p
     def no_build(*args, **kwargs):
         raise AssertionError("the bases were built before the refusal")
 
-    for name in ("_odd_prime_power_bases", "_even_prime_power_bases"):
-        monkeypatch.setattr(mub_mod, name, no_build)
+    monkeypatch.setattr(mub_mod, "_phase_bases", no_build)
     monkeypatch.setattr(serialization, "pairs_to_complex_matrix", no_build)
     path = tmp_path / "mub131.json"
     path.write_text('{"d": 131, "bases": [[[[1, 0]]]]}')
@@ -590,6 +613,31 @@ def test_a_refused_mub_verify_leaves_its_export_as_it_was(tmp_path):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
         assert (export.read_text() if export.exists() else None) == before
+
+
+_TO_A_CLOSED_PIPE = {
+    "help": ["--help"],
+    "regime": ["regime", "--d", "7", "--n", "1.1"],
+    "sweep": ["sweep", "--lo", "7", "--hi", "32", "--n", "1.03"],
+    "mub-verify": ["mub", "verify", "--d", "2"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", _TO_A_CLOSED_PIPE.values(), ids=_TO_A_CLOSED_PIPE.keys())
+def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr(args, unbuffered):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "paulimix.cli", *args], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # --- cp-check ---------------------------------------------------------------------

@@ -4,15 +4,27 @@ import numpy as np
 import pytest
 
 from paulimix.errors import NotPrimePowerError, ValidationError
-from paulimix.finite_field import factor_prime_power
+from paulimix.finite_field import (
+    PrimePowerDim,
+    _digits,
+    _poly_mod,
+    _poly_mul,
+    _power_traces,
+    factor_prime_power,
+    galois_field,
+)
 from paulimix.mub import (
     _MAX_D,
+    MubSet,
+    _fix_phases,
+    _phase_bases,
     build_mub,
     cached_mub,
     mub_from_payload,
     verify_mub,
 )
 from paulimix.oracle import phase_unitaries
+from paulimix.serialization import dumps_canonical
 
 PRIME_POWERS_LE_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -216,3 +228,90 @@ def test_the_pins_reach_the_limit():
     assert max(BASIS_SHA256) == _MAX_D
     with pytest.raises(ValidationError, match=f"limited to d <= {_MAX_D}, got d=131"):
         build_mub(factor_prime_power(131))
+
+
+# --- the two constructions that _phase_bases replaced, kept as references ----------
+
+
+def _odd_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
+    p, k, q = dim.p, dim.k, dim.q
+    field = galois_field(p, k)
+
+    # tr(a s^2 + b s) = tr(a s^2) + tr(b s), so the q^3 amplitude exponents
+    # are numpy gathers from the multiplication table and the trace vector
+    mul_idx = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    trace_vec = np.array([field.trace(a) for a in range(q)], dtype=np.int64)
+    square_idx = mul_idx.diagonal()
+    tr_bs = trace_vec[mul_idx]  # [s, b] -> tr(b s)
+
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    bases = np.empty((q + 1, q, q), dtype=complex)
+    bases[0] = np.eye(q, dtype=complex)
+    for a in range(q):
+        tr_as2 = trace_vec[mul_idx[a, square_idx]]  # [s] -> tr(a s^2)
+        bases[a + 1] = roots[(tr_as2[:, None] + tr_bs) % p] / np.sqrt(q)
+    return bases
+
+
+def _even_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
+    """Quartic phases over the Galois ring GR(4, k) = Z4[x]/(f).
+
+    f is the GF(2) modulus read mod 4: it is irreducible mod 2, so it lifts
+    to GR(4, k).
+    """
+    k, q = dim.k, dim.q
+    modulus = galois_field(2, k).modulus
+
+    # Teichmuller lift t = r^(2^k) of each binary representative r; entry i
+    # reduces mod 2 to the field element with index i
+    lifts = []
+    for i in range(q):
+        t = _digits(i, 2, k)
+        for _ in range(k):
+            t = _poly_mod(_poly_mul(t, t, 4), modulus, 4)
+        lifts.append(t + (0,) * (k - len(t)))
+
+    # the trace is Z4-linear, so tr(s * x) = s^T M x with
+    # M[i, j] = tr(x^(i+j)); one integer matrix product covers all triples
+    tr_mono = _power_traces(modulus, 4, 2 * k - 1)
+    tmat = np.array([[tr_mono[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
+
+    tvecs = np.array(lifts, dtype=np.int64)  # (q, k)
+    quartic_roots = np.array([1, 1j, -1, -1j], dtype=complex)
+    bases = np.empty((q + 1, q, q), dtype=complex)
+    bases[0] = np.eye(q, dtype=complex)
+    for ia in range(q):
+        phases = (tvecs[ia][None, :] + 2 * tvecs) % 4  # (q, k), row b -> a + 2b
+        expo = (phases @ tmat @ tvecs.T) % 4  # (q_b, q_x)
+        bases[ia + 1] = quartic_roots[expo].T / np.sqrt(q)
+    return bases
+
+
+def _reference_mub(dim: PrimePowerDim):
+    old = _even_prime_power_bases(dim) if dim.p == 2 else _odd_prime_power_bases(dim)
+    return MubSet(dim=dim, bases=np.stack([_fix_phases(b) for b in old]))
+
+
+@pytest.mark.parametrize("d", BASIS_SHA256)
+def test_one_construction_equals_the_two_references_bit_for_bit(d):
+    dim = factor_prime_power(d)
+    new, old = build_mub(dim).bases, _reference_mub(dim).bases
+    assert np.array_equal(new, old)
+    for part in ("real", "imag"):  # array_equal takes -0.0 for 0.0
+        assert np.array_equal(np.signbit(getattr(new, part)), np.signbit(getattr(old, part)))
+
+
+@pytest.mark.parametrize("d", PRIME_POWERS_LE_32)
+def test_one_construction_keeps_the_payloads(d):
+    dim = factor_prime_power(d)
+    new, old = build_mub(dim), _reference_mub(dim)
+    assert dumps_canonical(new.to_payload()) == dumps_canonical(old.to_payload())
+    assert dumps_canonical(verify_mub(new).to_payload()) == dumps_canonical(verify_mub(old).to_payload())
+
+
+@pytest.mark.parametrize("d", BASIS_SHA256)
+def test_first_entry_of_every_phase_basis_is_exactly_one_over_sqrt_d(d):
+    # x = 0 gives exponent 0 in every basis. This holds before _fix_phases:
+    # at d = 29 and 73 its factor |z|/z on these real pivots is one ulp below 1
+    bases = _phase_bases(factor_prime_power(d))
+    assert np.all(bases[1:, 0, :] == 1 / np.sqrt(d))
