@@ -193,8 +193,9 @@ class DecoherenceFunction(Frozen, ABC):
     @abstractmethod
     def _singular_time(self, d: int, x: float) -> float: ...
 
-    @abstractmethod
-    def describe(self) -> dict: ...
+    def describe(self) -> dict:
+        """The family and its parameters, in the order its constructor takes them."""
+        return {"family": self.family, **vars(self)}
 
 
 class Exponential(DecoherenceFunction):
@@ -241,9 +242,6 @@ class Exponential(DecoherenceFunction):
         """50/c, by which e^{-ct} has fallen below 2e-22."""
         return _finite(50.0 / self.c, "the scan horizon 50/c", c=self.c)
 
-    def describe(self) -> dict:
-        return {"family": self.family, "n": self.n, "c": self.c}
-
 
 class Cosine(DecoherenceFunction):
     """p(t) = (1 - cos(omega t)) / 2, oscillating through [0, 1]."""
@@ -289,9 +287,6 @@ class Cosine(DecoherenceFunction):
         """One period, 2 pi/omega; the singular times repeat after it."""
         return _finite(2 * math.pi / self.omega, "the period 2*pi/omega", omega=self.omega)
 
-    def describe(self) -> dict:
-        return {"family": self.family, "omega": self.omega}
-
 
 class Plateau(DecoherenceFunction):
     """Linear ramp p(t) = t / (2 t_sharp) up to 1/2 at t_sharp, constant at 1/2 afterwards."""
@@ -324,16 +319,17 @@ class Plateau(DecoherenceFunction):
         return _finite(100.0 * self.t_sharp, "the scan horizon 100*t_sharp", t_sharp=self.t_sharp)
 
     def describe(self) -> dict:
-        return {"family": self.family, "t_sharp": self.t_sharp, "ramp": "linear"}
+        return {**super().describe(), "ramp": "linear"}
 
 
 # --- density matrices -------------------------------------------------------
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """``rho`` as a complex array, if it is Hermitian with trace 1 and no eigenvalue below -tol."""
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as a complex array, if it is Hermitian and of trace 1 within 1e-10, with no eigenvalue below -1e-10."""
     import numpy as np
 
+    tol = 1e-10
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
@@ -371,16 +367,7 @@ class MixtureMap:
     """
 
     def __init__(self, dim: PrimePowerDim, weights, pf: DecoherenceFunction) -> None:
-        w = _weight_tuple(weights, dim.q)
-        if not all(map(math.isfinite, w)):
-            raise ValidationError("weights must be finite numbers")
-        if any(x < 0 for x in w):
-            raise ValidationError("weights must be nonnegative")
-        if any(x > 1 for x in w):  # so every slope is >= 0, as the numeric scan needs
-            raise ValidationError(f"mixing weight must lie in [0, 1], got {max(w)!r}")
-        total = _pairwise_sum(w)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"weights must sum to 1, got {total!r}")
+        w = _simplex_weights(weights, dim.q)
         self.dim, self.weights, self.pf = dim, w, pf
         self.slopes = tuple(dim.q / (dim.q - 1) * (1.0 - x) for x in w)
 
@@ -430,14 +417,23 @@ def mixture_map(d: int, weights, pf: DecoherenceFunction) -> MixtureMap:
     return MixtureMap(dim=factor_prime_power(d), weights=weights, pf=pf)
 
 
-def _weight_tuple(weights, d: int) -> tuple[float, ...]:
-    """The d+1 weights of dimension d as floats; refuses any other number of them."""
+def _simplex_weights(weights, d: int) -> tuple[float, ...]:
+    """The d+1 weights of dimension d as floats, if finite, in [0, 1] and summing to 1 within 1e-12."""
     try:
         w = tuple(map(float, weights))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"need {d + 1} weights for dimension {d}: {exc}") from exc
     if len(w) != d + 1:
         raise ValidationError(f"need {d + 1} weights for dimension {d}, got ({len(w)},)")
+    if not all(map(math.isfinite, w)):
+        raise ValidationError("weights must be finite numbers")
+    if any(x < 0 for x in w):
+        raise ValidationError("weights must be nonnegative")
+    if any(x > 1 for x in w):  # so every slope is >= 0, as the numeric scan needs
+        raise ValidationError(f"mixing weight must lie in [0, 1], got {max(w)!r}")
+    total = _pairwise_sum(w)
+    if abs(total - 1.0) > 1e-12:
+        raise ValidationError(f"weights must sum to 1, got {total!r}")
     return w
 
 

@@ -245,10 +245,6 @@ class GaloisField:
     def k(self) -> int:
         return self.dim.k
 
-    @property
-    def order(self) -> int:
-        return self.dim.q
-
     def add(self, a: int, b: int) -> int:
         p, k = self.p, self.k
         return _index(tuple((x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))), p)

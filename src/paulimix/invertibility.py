@@ -27,8 +27,9 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Optional
 
-from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _weight_tuple
+from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _simplex_weights
 from .errors import Frozen, SingularAtGridPointError, ValidationError
+from .finite_field import factor_prime_power
 from .threshold import EIGENVALUE_ATOL, _interval, _invertible_floor
 
 # only scan minima below _COARSE_JUMP are refined, and a jump between samples
@@ -43,9 +44,11 @@ def output_invertible(d: int, n: float, weights) -> bool:
 
     The boundary x_i = g counts as invertible: the singular time diverges.
     So do weights up to 1e-12 below g (``threshold._invertible_floor``), as
-    in the exponential singular time and the Monte Carlo count.
+    in the exponential singular time and the Monte Carlo count. Refuses
+    what ``mixture_map`` refuses: a d that is no prime power, or bad weights.
     """
-    w = _weight_tuple(weights, d)
+    factor_prime_power(d)
+    w = _simplex_weights(weights, d)
     floor = _invertible_floor(d, n)
     return all(x >= floor for x in w)
 

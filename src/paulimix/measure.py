@@ -189,21 +189,6 @@ def delta_quadrature(d: int, n: float) -> MeasureResult:
     return MeasureResult(d=d, n=n, delta=delta, method="quadrature")
 
 
-def normalization_check(d: int) -> float:
-    """The same recursion over the whole simplex (g = 0); must equal 1/d!."""
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
-    from fractions import Fraction
-
-    return float(_nested_simplex_integral(d, Fraction(0)))
-
-
-def sample_simplex(n_coords: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws from the probability simplex on ``n_coords`` coordinates."""
-    e = rng.standard_exponential((samples, n_coords))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _check_mc(samples: int, seed: int, ds: list[int]) -> None:
     """Refuses a Monte Carlo run of ``samples`` draws at dimensions ``ds`` that is malformed, too long or too large."""
     if samples < 1:

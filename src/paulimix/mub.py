@@ -18,9 +18,9 @@ and basis 0 is always the computational basis. Nothing downstream trusts
 the construction: ``verify_mub`` measures the actual deviations. Basis sets
 are built or read only up to d = 128, where verifying one takes seconds.
 
-Basis vectors are the *columns* of each basis matrix, and every vector's
-first nonzero amplitude is normalized to be real positive so serialized
-output is reproducible.
+Basis vectors are the *columns* of each basis matrix. The first amplitude
+of every vector is 1/sqrt(d) (basis 0: 1), by construction (x = 0 gives
+exponent 0), so serialized output is reproducible without a phase pass.
 """
 
 from __future__ import annotations
@@ -97,12 +97,6 @@ class MubVerification(Frozen):
         }
 
 
-def _fix_phases(basis: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero entry is real positive."""
-    pivots = basis[np.argmax(np.abs(basis) > 1e-14, axis=0), np.arange(basis.shape[1])]
-    return basis * (np.abs(pivots) / pivots)
-
-
 def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
     """Basis 0 = I, then basis a+1 with entry [x, b] w^(tr(a y(x)) + c tr(b x)) / sqrt(q).
 
@@ -115,7 +109,7 @@ def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
     if p == 2:
         # the Teichmuller lift r^(2^k) in GR(4, k), whose modulus f mod 4 is
         # irreducible mod 2, of the binary representative r of each element
-        m, c, roots = 4, 2, np.array([1, 1j, -1, -1j])
+        m, c, roots = 4, 2, np.array([1, 1j, -1, -1j]) + 0.0  # -1j has real part -0.0; + 0.0 clears the sign
         elements = []
         for i in range(q):
             t = _digits(i, 2, k)
@@ -154,7 +148,7 @@ def build_mub(dim: PrimePowerDim) -> MubSet:
     Basis 0 is the computational basis. Raises ValidationError beyond _MAX_D.
     """
     _check_dimension(dim.q)
-    bases = np.stack([_fix_phases(b) for b in _phase_bases(dim)])
+    bases = _phase_bases(dim)
     bases.setflags(write=False)
     return MubSet(dim=dim, bases=bases)
 

@@ -30,6 +30,9 @@ from .dynmaps import MixtureMap, _invertible_eigenvalues, _time_derivative
 from .errors import NonHermitianError, ValidationError
 from .mub import cached_mub
 
+# the Hermiticity a Choi matrix needs, and the completeness defect of a trace-preserving Kraus set
+_TOL = 1e-10
+
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     """Ginibre-induced random full-rank state."""
@@ -105,14 +108,14 @@ def to_choi(superop: np.ndarray) -> np.ndarray:
     return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def is_cp(choi: np.ndarray, tol: float = 1e-10, herm_tol: float = 1e-10) -> tuple[bool, float]:
+def is_cp(choi: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
     """CP test: (lambda_min(choi) >= -tol, lambda_min).
 
-    Raises NonHermitianError when the input is not Hermitian within herm_tol.
+    Raises NonHermitianError when the input is not Hermitian within ``_TOL``.
     """
     c = np.asarray(choi)
     herm = float(np.max(np.abs(c - c.conj().T)))
-    if herm > herm_tol:
+    if herm > _TOL:
         raise NonHermitianError(f"Choi matrix deviates from Hermiticity by {herm:.3e}")
     lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (c + c.conj().T))))
     return lam_min >= -tol, lam_min
@@ -147,39 +150,34 @@ class KrausSet:
             acc += np.kron(k.conj(), k)
         return acc
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return sum(k @ rho @ k.conj().T for k in self.operators)
-
 
 class DualMapResult:
     """The dagger-dual Kraus set plus validity flags for both directions.
 
     The dual {K^dag} is trace preserving exactly when the original map is
-    unital, so both defects are reported instead of raising.
+    unital, so both defects are reported instead of raising; a defect up to
+    ``_TOL`` counts as trace preserving.
     """
 
-    def __init__(self, kraus: KrausSet, original_tp_defect: float, dual_tp_defect: float, tol: float = 1e-10) -> None:
+    def __init__(self, kraus: KrausSet, original_tp_defect: float, dual_tp_defect: float) -> None:
         self.kraus = kraus
         self.original_tp_defect = original_tp_defect
         self.dual_tp_defect = dual_tp_defect
-        self.tol = tol
 
     @property
     def original_trace_preserving(self) -> bool:
-        return self.original_tp_defect <= self.tol
+        return self.original_tp_defect <= _TOL
 
     @property
     def dual_trace_preserving(self) -> bool:
-        return self.dual_tp_defect <= self.tol
+        return self.dual_tp_defect <= _TOL
 
 
-def kraus_dagger_dual(k: KrausSet, tol: float = 1e-10) -> DualMapResult:
+def kraus_dagger_dual(k: KrausSet) -> DualMapResult:
     """The map rho -> sum_j K_j^dag rho K_j, i.e. every operator daggered."""
     dual = KrausSet([op.conj().T for op in k.operators])
     return DualMapResult(
         kraus=dual,
         original_tp_defect=k.completeness_defect(),
         dual_tp_defect=dual.completeness_defect(),
-        tol=tol,
     )

@@ -22,6 +22,7 @@ from paulimix.errors import (
 )
 from paulimix.mub import cached_mub
 from paulimix.oracle import (
+    DualMapResult,
     KrausSet,
     is_cp,
     kraus_dagger_dual,
@@ -317,6 +318,14 @@ def test_is_cp_flags():
     assert lam_min == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(NonHermitianError):
         is_cp(np.array([[0, 1], [0, 0]], dtype=complex))
+    # the Choi matrix must be Hermitian within 1e-10
+    for skew, refused in [(2e-10, True), (5e-11, False)]:
+        choi = np.eye(2, dtype=complex) + np.array([[0, skew / 2], [-skew / 2, 0]])
+        if refused:
+            with pytest.raises(NonHermitianError):
+                is_cp(choi)
+        else:
+            assert is_cp(choi) == (True, 1.0)
 
 
 # --- Kraus dual -------------------------------------------------------------------
@@ -342,6 +351,14 @@ def test_amplitude_damping_dual_is_not_trace_preserving():
     assert dual.original_trace_preserving
     assert not dual.dual_trace_preserving
     assert dual.dual_tp_defect == pytest.approx(gamma, abs=1e-12)
+
+
+def test_a_dual_map_result_counts_a_defect_up_to_1e10_as_trace_preserving():
+    ks = KrausSet([np.eye(2)])
+    assert DualMapResult(ks, 1e-10, 1e-10).original_trace_preserving
+    assert DualMapResult(ks, 1e-10, 1e-10).dual_trace_preserving
+    assert not DualMapResult(ks, 2e-10, 2e-10).original_trace_preserving
+    assert not DualMapResult(ks, 2e-10, 2e-10).dual_trace_preserving
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -457,3 +474,11 @@ def test_validate_density_matrix():
         validate_density_matrix(rho * 2)
     with pytest.raises(ValidationError):
         validate_density_matrix(np.array([[0.5, 0.7], [0.2, 0.5]]))
+    with pytest.raises(ValidationError, match="must be square"):
+        validate_density_matrix(np.ones((2, 3)) / 2)
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_density_matrix(np.array([[math.nan, 0], [0, 1]]))
+    # an eigenvalue may dip 1e-10 below 0
+    validate_density_matrix(np.diag([1 + 5e-11, -5e-11]))
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        validate_density_matrix(np.diag([1 + 2e-10, -2e-10]))

@@ -165,7 +165,7 @@ def test_trace_examples():
 def test_field_axioms_exhaustive(q):
     dim = factor_prime_power(q)
     field = galois_field(dim.p, dim.k)
-    assert field.order == q
+    assert field.dim.q == q
     n = q
     add = [[field.add(a, b) for b in range(n)] for a in range(n)]
     mul = [[field.mul(a, b) for b in range(n)] for a in range(n)]

@@ -157,6 +157,24 @@ def test_output_invertible_examples():
             assert output_invertible(d, n + 0.5, rng.dirichlet(np.ones(d + 1)))
 
 
+@pytest.mark.parametrize(
+    "d, n, weights",
+    [
+        (2, 4 / 3, [0.9, 0.9, 0.9]),
+        (2, 4 / 3, [math.inf, 0.5, 0.5]),
+        (2, 4 / 3, [-0.1, 0.6, 0.5]),
+        (2, 4 / 3, [1.2, -0.1, -0.1]),
+        (6, 1.1, [1 / 7] * 7),
+    ],
+)
+def test_output_invertible_refuses_what_a_mixture_map_refuses(d, n, weights):
+    with pytest.raises(ValidationError) as refused:
+        mixture_map(d, weights, Exponential(n=n, c=1.0))
+    with pytest.raises(type(refused.value)) as also:
+        output_invertible(d, n, weights)
+    assert str(also.value) == str(refused.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.sampled_from([2, 3, 5, 7]),

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +15,12 @@ from paulimix.invertibility import output_invertible
 from paulimix.measure import (
     _MC_CHUNK,
     _mc_hits,
+    _nested_simplex_integral,
     delta_closed_form,
     delta_monte_carlo,
     delta_quadrature,
     g_threshold,
-    normalization_check,
     prime_powers_in,
-    sample_simplex,
     sweep,
     sweep_dimensions,
 )
@@ -180,9 +180,9 @@ def test_quadrature_d3_example():
 
 
 def test_normalization_check_matches_factorial():
+    # the recursion over the whole simplex (g = 0) is its volume 1/d!
     for d in range(2, 33):
-        assert abs(normalization_check(d) - 1 / math.factorial(d)) <= 1e-12
-        assert abs(normalization_check(d) * math.factorial(d) - 1) <= 1e-12
+        assert _nested_simplex_integral(d, Fraction(0)) == Fraction(1, math.factorial(d))
 
 
 # --- Monte Carlo -----------------------------------------------------------------
@@ -249,19 +249,18 @@ def test_monte_carlo_refuses_negative_seed():
 def test_monte_carlo_agrees_with_output_invertible_bitwise():
     d, n, samples = 3, 1.2, 40_000
     g = g_threshold(d, n).g
-    rng = np.random.default_rng(123)
-    draws = sample_simplex(d + 1, samples, rng)
+    e = np.random.default_rng(123).standard_exponential((samples, d + 1))
+    draws = e / e.sum(axis=1, keepdims=True)
     via_min = np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL)
     via_checker = sum(output_invertible(d, n, row) for row in draws)
     assert via_min == via_checker
     # the row-minimum test divides only min(e) by sum(e); both give the same bits
-    rng = np.random.default_rng(123)
-    e = rng.standard_exponential((samples, d + 1))
     assert np.array_equal(e.min(axis=1) / e.sum(axis=1), draws.min(axis=1))
     # and _mc_hits, across several chunk boundaries, counts what the checker counts
     seed = 123
     stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    draws = sample_simplex(d + 1, samples, stream)
+    e = stream.standard_exponential((samples, d + 1))
+    draws = e / e.sum(axis=1, keepdims=True)
     via_checker = sum(output_invertible(d, n, row) for row in draws)
     assert samples * (d + 1) > 2 * _MC_CHUNK
     assert _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed) == [via_checker]
@@ -301,13 +300,6 @@ def test_sweep_draws_the_stream_once(monkeypatch):
     assert made[0].drawn == samples * 33
     monkeypatch.undo()
     assert rows == sweep(7, 32, 1.03, method="monte_carlo", samples=samples, seed=3)
-
-
-def test_sample_simplex_is_normalized():
-    rng = np.random.default_rng(5)
-    draws = sample_simplex(6, 1000, rng)
-    assert np.max(np.abs(draws.sum(axis=1) - 1)) < 1e-12
-    assert np.all(draws > 0)
 
 
 # --- sweep ------------------------------------------------------------------------

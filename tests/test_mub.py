@@ -16,8 +16,6 @@ from paulimix.finite_field import (
 from paulimix.mub import (
     _MAX_D,
     MubSet,
-    _fix_phases,
-    _phase_bases,
     build_mub,
     cached_mub,
     mub_from_payload,
@@ -29,7 +27,8 @@ from paulimix.serialization import dumps_canonical
 PRIME_POWERS_LE_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
 # sha256 of the bases' bytes for every prime power d up to the limit of 128,
-# recorded before the field layer moved to integer indices
+# recorded before the field layer moved to integer indices; 29 and 73 since
+# the phase pass, which put every amplitude of bases 1..d one ulp low there, went
 BASIS_SHA256 = {
     2: "b9d9f13c056e51c9795cf0e33dd6ddd1074792360b1236348ab016463bfde4b2",
     3: "a6398970eb42061bb9c40dd693b45e29a0985b2669fc6c6b3e9ada1eea10db2f",
@@ -46,7 +45,7 @@ BASIS_SHA256 = {
     23: "b17a7b09e713fea001c84002929006a3b2e2c4900308c66e78db928524d3fbd0",
     25: "9b41db0be0e69dcc83db0c0b8d2263eefca837b9a441c54d6267976a4ef7fde8",
     27: "088f7ad3743775e2469ff566d5f376908d2d00e68e167165457bfdb19e119d85",
-    29: "134b4bc7134475bc95fcc469881e48cb6f95550796c73a8dc447fdd8818d8dfd",
+    29: "f416c66fce56bd4edff882013017a0faec46e3703fbbbce904242777b4e5410f",
     31: "79cb410917dbce5985474f8e017e7519569a2487dc9f2117ce7b87e8b0cd7e26",
     32: "1e5d52230ea2d1df9a2105cd167b4024f91d72fa47d311131db8479d54c7edf0",
     37: "4e8813dd51ae03442090df6005c6598d7fce2aa328803a449f1ec8b5f01a935f",
@@ -60,7 +59,7 @@ BASIS_SHA256 = {
     64: "f1474cc1f750d5bf0cef1b859943e8f85c616a08bcb564475d900008d864bcc6",
     67: "6da0556bfc9c725831b44f216ed967509a07083f9ef2a665e211c6da715f9837",
     71: "0bd114ed545515042ef4ffc6cabc884cc3dbd99bddc707285386ce75c5c0f689",
-    73: "6e96399b4d5defbd8c49efd428ac9e7d332f1682ef89d13bfb903f545a997bce",
+    73: "699ee3716da10bf2cba487d8130332ac0b7b4c9d3708c3a59443d7f6f2d7236f",
     79: "ac66f54103869d1822cb6f469c1b907d7eecb228fca22260cf72c82df9dcb755",
     81: "55e5a7270662530a4bdb66423ab1e958118e83903c9eb6ad9270e2053d1fabda",
     83: "90fea9f7d69ed93bf1bec9fe7529cd163caeb88975266e8187f16bee61ea3147",
@@ -277,7 +276,7 @@ def _even_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
     tmat = np.array([[tr_mono[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
 
     tvecs = np.array(lifts, dtype=np.int64)  # (q, k)
-    quartic_roots = np.array([1, 1j, -1, -1j], dtype=complex)
+    quartic_roots = np.array([1, 1j, -1, -1j], dtype=complex) + 0.0  # no -0.0 real part
     bases = np.empty((q + 1, q, q), dtype=complex)
     bases[0] = np.eye(q, dtype=complex)
     for ia in range(q):
@@ -289,7 +288,7 @@ def _even_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
 
 def _reference_mub(dim: PrimePowerDim):
     old = _even_prime_power_bases(dim) if dim.p == 2 else _odd_prime_power_bases(dim)
-    return MubSet(dim=dim, bases=np.stack([_fix_phases(b) for b in old]))
+    return MubSet(dim=dim, bases=old)
 
 
 @pytest.mark.parametrize("d", BASIS_SHA256)
@@ -311,7 +310,6 @@ def test_one_construction_keeps_the_payloads(d):
 
 @pytest.mark.parametrize("d", BASIS_SHA256)
 def test_first_entry_of_every_phase_basis_is_exactly_one_over_sqrt_d(d):
-    # x = 0 gives exponent 0 in every basis. This holds before _fix_phases:
-    # at d = 29 and 73 its factor |z|/z on these real pivots is one ulp below 1
-    bases = _phase_bases(factor_prime_power(d))
+    # x = 0 gives exponent 0 in every basis, so no phase pass is needed
+    bases = build_mub(factor_prime_power(d)).bases
     assert np.all(bases[1:, 0, :] == 1 / np.sqrt(d))

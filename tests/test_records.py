@@ -91,7 +91,7 @@ SIGNATURES = {
     MubVerification: [("d", _EMPTY), ("tol", _EMPTY), ("max_orthonormality_deviation", _EMPTY),
                       ("max_unbiasedness_deviation", _EMPTY)],
     KrausSet: [("operators", _EMPTY)],
-    DualMapResult: [("kraus", _EMPTY), ("original_tp_defect", _EMPTY), ("dual_tp_defect", _EMPTY), ("tol", 1e-10)],
+    DualMapResult: [("kraus", _EMPTY), ("original_tp_defect", _EMPTY), ("dual_tp_defect", _EMPTY)],
 }
 
 
@@ -167,4 +167,4 @@ def test_the_mutable_records_keep_their_defaults_and_validation():
     ks = KrausSet([[[1, 0], [0, 1]]])
     assert ks.d == 2 and ks.operators[0].dtype == complex
     dual = DualMapResult(ks, 0.0, 1e-3)
-    assert dual.tol == 1e-10 and dual.original_trace_preserving and not dual.dual_trace_preserving
+    assert dual.original_trace_preserving and not dual.dual_trace_preserving

@@ -238,7 +238,7 @@ EXPORTS = {
     ],
     "measure": [
         "MeasureResult", "SweepRow", "Threshold", "delta_closed_form", "delta_monte_carlo", "delta_quadrature", "g_threshold",
-        "normalization_check", "prime_powers_in", "sample_simplex", "sweep", "sweep_dimensions",
+        "prime_powers_in", "sweep", "sweep_dimensions",
     ],
     "mub": [
         "MubSet", "MubVerification", "build_mub", "cached_mub", "verify_mub",
