@@ -7,8 +7,8 @@ regime mismatch, or running out of memory), 2 usage or validation error,
 which includes every non-finite number. An error prints nothing on stdout
 and one ``error:`` line on stderr; a group given no command prints its help
 there instead. A stdout pipe whose reader has closed it
-(``paulimix regime --d 7 --n 1.1 | true``) ends the command with exit 1 and
-nothing on stderr.
+(``paulimix regime --d 7 --n 1.1 | true``), or closes partway through a long
+output, ends the command with exit 1 and nothing on stderr.
 
 The commands are one table at the end of this module: a row per command
 with its callback (whose docstring is its help) and its options, each with
@@ -102,10 +102,16 @@ def _check_work(times: int, per_time: int, entries: int = 0) -> None:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
+    """Writes ``text`` and a newline, uncopied, to ``output`` or else to stdout: all command output goes here."""
     if output:
         _write_files([(text, output)])
-    else:
-        sys.stdout.write(text + "\n")
+        return
+    # the newline is a write of its own: under PYTHONUNBUFFERED=1 stdout writes
+    # through to the raw file, and a reader that closes partway through a long
+    # text cuts that write short without an error (TextIOWrapper.write ignores
+    # the short count), so the newline's write fails with EPIPE and main exits 1
+    sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 def _write_files(writes: list[tuple[str, str]]) -> None:
@@ -122,7 +128,8 @@ def _write_files(writes: list[tuple[str, str]]) -> None:
         for (_, fh), (text, path) in zip(opened, writes):
             with fh:
                 fh.truncate(0)
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")
     except OSError as exc:
         if len(opened) < len(writes):  # an open failed, so nothing is written yet
             for existed, fh in opened:
@@ -267,14 +274,7 @@ def singular_time(
 # --- measure --------------------------------------------------------------------
 
 
-def measure(
-    d: int,
-    n: float,
-    method: str,
-    samples: int,
-    seed: int,
-    output: Optional[str],
-) -> None:
+def measure(d: int, n: float, method: str, samples: int, seed: int, output: Optional[str]) -> None:
     """Invertible fraction of the mixing simplex for the exponential family."""
     from . import measure as measure_mod
 
@@ -303,14 +303,7 @@ def measure(
 
 
 def sweep_cmd(
-    lo: int,
-    hi: int,
-    n: float,
-    method: str,
-    samples: int,
-    seed: int,
-    fmt: str,
-    output: Optional[str],
+    lo: int, hi: int, n: float, method: str, samples: int, seed: int, fmt: str, output: Optional[str]
 ) -> None:
     """Invertible fraction per prime-power dimension in [lo, hi] at fixed n."""
     from . import measure as measure_mod
@@ -413,7 +406,7 @@ def mub_verify(
     writes = [(dumps_canonical(m.to_payload()), export)] if export else []
     _write_files(writes + ([(report, output)] if output else []))
     if not output:
-        sys.stdout.write(report + "\n")
+        _emit(report, None)
 
 
 # --- cp-check -------------------------------------------------------------------
@@ -471,13 +464,7 @@ def generator(
                 "rel_diff": _rel_diff(numeric[i], analytic),
             }
         )
-    payload = {
-        "d": d,
-        "family": pf.describe(),
-        "t": t,
-        "h": h,
-        "rates": entries,
-    }
+    payload = {"d": d, "family": pf.describe(), "t": t, "h": h, "rates": entries}
     if single and d == 2 and pf.family in ("exponential", "cosine"):
         gamma_analytic = pf.decay_rate(t)
         gamma_numeric = -numeric[1] / 2.0
@@ -563,7 +550,7 @@ class _Command:
                 given[flag] = value
         if show_help:
             rows = [o.describe() for o in self.options] + [_HELP_ROW]
-            sys.stdout.write(_help_text(f"{prog} [OPTIONS]", self.help, [("Options:", rows)]) + "\n")
+            _emit(_help_text(f"{prog} [OPTIONS]", self.help, [("Options:", rows)]), None)
             return None
         kwargs = {}
         for o in self.options:
@@ -601,7 +588,7 @@ class _Group:
             text = _help_text(f"{prog} [OPTIONS] COMMAND [ARGS]...", self.help,
                               [("Options:", [_HELP_ROW]), ("Commands:", listing)])
             if show_help:
-                sys.stdout.write(text + "\n")
+                _emit(text, None)
                 return
             print(text, file=sys.stderr)
             sys.exit(2)

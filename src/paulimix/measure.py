@@ -25,6 +25,7 @@ table. The threshold and the interval, ``_interval``, live in
 from __future__ import annotations
 
 import math
+import sys
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Optional
 
@@ -174,6 +175,11 @@ def delta_quadrature(d: int, n: float) -> MeasureResult:
     RegimeMismatchError. Refused (ValidationError) for d above
     ``_QUADRATURE_MAX_D``, where its cost passes a second.
     """
+    return MeasureResult(d=d, n=n, delta=float(_quadrature_fraction(d, n)), method="quadrature")
+
+
+def _quadrature_fraction(d: int, n: float) -> Fraction:
+    """``delta_quadrature``'s value as the exact Fraction, before it is rounded to a float."""
     factor_prime_power(d)
     _check_n(n)
     lower, upper = _interval(d)
@@ -185,8 +191,7 @@ def delta_quadrature(d: int, n: float) -> MeasureResult:
     from fractions import Fraction
 
     g = 1 - Fraction(n) * (d - 1) / d
-    delta = float(_nested_simplex_integral(d, g) * math.factorial(d))
-    return MeasureResult(d=d, n=n, delta=delta, method="quadrature")
+    return _nested_simplex_integral(d, g) * math.factorial(d)
 
 
 def _check_mc(samples: int, seed: int, ds: list[int]) -> None:
@@ -448,12 +453,18 @@ def sweep_dimensions(lo: int, hi: int, n: float) -> list[int]:
     needs = []
     for d in listed[:_LISTED_OFFENDERS]:
         lower, upper = _interval(d)
-        needs.append(f"d={d} needs n in [{lower:.6g}, {upper:.6g}]")
+        needs.append(f"d={d} needs n in [{_end_text(lower)}, {_end_text(upper)}]")
     if len(listed) > _LISTED_OFFENDERS:
         ranges = [range(max(b.start, listed[-1]), b.stop) for b in bands]
         rest = " or ".join(f"[{r.start}, {r.stop - 1}]" for r in ranges if r)
         needs.append(f"and every other prime power in {rest}")
     raise RegimeMismatchError(f"n={n} outside the intermediate interval for: " + "; ".join(needs))
+
+
+def _end_text(x: float) -> str:
+    """An interval end to 6 significant digits, or in full where those would read 1: no end is 1."""
+    text = f"{x:.6g}"
+    return text if text != "1" else repr(x)
 
 
 def _first(lo: int, hi: int, pred) -> int:
@@ -490,7 +501,9 @@ def sweep(
     the first offenders and gives the rest by their ranges. With
     ``method="monte_carlo"`` every dimension reads the one shared stream of
     the seed in a single pass, and each row's delta is exactly
-    ``delta_monte_carlo(d, n, samples, seed).delta``.
+    ``delta_monte_carlo(d, n, samples, seed).delta``. A row's log10_delta is
+    log10(delta) where delta is a normal float, and ``_tiny_log10`` where it
+    is 0 or subnormal.
     """
     ds = sweep_dimensions(lo, hi, n)
     if method not in _SWEEP_METHODS:
@@ -506,7 +519,23 @@ def sweep(
         deltas = [k / samples for k in _mc_hits(ds, [_invertible_floor(d, n) for d in ds], samples, seed)]
     rows = []
     for d, delta in zip(ds, deltas):
-        log10 = math.log10(delta) if delta > 0 else float("-inf")
+        log10 = math.log10(delta) if delta >= sys.float_info.min else _tiny_log10(d, n, method)
         rows.append(SweepRow(d=d, delta=delta, log10_delta=log10))
     return rows
+
+
+def _tiny_log10(d: int, n: float, method: str) -> float:
+    """log10 of a sweep row's delta that is 0 or subnormal as a float, from the value before it was rounded.
+
+    The closed form's is d log10((d^2 (n-1) - n)/d), the quadrature's is
+    log10 of its exact Fraction's numerator less that of its denominator, and
+    a Monte Carlo count of 0 has log -inf.
+    """
+    if method == "closed_form":
+        base = (d * d * (n - 1.0) - n) / d
+        return d * math.log10(base) if n > _interval(d)[0] and base > 0 else -math.inf
+    if method == "quadrature":
+        q = _quadrature_fraction(d, n)
+        return math.log10(q.numerator) - math.log10(q.denominator) if q else -math.inf
+    return -math.inf
 

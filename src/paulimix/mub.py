@@ -61,10 +61,7 @@ class MubSet(Frozen):
     def to_payload(self) -> dict:
         from .serialization import complex_matrix_to_pairs
 
-        return {
-            "d": self.d,
-            "bases": [complex_matrix_to_pairs(b) for b in self.bases],
-        }
+        return {"d": self.d, "bases": complex_matrix_to_pairs(self.bases)}
 
 
 class MubVerification(Frozen):

@@ -1,9 +1,10 @@
 """JSON helpers: deterministic float formatting and [re, im] pair encoding.
 
 Every float is emitted with 17 significant digits so identical inputs
-produce byte-identical output. Complex matrices travel as nested lists of
-[re, im] pairs; this is the wire format shared by the CLI commands.
-Writing JSON needs no numpy, so only the pair codecs import it.
+produce byte-identical output. ``dumps_canonical`` builds each value's text
+from its children's, so it holds about two copies of the output at its peak.
+Complex matrices travel as nested lists of [re, im] pairs, the wire format
+of the CLI commands. Writing JSON needs no numpy; only the pair codecs import it.
 """
 
 from __future__ import annotations
@@ -18,52 +19,38 @@ if TYPE_CHECKING:
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
+    if math.isfinite(x):
+        return format(float(x), ".17g")
     if math.isnan(x):
         return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 def dumps_canonical(obj: Any) -> str:
     """Serialize to JSON with fixed float formatting and key order as given."""
-    pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces)
+    return _text(obj)
 
 
-def _write(obj: Any, out: list[str]) -> None:
+def _text(obj: Any) -> str:
+    # private, so a tracer that wraps the public names sees one call per output
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_text, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(json.dumps(str(key)) + ": " + _text(value) for key, value in obj.items()) + "}"
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(int(obj)))
-    elif isinstance(obj, float):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for idx, (key, value) in enumerate(obj.items()):
-            if idx:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _write(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for idx, value in enumerate(obj):
-            if idx:
-                out.append(", ")
-            _write(value, out)
-        out.append("]")
-    elif hasattr(obj, "tolist"):
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if hasattr(obj, "tolist"):
         # numpy scalars and arrays, as the Python bool, int, float or nested list they hold
-        _write(obj.tolist(), out)
-    else:
-        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+        return _text(obj.tolist())
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def complex_matrix_to_pairs(mat: np.ndarray) -> list:

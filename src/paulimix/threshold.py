@@ -59,8 +59,14 @@ def _reaches_zero(d: int, n_sup: float, attained: bool, x: float) -> bool:
     return x < _invertible_floor(d, n_sup)
 
 
+# both ends of the interval exceed 1 for every d, but in floats d^2/(d^2-1)
+# rounds to 1 from d = 94906266, where d^2 - 1 >= 2^53, and d/(d-1) from about
+# 9e15; each end is kept at least the next float above 1
+_ABOVE_ONE = 1.0 + 2.0**-52
+
+
 def _interval(d: int) -> tuple[float, float]:
-    return d * d / (d * d - 1.0), d / (d - 1.0)
+    return max(d * d / (d * d - 1.0), _ABOVE_ONE), max(d / (d - 1.0), _ABOVE_ONE)
 
 
 class RegimeKind(str, Enum):

@@ -68,6 +68,17 @@ def test_regime_large_dimension_answers_or_refuses_promptly(runner, d):
     assert "Traceback" not in result.output
 
 
+def test_n_1_lies_below_the_interval_at_every_large_dimension(runner):
+    # d^2/(d^2-1) and d/(d-1) round to 1 in floats from d = 94906266 and about 9e15
+    payload = run_ok(runner, ["regime", "--d", "100000007", "--n", "1"])
+    assert payload["classification"] == "always_noninvertible_output"
+    assert payload["interval"]["lower"] > 1
+    assert run_ok(runner, ["measure", "--d", "10000000000000061", "--n", "1"])["delta"] == 0
+    result = runner.invoke(main, ["sweep", "--lo", "10000000000000000", "--hi", "10000000000001000", "--n", "1"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert "d=10000000000000061 needs n in [1.0000000000000002, 1.0000000000000002]" in result.stderr
+
+
 # --- singular-time --------------------------------------------------------------
 
 
@@ -314,7 +325,8 @@ def test_singular_time_default_grid_answers_up_to_its_edge(runner, monkeypatch):
 def test_sweep_refuses_a_range_wider_than_its_limit(runner):
     width = measure_mod._SWEEP_MAX_WIDTH
     start = time.perf_counter()
-    result = runner.invoke(main, ["sweep", "--lo", "100000000", "--hi", "1000000000", "--n", "1"])
+    # n = 1 + 1e-13 lies in the interval of every d in [1e8, 1e9], so the regime lets the range through
+    result = runner.invoke(main, ["sweep", "--lo", "100000000", "--hi", "1000000000", "--n", "1.0000000000001"])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
     assert f"limited to {width} integers" in result.stderr
@@ -359,6 +371,12 @@ def test_sweep_csv_shape_and_monotonicity(runner):
     assert all(a < b for a, b in zip(logs, logs[1:]))
     assert deltas[0] == pytest.approx(3.878e-9, rel=1e-3)
     assert deltas[-1] == pytest.approx(9.09e-2, rel=1e-3)
+
+
+def test_a_sweep_row_whose_delta_underflows_prints_a_finite_log(runner):
+    result = runner.invoke(main, ["sweep", "--lo", "1000", "--hi", "1024", "--n", "1.000002"])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[:2] == ["d,delta,log10_delta", "1009,0,-3015.3605225663841"]
 
 
 def test_sweep_json_format(runner):
@@ -638,6 +656,30 @@ def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr(args, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+# outputs of 2-15 MB, far longer than a pipe holds
+_WEIGHTS_33 = ",".join([repr(1 / 33)] * 33)
+_LONG_OUTPUTS = {
+    "evolve": ["evolve", "--d", "32", "--n", "1.03", "--weights", _WEIGHTS_33, "--steps", "300"],
+    "sweep": ["sweep", "--lo", "1000", "--hi", "1000000", "--n", "1.00000100001"],
+    "cp-check": ["cp-check", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--steps", "20000"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", _LONG_OUTPUTS.values(), ids=_LONG_OUTPUTS.keys())
+def test_a_reader_that_closes_partway_through_a_long_output_gives_exit_1(args, unbuffered):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "paulimix.cli", *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
 
 
 # --- cp-check ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,20 @@ def test_g_threshold_interval_characterization():
         assert g_threshold(d, d * d / (d * d - 1) - 1e-9).g > 1 / (d + 1)
         assert g_threshold(d, d / (d - 1)).g == pytest.approx(0.0, abs=1e-15)
         assert g_threshold(d, d / (d - 1) + 0.1).g < 0
+
+
+def test_the_interval_ends_exceed_1_at_every_d():
+    # unclamped below d = 94906266, where d^2 - 1 reaches 2^53
+    for d in (2, 3, 1009, 10**6 + 3, 94906265):
+        assert measure_mod._interval(d) == (d * d / (d * d - 1.0), d / (d - 1.0))
+    for d in (94906266, 100000007, 9 * 10**15, 10000000000000061, 10**18 + 9):
+        lower, upper = measure_mod._interval(d)
+        assert 1.0 < lower <= upper
+    # so n = 1 is below the interval: every weight would have to reach 1/d
+    assert classify_regime(100000007, 1.0).kind.value == "always_noninvertible_output"
+    assert delta_closed_form(10000000000000061, 1.0).delta == 0.0
+    with pytest.raises(RegimeMismatchError, match=r"needs n in \[1\.0000000000000002, 1\.0000000000000002\]"):
+        sweep(10**16, 10**16 + 1000, 1.0)
 
 
 # --- closed form ----------------------------------------------------------------
@@ -328,9 +343,9 @@ def test_a_sweep_wider_than_its_limit_is_refused():
     assert len(prime_powers_in(10**12, 10**12 + width - 1)) > 0
     with pytest.raises(ValidationError, match=f"limited to {width} integers"):
         prime_powers_in(10**12, 10**12 + width)
-    # n = 1.0 lies in the interval of every d above 1e8, so the regime lets the range through
+    # n = 1 + 1e-13 lies in the interval of every d in [1e9, 1e12], so the regime lets the range through
     with pytest.raises(ValidationError, match=f"limited to {width} integers"):
-        sweep(10**9, 10**12, 1.0)
+        sweep(10**9, 10**12, 1.0000000000001)
 
 
 def test_each_sweep_row_is_its_per_dimension_route():
@@ -347,7 +362,35 @@ def test_each_sweep_row_is_its_per_dimension_route():
             assert [row.d for row in rows] == prime_powers_in(lo, hi)
             for row in rows:
                 assert row.delta == routes[method](row.d, n).delta
-                assert row.log10_delta == (math.log10(row.delta) if row.delta > 0 else -math.inf)
+                if row.delta >= sys.float_info.min:
+                    assert row.log10_delta == math.log10(row.delta)
+                elif method == "monte_carlo":
+                    assert row.log10_delta == -math.inf
+                else:  # 0 or subnormal: the log of the exact value, ((d^2 (n-1) - n)/d)^d
+                    assert row.log10_delta == pytest.approx(_exact_log10_delta(row.d, n), rel=1e-13)
+
+
+def _exact_log10_delta(d, n):
+    base = (d * d * (Fraction(n) - 1) - Fraction(n)) / d
+    return d * (math.log10(base.numerator) - math.log10(base.denominator))
+
+
+def test_a_sweep_row_whose_delta_underflows_keeps_a_finite_log():
+    rows = sweep(1000, 1024, 1.000002)
+    assert (rows[0].d, rows[0].delta) == (1009, 0.0)
+    assert rows[0].log10_delta == -3015.360522566384
+    assert rows[0].log10_delta == pytest.approx(_exact_log10_delta(1009, 1.000002), rel=1e-15)
+    # the quadrature's exact Fraction and the closed form agree where delta underflows
+    lower, upper = measure_mod._interval(101)
+    n = lower + 1e-7 * (upper - lower)
+    (quad,), (closed,) = sweep(101, 101, n, method="quadrature"), sweep(101, 101, n)
+    assert quad.delta == closed.delta == 0.0
+    assert quad.log10_delta == pytest.approx(closed.log10_delta, rel=1e-14)
+    assert closed.log10_delta == pytest.approx(_exact_log10_delta(101, n), rel=1e-14)
+    assert -708 < closed.log10_delta < -707
+    # a Monte Carlo count of 0 still has log -inf
+    (mc,) = sweep(101, 101, n, method="monte_carlo", samples=100)
+    assert (mc.delta, mc.log10_delta) == (0.0, -math.inf)
 
 
 def test_sweep_reproduces_superexponential_growth():
