@@ -216,6 +216,8 @@ def _time_grid(t_max: float, steps: int, per_time: int) -> list[float]:
     """The ``steps`` + 1 times from 0 to ``t_max``, once ``per_time`` values at each are within the limit."""
     from .dynmaps import _linspace
 
+    if t_max < 0:
+        raise ValidationError(f"--t-max must be >= 0, got {t_max}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     _check_work(steps + 1, per_time)

@@ -18,8 +18,8 @@ routes to the resulting simplex fraction live here:
     never depends on which path or which other dimensions read the stream.
 
 Plus the prime-power dimension sweep used for the superexponential-growth
-table. The threshold and the interval, ``_interval``, live in
-``paulimix.threshold``.
+table. The threshold g, which the quadrature reads as an exact ratio, and the
+interval, ``_interval``, live in ``paulimix.threshold``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import Frozen, RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, _int_root, _is_prime, factor_prime_power, is_prime_power
-from .threshold import _check_n, _interval, _invertible_floor, weight_threshold
+from .threshold import _check_n, _interval, _invertible_floor, _threshold_ratio
 
 # numpy is imported by the Monte Carlo paths only, and fractions by the
 # quadrature only, so the regime and the closed form run without either
@@ -93,17 +93,6 @@ _SWEEP_MAX_WIDTH = 1 << 20
 # sqrt(hi) if that is smaller; above it, what the sieve leaves is tested with
 # the exact Miller-Rabin test one number at a time
 _SIEVE_MAX_PRIME = 1 << 20
-
-
-class Threshold(Frozen):
-    """The invertibility threshold g(d, n) = 1 - n(d-1)/d on each weight."""
-
-    def __init__(self, d: int, n: float, g: float) -> None:
-        vars(self).update(d=d, n=n, g=g)
-
-
-def g_threshold(d: int, n: float) -> Threshold:
-    return Threshold(d=d, n=n, g=weight_threshold(d, n))
 
 
 class MeasureResult(Frozen):
@@ -190,8 +179,7 @@ def _quadrature_fraction(d: int, n: float) -> Fraction:
     _check_quadrature_d(d)
     from fractions import Fraction
 
-    g = 1 - Fraction(n) * (d - 1) / d
-    return _nested_simplex_integral(d, g) * math.factorial(d)
+    return _nested_simplex_integral(d, Fraction(*_threshold_ratio(d, n))) * math.factorial(d)
 
 
 def _check_mc(samples: int, seed: int, ds: list[int]) -> None:

@@ -155,7 +155,8 @@ def verify_mub(m: MubSet, tol: float = MUB_TOLERANCE) -> MubVerification:
 
     Reports max |B^dag B - I| entry over bases and
     max | |<a|b>|^2 - 1/d | over all cross-basis vector pairs. A negative
-    ``tol`` would fail every set, so it is refused.
+    ``tol`` would fail every set, so it is refused. The last digits of the
+    deviations depend on the BLAS kernel (``OPENBLAS_CORETYPE``); ``passed`` does not.
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")

@@ -8,6 +8,8 @@ iff every weight clears g(d, n) = 1 - n(d-1)/d less ``THRESHOLD_ATOL``
 (``_invertible_floor``); its singular time, the Monte Carlo count and
 ``invertibility.output_invertible`` read that floor here, so they agree on
 every weight and the eigenvalue commands run without ``paulimix.measure``.
+g is exact for the float n (``_threshold_ratio``, an integer ratio that the
+quadrature reads too) and rounded once, so no digit cancels at large d.
 
 ``classify_regime`` places n against the intermediate interval
 [d^2/(d^2-1), d/(d-1)] (``_interval``, which the measure routes read too).
@@ -23,8 +25,7 @@ from enum import Enum
 from .errors import Frozen, ValidationError
 from .finite_field import factor_prime_power
 
-# weights this close to the threshold g(d, n) count as on the boundary, which
-# is invertible (the singular time diverges); absorbs float noise in g itself
+# a weight this close below g(d, n) is on the boundary, which is invertible: the singular time diverges
 THRESHOLD_ATOL = 1e-12
 # an eigenvalue this close to 0 is 0, in the singularity rule, the scan and the CP check
 EIGENVALUE_ATOL = 1e-12
@@ -35,12 +36,19 @@ def _check_n(n: float) -> None:
         raise ValidationError(f"decoherence parameter must be finite and >= 1, got {n}")
 
 
-def weight_threshold(d: int, n: float) -> float:
-    """g(d, n) = 1 - n(d-1)/d, after checking d >= 2 and n >= 1."""
+def _threshold_ratio(d: int, n: float) -> tuple[int, int]:
+    """g(d, n) = 1 - n(d-1)/d for the float n, exactly, as (numerator, denominator); d >= 2 and n >= 1."""
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
     _check_n(n)
-    return 1.0 - n * (d - 1) / d
+    a, b = n.as_integer_ratio()
+    return b * d - a * (d - 1), b * d
+
+
+def weight_threshold(d: int, n: float) -> float:
+    """g(d, n) = 1 - n(d-1)/d, exact for the float n and rounded once (int true division rounds correctly)."""
+    num, den = _threshold_ratio(d, n)
+    return num / den
 
 
 def _invertible_floor(d: int, n: float) -> float:

@@ -28,10 +28,10 @@ from paulimix.measure import (
     delta_closed_form,
     delta_monte_carlo,
     delta_quadrature,
-    g_threshold,
 )
 from paulimix.mub import cached_mub, verify_mub
 from paulimix.oracle import KrausSet, is_cp, kraus_dagger_dual, random_density_matrix, to_choi
+from paulimix.threshold import weight_threshold
 
 PRIME_POWERS_LE_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -124,7 +124,7 @@ def test_05_singular_time_agreement():
         weights = rng.dirichlet(np.ones(d + 1))
         m = mixture_map(d, weights, Exponential(n=n, c=c))
         report = numeric_singularity_scan(m, t_max=50.0 / c, grid_points=4001)
-        g = g_threshold(d, n).g
+        g = weight_threshold(d, n)
         for i in range(d + 1):
             analytic = m.pf.singular_time(d, float(weights[i]))
             numeric = report.singular_times[i]

@@ -79,6 +79,22 @@ def test_n_1_lies_below_the_interval_at_every_large_dimension(runner):
     assert "d=10000000000000061 needs n in [1.0000000000000002, 1.0000000000000002]" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "d, n, g",
+    [
+        # 1/d, where 1.0 - n * (d - 1) / d kept 9.9999992730914755e-09
+        ("100000007", "1", "9.9999993000000496e-09"),
+        ("1000000000039", "1", "9.9999999996099991e-13"),
+        # -3n/4, where the float product n * (d - 1) overflowed to inf
+        ("4", "1e308", "-7.5000000000000001e+307"),
+    ],
+)
+def test_regime_prints_g_exact_for_the_float_n(runner, d, n, g):
+    result = runner.invoke(main, ["regime", "--d", d, "--n", n])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.endswith(f'"g": {g}}}\n')
+
+
 # --- singular-time --------------------------------------------------------------
 
 
@@ -633,6 +649,21 @@ def test_a_refused_mub_verify_leaves_its_export_as_it_was(tmp_path):
         assert (export.read_text() if export.exists() else None) == before
 
 
+def test_mub_verify_exports_the_same_bases_under_another_blas_kernel(tmp_path):
+    # the printed deviations come from BLAS products and may differ in their last digits
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}):
+        export = tmp_path / f"mub27-{len(runs)}.json"
+        proc = subprocess.run([sys.executable, "-m", "paulimix.cli", "mub", "verify", "--d", "27", "--export",
+                               str(export)], env={**env, **kernel}, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((export.read_bytes(), json.loads(proc.stdout)["passed"]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] is True
+
+
 _TO_A_CLOSED_PIPE = {
     "help": ["--help"],
     "regime": ["regime", "--d", "7", "--n", "1.1"],
@@ -711,6 +742,21 @@ def test_cp_check_refuses_a_negative_tolerance(runner):
     assert "-1.0" in result.stderr
     assert result.stdout == ""
     assert run_ok(runner, args + ["--tol", "0"])["all_cp"] is True
+
+
+@pytest.mark.parametrize("command", ["cp-check", "evolve"])
+def test_a_negative_t_max_is_refused_by_name(runner, command):
+    args = [command, "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--steps", "2"]
+    result = runner.invoke(main, args + ["--t-max", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "--t-max must be >= 0, got -1.0" in result.stderr
+    assert result.stdout == ""
+    assert run_ok(runner, args + ["--t-max", "0"])
+    # a grid given by --times keeps its own check
+    if command == "evolve":
+        result = runner.invoke(main, args + ["--times", "0,-1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert "times must be nonnegative" in result.stderr
 
 
 # --- generator --------------------------------------------------------------------
@@ -853,7 +899,7 @@ def test_byte_identical_reruns(runner):
 _D32_WEIGHTS = ",".join(["0.01"] * 16 + ["0.05"] * 16 + ["0.04"])
 _STDOUT_SHA256 = {
     "regime": (["regime", "--d", "7", "--n", "1.1"],
-               "a9cc5ad539f8d465eecf7646991af96a33535577e7ad9a1afbf81735e96f3d84"),
+               "9c7aad65be8e1209a8336b6263fa6de36c84dff87758b4091df397b863c3b603"),
     "singular-time-exponential": (
         ["singular-time", "--d", "3", "--n", "1.15", "--weights", "0.05,0.4,0.3,0.25"],
         "4c8d6bed099618010179ff0dd3eccc770a29710cb0441c824ffd7d330e696c03"),

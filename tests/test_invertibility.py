@@ -20,9 +20,9 @@ from paulimix.invertibility import (
     numeric_singularity_scan,
     output_invertible,
 )
-from paulimix.measure import g_threshold, prime_powers_in
+from paulimix.measure import prime_powers_in
 from paulimix.oracle import is_cp, to_choi
-from paulimix.threshold import EIGENVALUE_ATOL, RegimeKind, classify_regime
+from paulimix.threshold import EIGENVALUE_ATOL, RegimeKind, classify_regime, weight_threshold
 
 
 # --- analytic singular times -----------------------------------------------------
@@ -33,7 +33,7 @@ def test_exponential_singular_time_examples():
     assert Exponential(n=1.0, c=1.0).singular_time(2, 0.0) == pytest.approx(math.log(2), abs=1e-15)
     # at or above the threshold: no finite singular time
     for d, n in [(2, 1.5), (3, 1.2), (7, 1.05)]:
-        g = g_threshold(d, n).g
+        g = weight_threshold(d, n)
         assert Exponential(n=n, c=1.0).singular_time(d, g) is None
         assert Exponential(n=n, c=1.0).singular_time(d, min(1.0, g + 0.05)) is None
     with pytest.raises(ValidationError):
@@ -52,7 +52,7 @@ def test_exponential_singular_time_qubit_form():
         x = rng.uniform(0.0, 1.0)
         general = Exponential(n=n, c=c).singular_time(2, x)
         denom = 2 * (1 - x) - n
-        direct = math.log(2 * (1 - x) / denom) / c if x < g_threshold(2, n).g - 1e-12 else None
+        direct = math.log(2 * (1 - x) / denom) / c if x < weight_threshold(2, n) - 1e-12 else None
         if direct is None:
             assert general is None
         else:
@@ -195,7 +195,7 @@ def test_output_invertible_monotone_in_n(d, raw, n0, bump):
 def test_every_analytic_route_shares_the_boundary_band(d, n, off, invertible):
     # a weight up to 1e-12 below g is the boundary on every analytic route;
     # the singular time once used a relative guard, finite inside that band
-    g = g_threshold(d, n).g
+    g = weight_threshold(d, n)
     weights = [g - off] + [(1 - g + off) / d] * d
     pf = Exponential(n=n, c=1.0)
     t_star = pf.singular_time(d, weights[0])
@@ -232,7 +232,7 @@ def test_scan_matches_exponential_formula():
         weights = rng.dirichlet(np.ones(d + 1))
         m = mixture_map(d, weights, Exponential(n=n, c=c))
         report = numeric_singularity_scan(m, t_max=50 / c, grid_points=2001)
-        g = g_threshold(d, n).g
+        g = weight_threshold(d, n)
         for i in range(d + 1):
             analytic = Exponential(n=n, c=c).singular_time(d, float(weights[i]))
             numeric = report.singular_times[i]

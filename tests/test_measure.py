@@ -20,33 +20,32 @@ from paulimix.measure import (
     delta_closed_form,
     delta_monte_carlo,
     delta_quadrature,
-    g_threshold,
     prime_powers_in,
     sweep,
     sweep_dimensions,
 )
-from paulimix.threshold import THRESHOLD_ATOL, classify_regime
+from paulimix.threshold import THRESHOLD_ATOL, classify_regime, weight_threshold
 
 
 # --- threshold -----------------------------------------------------------------
 
 
-def test_g_threshold_examples():
-    assert g_threshold(2, 4 / 3).g == pytest.approx(1 / 3, abs=1e-15)
-    assert g_threshold(2, 2.0).g == pytest.approx(0.0, abs=1e-15)
-    assert g_threshold(7, 1.03).g == pytest.approx(1 - 1.03 * 6 / 7, abs=1e-15)
+def test_weight_threshold_examples():
+    assert weight_threshold(2, 4 / 3) == pytest.approx(1 / 3, abs=1e-15)
+    assert weight_threshold(2, 2.0) == pytest.approx(0.0, abs=1e-15)
+    assert weight_threshold(7, 1.03) == pytest.approx(1 - 1.03 * 6 / 7, abs=1e-15)
     with pytest.raises(ValidationError):
-        g_threshold(1, 1.5)
+        weight_threshold(1, 1.5)
     with pytest.raises(ValidationError):
-        g_threshold(2, 0.5)
+        weight_threshold(2, 0.5)
 
 
-def test_g_threshold_interval_characterization():
+def test_weight_threshold_interval_characterization():
     for d in (2, 3, 5, 9):
-        assert g_threshold(d, d * d / (d * d - 1) + 1e-9).g < 1 / (d + 1)
-        assert g_threshold(d, d * d / (d * d - 1) - 1e-9).g > 1 / (d + 1)
-        assert g_threshold(d, d / (d - 1)).g == pytest.approx(0.0, abs=1e-15)
-        assert g_threshold(d, d / (d - 1) + 0.1).g < 0
+        assert weight_threshold(d, d * d / (d * d - 1) + 1e-9) < 1 / (d + 1)
+        assert weight_threshold(d, d * d / (d * d - 1) - 1e-9) > 1 / (d + 1)
+        assert weight_threshold(d, d / (d - 1)) == pytest.approx(0.0, abs=1e-15)
+        assert weight_threshold(d, d / (d - 1) + 0.1) < 0
 
 
 def test_the_interval_ends_exceed_1_at_every_d():
@@ -90,7 +89,7 @@ def test_closed_form_requires_prime_power():
 def test_closed_form_equals_shrunk_simplex_volume(d, frac):
     lower, upper = d * d / (d * d - 1), d / (d - 1)
     n = lower + frac * (upper - lower)
-    g = g_threshold(d, n).g
+    g = weight_threshold(d, n)
     expected = max(0.0, 1 - (d + 1) * g) ** d
     assert delta_closed_form(d, n).delta == pytest.approx(expected, abs=1e-12)
 
@@ -117,14 +116,14 @@ def test_closed_form_monotone_in_n(d, fracs):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda n: g_threshold(2, n),
+        lambda n: weight_threshold(2, n),
         lambda n: delta_closed_form(2, n),
         lambda n: delta_quadrature(2, n),
         lambda n: classify_regime(2, n),
         lambda n: Exponential(n=n, c=1.0).singular_time(2, 0.2),
         lambda n: sweep(7, 8, n),
     ],
-    ids=["g_threshold", "delta_closed_form", "delta_quadrature", "classify_regime",
+    ids=["weight_threshold", "delta_closed_form", "delta_quadrature", "classify_regime",
          "singular_time_exponential", "sweep"],
 )
 def test_non_finite_n_is_refused(call, bad):
@@ -263,7 +262,7 @@ def test_monte_carlo_refuses_negative_seed():
 
 def test_monte_carlo_agrees_with_output_invertible_bitwise():
     d, n, samples = 3, 1.2, 40_000
-    g = g_threshold(d, n).g
+    g = weight_threshold(d, n)
     e = np.random.default_rng(123).standard_exponential((samples, d + 1))
     draws = e / e.sum(axis=1, keepdims=True)
     via_min = np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL)
@@ -507,7 +506,7 @@ def _median_thresholds(ds):
 
 
 def _thresholds(ds, n):
-    return [g_threshold(d, n).g - THRESHOLD_ATOL for d in ds] if n else _median_thresholds(ds)
+    return [weight_threshold(d, n) - THRESHOLD_ATOL for d in ds] if n else _median_thresholds(ds)
 
 
 # _mc_hits counts recorded before the shared path existed, from the one-pass
@@ -586,7 +585,7 @@ def _pinned_cases():
     for d, n, samples, seed, hits in MC_PINNED_HITS:
         # enough copies of d for the shared path: one per table level, at least two
         copies = max(2, (d + 1).bit_length() - 1)
-        yield [d] * copies, [g_threshold(d, n).g - THRESHOLD_ATOL] * copies, samples, seed, [hits] * copies
+        yield [d] * copies, [weight_threshold(d, n) - THRESHOLD_ATOL] * copies, samples, seed, [hits] * copies
     for ds, n, samples, seed, hits in MC_PINNED_SWEEPS[:1] + [c for c in MC_PINNED_SWEEPS if c[2] < 100_000]:
         yield ds, _thresholds(ds, n), samples, seed, hits
 

@@ -14,7 +14,7 @@ import pytest
 from paulimix.dynmaps import Cosine, Exponential, MixtureMap, Plateau
 from paulimix.finite_field import PrimePowerDim, factor_prime_power
 from paulimix.invertibility import Classification, InvertibilityReport, PropagatorStep
-from paulimix.measure import MeasureResult, SweepRow, Threshold
+from paulimix.measure import MeasureResult, SweepRow
 from paulimix.mub import MubSet, MubVerification, build_mub
 from paulimix.oracle import DualMapResult, KrausSet
 from paulimix.serialization import dumps_canonical
@@ -37,7 +37,6 @@ FROZEN = {
         (0.1, 0.2, -1e-3, False),
         '{"t_start": 0.10000000000000001, "t_end": 0.20000000000000001, "choi_min_eigenvalue": -0.001, "cp": false}',
     ),
-    "Threshold": (Threshold, (7, 1.1, 0.5), None),
     "Regime": (
         Regime,
         (7, 1.1, RegimeKind.INTERMEDIATE, 49 / 48, 7 / 6),
@@ -82,7 +81,6 @@ SIGNATURES = {
     InvertibilityReport: [("classification", _EMPTY), ("singular_times", _EMPTY), ("t_star", _EMPTY),
                           ("warnings", None)],
     PropagatorStep: [("t_start", _EMPTY), ("t_end", _EMPTY), ("choi_min_eigenvalue", _EMPTY), ("cp", _EMPTY)],
-    Threshold: [("d", _EMPTY), ("n", _EMPTY), ("g", _EMPTY)],
     Regime: [("d", _EMPTY), ("n", _EMPTY), ("kind", _EMPTY), ("lower", _EMPTY), ("upper", _EMPTY)],
     MeasureResult: [("d", _EMPTY), ("n", _EMPTY), ("delta", _EMPTY), ("method", _EMPTY),
                     ("samples", None), ("stderr", None), ("seed", None)],
@@ -96,7 +94,7 @@ SIGNATURES = {
 
 
 def test_every_record_keeps_its_constructor():
-    assert len(SIGNATURES) == 15
+    assert len(SIGNATURES) == 14
     for cls, params in SIGNATURES.items():
         got = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
         assert got == params, cls.__name__
@@ -139,7 +137,7 @@ def test_a_frozen_record_keeps_its_values_and_bytes(cls, args, payload):
 
 
 def test_records_compare_by_class_and_value():
-    assert Threshold(7, 1.1, 0.5) != SweepRow(7, 1.1, 0.5)
+    assert PrimePowerDim(3, 2) != Exponential(3, 2)
     assert Exponential(1.5, 1.0) != Exponential(1.5, 2.0)
     assert MeasureResult(9, 1.05, 0.5, "closed_form") != MeasureResult(9, 1.05, 0.5, "closed_form", seed=0)
     assert PrimePowerDim(2, 5) == factor_prime_power(32)

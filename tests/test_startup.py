@@ -97,12 +97,17 @@ _EIGENVALUE_COMMANDS = {
 }
 
 
+# g(d, n) is computed in Python ints: importing fractions alone costs about 3 ms
+_RATIONAL_MODULES = {"fractions", "decimal", "_decimal", "_pydecimal"}
+
+
 @pytest.mark.parametrize("args, code", _EIGENVALUE_COMMANDS.values(), ids=_EIGENVALUE_COMMANDS.keys())
 def test_eigenvalue_commands_never_load_the_measure(tmp_path, args, code):
     got, modules = _run_isolated(args, tmp_path)
     assert got == code
     assert "paulimix.measure" not in modules
     assert "paulimix.threshold" in modules
+    assert not modules & _RATIONAL_MODULES
 
 
 # one call of every command, its help, a usage error, and no command at all
@@ -147,7 +152,7 @@ REGIME = {
 def test_regime_loads_only_the_threshold(tmp_path, args, code):
     got, modules = _run_isolated(args, tmp_path)
     assert got == code
-    assert not modules & {"paulimix.measure", "paulimix.dynmaps"}
+    assert not modules & ({"paulimix.measure", "paulimix.dynmaps"} | _RATIONAL_MODULES)
     loaded = {m for m in modules if m.startswith("paulimix.")}
     assert loaded <= {"paulimix.cli", "paulimix.errors", "paulimix.threshold", "paulimix.finite_field",
                       "paulimix.serialization"}
@@ -237,7 +242,7 @@ EXPORTS = {
         "cp_divisibility_check", "numeric_singularity_scan", "output_invertible",
     ],
     "measure": [
-        "MeasureResult", "SweepRow", "Threshold", "delta_closed_form", "delta_monte_carlo", "delta_quadrature", "g_threshold",
+        "MeasureResult", "SweepRow", "delta_closed_form", "delta_monte_carlo", "delta_quadrature",
         "prime_powers_in", "sweep", "sweep_dimensions",
     ],
     "mub": [
@@ -247,7 +252,7 @@ EXPORTS = {
         "DualMapResult", "KrausSet", "is_cp", "kraus_dagger_dual", "numeric_generator", "phase_unitaries",
         "random_density_matrix", "superoperator", "to_choi", "unvec", "vec",
     ],
-    "threshold": ["Regime", "RegimeKind", "classify_regime"],
+    "threshold": ["Regime", "RegimeKind", "classify_regime", "weight_threshold"],
 }
 
 
