@@ -34,8 +34,10 @@ loads only what its command uses:
   * ``singular-time``, ``cp-check`` and ``generator``, which work on the
     d+1 eigenvalues as Python floats: ``dynmaps``, ``invertibility`` and
     ``threshold``; never numpy, ``paulimix.mub`` or ``paulimix.measure``;
-  * ``evolve``: numpy and ``paulimix.mub`` too, once its weights and family
-    are valid;
+  * ``evolve``: these and ``paulimix.mub``'s trace-form tables for a
+    ``mub:`` or ``max-mixed`` state, which need no numpy and no basis; a
+    state file adds numpy and the bases, once its weights and family are
+    valid;
   * ``mub verify``: numpy, ``mub``, ``finite_field`` and ``serialization``.
 
 The package's records are plain classes, so no command loads the stdlib
@@ -325,31 +327,76 @@ def sweep_cmd(
 # --- evolve ---------------------------------------------------------------------
 
 
-def _initial_state(spec: str, d: int) -> np.ndarray:
-    import numpy as np
+def _initial_state(spec: str, d: int) -> tuple[list, Optional[range]]:
+    """The ``--state`` as rows of [re, im] pairs, and the bases whose dephasing keeps it.
 
-    from .dynmaps import validate_density_matrix
-    from .serialization import pairs_to_complex_matrix
-
+    ``max-mixed`` is I/d, which every basis keeps. ``mub:ALPHA:J`` is vector
+    J of basis ALPHA, which basis ALPHA keeps; its entries are
+    w^((k_x - k_y) mod m)/d with the integer phase row k of
+    ``mub._phase_row`` (for ALPHA = 0, |J><J|). Neither imports numpy or
+    builds a basis. A state file is read and validated with numpy, and no
+    basis is known to keep it (None). Every refusal of the state comes here,
+    before any work.
+    """
     if spec == "max-mixed":
-        return np.eye(d, dtype=complex) / d
+        return [[[1.0 / d if x == y else 0.0, 0.0] for y in range(d)] for x in range(d)], range(d + 1)
     if spec.startswith("mub:"):
+        from .finite_field import factor_prime_power
+        from .mub import _check_dimension, _phase_row
+
         try:
             _, alpha_s, j_s = spec.split(":")
             alpha, j = int(alpha_s), int(j_s)
         except ValueError as exc:
             raise ValidationError(f"state spec {spec!r} is not mub:ALPHA:J") from exc
-        from .mub import cached_mub
-
-        bases = cached_mub(d).bases
+        _check_dimension(d)
         if not (0 <= alpha <= d and 0 <= j < d):
             raise ValidationError(f"mub state indices out of range for d={d}: {spec!r}")
-        v = bases[alpha][:, j]
-        return np.outer(v, v.conj())
+        if alpha == 0:
+            rho0 = [[[1.0 if x == y == j else 0.0, 0.0] for y in range(d)] for x in range(d)]
+        else:
+            m, k = _phase_row(factor_prime_power(d), alpha, j)
+            # w^r / d; for m = 4 the roots are exact and their zeros are +0.0
+            roots = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)] if m == 4 else [
+                (math.cos(2 * math.pi * r / m), math.sin(2 * math.pi * r / m)) for r in range(m)]
+            roots = [(re / d, im / d) for re, im in roots]
+            rho0 = [[list(roots[(kx - ky) % m]) for ky in k] for kx in k]
+        return rho0, range(alpha, alpha + 1)
+    from .dynmaps import validate_density_matrix
+    from .serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
+
     rho = _read_json_input(spec, pairs_to_complex_matrix, "state file")
     if rho.shape != (d, d):
         raise ValidationError(f"state has shape {rho.shape}, expected {(d, d)}")
-    return validate_density_matrix(rho)
+    return complex_matrix_to_pairs(validate_density_matrix(rho)), None
+
+
+def _dephased(m: MixtureMap, rho0: list, kept: Optional[range]) -> list:
+    """M = sum_i x_i dephase_i(rho0), as rows of [re, im] pairs.
+
+    Each basis in ``kept`` leaves rho0 as it is. Every other basis sends it
+    to I/d, since rho0 is I/d or a vector of a basis unbiased with that one
+    (Wootters & Fields, Ann. Phys. 191, 363, 1989). So M = x_kept rho0 +
+    x_rest I/d, with the weights as given, in pure Python. With ``kept``
+    None, M comes from the numpy products of ``MixtureMap.dephased``, whose
+    last digits depend on the BLAS kernel.
+    """
+    if kept is None:
+        from .serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
+
+        return complex_matrix_to_pairs(m.dephased(pairs_to_complex_matrix(rho0)))
+    from .mub import _check_dimension
+
+    _check_dimension(m.d)  # max-mixed builds no basis, but is refused where apply's bases are
+    x_kept = x_rest = 0.0
+    for i, x in enumerate(m.weights):
+        if i in kept:
+            x_kept += x
+        else:
+            x_rest += x
+    rest = x_rest / m.d
+    return [[[x_kept * re + (rest if r == c else 0.0), x_kept * im] for c, (re, im) in enumerate(row)]
+            for r, row in enumerate(rho0)]
 
 
 def evolve(
@@ -362,11 +409,16 @@ def evolve(
     output: Optional[str],
     **family,
 ) -> None:
-    """Trajectory of a state under the mixture map, with the eigenvalue profile."""
-    from .serialization import complex_matrix_to_pairs
+    """Trajectory of a state under the mixture map, with the eigenvalue profile.
 
+    M = sum_i x_i dephase_i(rho0) is formed once, and each time is then
+    (1 - a) rho0 + a M with a = p(t) d/(d-1), as in MixtureMap.apply. A mub:
+    or max-mixed state gets M in closed form, without numpy or a basis, so
+    its bytes depend on no BLAS kernel; a state file gets M from numpy
+    products, whose last digits do.
+    """
     m = _mixture(d, weights, family)
-    rho0 = _initial_state(state, d)  # the first to import numpy
+    rho0, kept = _initial_state(state, d)
     if times is not None:
         ts = _parse_floats(times, "times")
         _check_work(len(ts), d * d + d + 1)
@@ -374,12 +426,14 @@ def evolve(
         ts = _time_grid(t_max, steps, d * d + d + 1)
     if any(t < 0 for t in ts):
         raise ValidationError("times must be nonnegative")
-    payload = _map_payload(
-        m,
-        times=ts,
-        eigenvalues=[m.eigenvalues(t) for t in ts],
-        states=[complex_matrix_to_pairs(m.apply(t, rho0)) for t in ts],
-    )
+    mixed = _dephased(m, rho0, kept)
+    states = []
+    for t in ts:  # (1 - a) rho0 + a M, a = p d/(d-1), as in MixtureMap.apply
+        a = m.pf.value(t) * d / (d - 1)
+        b = 1.0 - a
+        states.append([[[b * r + a * s, b * i + a * u] for (r, i), (s, u) in zip(row0, row1)]
+                       for row0, row1 in zip(rho0, mixed)])
+    payload = _map_payload(m, times=ts, eigenvalues=[m.eigenvalues(t) for t in ts], states=states)
     _emit_json(payload, output)
 
 
@@ -525,7 +579,7 @@ class _Command:
     """One command row: a callback, its option rows, and the callback's docstring as help."""
 
     def __init__(self, callback, *options: _Option):
-        self.callback, self.options, self.help = callback, options, callback.__doc__
+        self.callback, self.options, self.help = callback, options, callback.__doc__.rstrip()
 
     def parse(self, args: list[str], prog: str) -> Optional[dict]:
         """The callback's keyword arguments from ``args``, or None once ``--help`` is printed."""

@@ -15,12 +15,12 @@ Pauli channel, fixed completely by these d+1 eigenvalues, and they are the
 core of every computation: ``MixtureMap.eigenvalues`` feeds the generator
 rates and the CP checks, and ``MixtureMap.apply`` is d+1 dephasings in the
 MUB bases, since sum_{k=0}^{d-1} U_i^k rho U_i^{-k} = d * dephase_i(rho).
-A ``MixtureMap`` holds no basis: only ``apply`` fetches the (cached) bases
-from ``paulimix.mub``, which the eigenvalue routes never import. The
-dense d^2 x d^2 representation (superoperator, Choi matrix, Kraus sets)
-lives in ``paulimix.oracle``, built from the definition independently of
-the eigenvalues; the tests compare the core against it, and no command
-loads it.
+A ``MixtureMap`` holds no basis: only ``apply`` and ``dephased`` fetch the
+(cached) bases from ``paulimix.mub``, which the eigenvalue routes never
+import. The dense d^2 x d^2 representation (superoperator, Choi matrix,
+Kraus sets) lives in ``paulimix.oracle``, built from the definition
+independently of the eigenvalues; the tests compare the core against it,
+and no command loads it.
 
 The closed forms that depend on p(t) alone (singular times, the decay rate
 of a single input map, the default scan span) are methods of each family.
@@ -29,8 +29,8 @@ The core is Python floats: the weights are a tuple, ``eigenvalues`` and
 ``generator_rates`` return tuples, and none of it imports numpy, so the
 eigenvalue commands run without it. Where the core sums or spaces values
 the way numpy did, ``_pairwise_sum`` and ``_linspace`` reproduce numpy's
-results bit for bit. ``apply`` and ``validate_density_matrix`` import
-numpy inside their own bodies.
+results bit for bit. ``apply``, ``dephased`` and ``validate_density_matrix``
+import numpy inside their own bodies.
 
 Mixing indices are 0-based: weight x[i] goes with basis i of the MUB set
 (basis 0 is computational).
@@ -358,7 +358,8 @@ class MixtureMap:
     are computed once, in ``__init__``, and kept as ``slopes``; the
     eigenvalues, the numeric scan and the analytic generator rates read
     them. The MUB bases are fetched from ``cached_mub`` only by
-    ``apply``, on first use, so the eigenvalue routes build no basis.
+    ``apply`` and ``dephased``, on first use, so the eigenvalue routes
+    build no basis.
 
     Weights may sit on the boundary of the simplex (zeros allowed), which
     covers the single-input-map limit, so a one-hot weight vector is a
@@ -381,20 +382,26 @@ class MixtureMap:
         return tuple(1.0 - s * p for s in self.slopes)
 
     def apply(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """Evolve a state: (1 - a) rho + a sum_i x_i dephase_i(rho), a = p d/(d-1).
+        """Evolve a state: (1 - a) rho + a sum_i x_i dephase_i(rho), a = p d/(d-1)."""
+        import numpy as np
+
+        d = self.d
+        a = self.pf.value(t) * d / (d - 1)
+        rho = np.asarray(rho, dtype=complex)
+        return (1.0 - a) * rho + a * self.dephased(rho)
+
+    def dephased(self, rho: np.ndarray) -> np.ndarray:
+        """sum_i x_i dephase_i(rho): what ``apply`` gives where a = 1.
 
         dephase_i(rho) = B_i diag(B_i^dag rho B_i) B_i^dag keeps the diagonal
         of rho in basis i; all d+1 of them come from two d x d(d+1) products.
         """
         import numpy as np
 
-        d = self.d
-        a = self.pf.value(t) * d / (d - 1)
-        rho = np.asarray(rho, dtype=complex)
         cols = self._basis_columns
         populations = np.sum(cols.conj() * (rho @ cols), axis=0)  # <xi_j^i| rho |xi_j^i>
-        coefs = np.repeat(self.weights, d) * populations
-        return (1.0 - a) * rho + a * ((cols * coefs) @ cols.conj().T)
+        coefs = np.repeat(self.weights, self.d) * populations
+        return (cols * coefs) @ cols.conj().T
 
     @cached_property
     def _basis_columns(self) -> np.ndarray:

@@ -21,13 +21,18 @@ are built or read only up to d = 128, where verifying one takes seconds.
 Basis vectors are the *columns* of each basis matrix. The first amplitude
 of every vector is 1/sqrt(d) (basis 0: 1), by construction (x = 0 gives
 exponent 0), so serialized output is reproducible without a phase pass.
+
+The integer tables of the trace form come from one pure-Python helper,
+``_trace_form``. ``_phase_bases`` multiplies them in numpy for every basis;
+``_phase_row`` reads the exponents of one vector from them, which is all
+``evolve`` needs for a ``mub:`` state. numpy is imported inside the
+functions that use it, so importing this module loads none.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import Frozen, ValidationError
 from .finite_field import (
@@ -39,6 +44,9 @@ from .finite_field import (
     factor_prime_power,
     galois_field,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MUB_TOLERANCE = 1e-12
 # build_mub and mub_from_payload refuse d above this. verify_mub costs about
@@ -94,19 +102,19 @@ class MubVerification(Frozen):
         }
 
 
-def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
-    """Basis 0 = I, then basis a+1 with entry [x, b] w^(tr(a y(x)) + c tr(b x)) / sqrt(q).
+def _trace_form(dim: PrimePowerDim) -> tuple[int, int, list, list, list]:
+    """The integer tables of the construction, in Python ints: (m, c, elements, ys, tmat).
 
-    Elements are digit vectors over Z_m, on which the trace is linear:
-    tr(s t) = s^T M t with M[i, j] = tr(x^(i+j)), so two integer matrix
-    products give every exponent.
+    ``elements[x]`` and ``ys[x]`` = y(x) are the digit vectors over Z_m of
+    element x and of y(x). The trace is linear on them: tr(s t) = s^T tmat t
+    with tmat[i][j] = tr(x^(i+j)).
     """
     p, k, q = dim.p, dim.k, dim.q
     field = galois_field(p, k)
     if p == 2:
         # the Teichmuller lift r^(2^k) in GR(4, k), whose modulus f mod 4 is
         # irreducible mod 2, of the binary representative r of each element
-        m, c, roots = 4, 2, np.array([1, 1j, -1, -1j]) + 0.0  # -1j has real part -0.0; + 0.0 clears the sign
+        m, c = 4, 2
         elements = []
         for i in range(q):
             t = _digits(i, 2, k)
@@ -115,12 +123,27 @@ def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
             elements.append(t + (0,) * (k - len(t)))
         ys = elements
     else:
-        m, c, roots = p, 1, np.exp(2j * np.pi * np.arange(p) / p)
+        m, c = p, 1
         elements = [_digits(x, p, k) for x in range(q)]
         ys = [elements[field.mul(x, x)] for x in range(q)]
-
     traces = _power_traces(field.modulus, m, 2 * k - 1)
-    tmat = np.array([[traces[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
+    tmat = [[traces[i + j] for j in range(k)] for i in range(k)]
+    return m, c, elements, ys, tmat
+
+
+def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
+    """Basis 0 = I, then basis a+1 with entry [x, b] w^(tr(a y(x)) + c tr(b x)) / sqrt(q).
+
+    The exponents of all bases come from two integer matrix products over
+    the tables of ``_trace_form``.
+    """
+    import numpy as np
+
+    q = dim.q
+    m, c, elements, ys, tmat = _trace_form(dim)
+    # -1j has real part -0.0; + 0.0 clears the sign
+    roots = np.array([1, 1j, -1, -1j]) + 0.0 if m == 4 else np.exp(2j * np.pi * np.arange(m) / m)
+    tmat = np.array(tmat, dtype=np.int64)
     vecs = np.array(elements, dtype=np.int64)  # (q, k)
     tr_ay = vecs @ tmat @ np.array(ys, dtype=np.int64).T  # [a, x] -> tr(a y(x))
     c_tr_xb = c * (vecs @ tmat @ vecs.T)  # [x, b] -> c tr(b x)
@@ -130,6 +153,22 @@ def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
     for a in range(q):
         bases[a + 1] = roots[(tr_ay[a][:, None] + c_tr_xb) % m] / np.sqrt(q)
     return bases
+
+
+def _phase_row(dim: PrimePowerDim, alpha: int, j: int) -> tuple[int, list[int]]:
+    """(m, k) with vector j of basis alpha >= 1 equal to w^k[x] / sqrt(q), w = exp(2 pi i / m).
+
+    The same exponents as ``_phase_bases`` (a = alpha - 1, b = j), from the
+    same tables, in Python ints and without the other q^2 - 1 vectors.
+    """
+    m, c, elements, ys, tmat = _trace_form(dim)
+    a, b = elements[alpha - 1], elements[j]
+    a_t = [sum(ai * row[l] for ai, row in zip(a, tmat)) for l in range(len(b))]  # a^T tmat
+    t_b = [sum(tl * bl for tl, bl in zip(row, b)) for row in tmat]  # tmat b
+    return m, [
+        (sum(u * y for u, y in zip(a_t, ys[x])) + c * sum(e * v for e, v in zip(elements[x], t_b))) % m
+        for x in range(dim.q)
+    ]
 
 
 def _check_dimension(d: int) -> None:
@@ -158,6 +197,8 @@ def verify_mub(m: MubSet, tol: float = MUB_TOLERANCE) -> MubVerification:
     ``tol`` would fail every set, so it is refused. The last digits of the
     deviations depend on the BLAS kernel (``OPENBLAS_CORETYPE``); ``passed`` does not.
     """
+    import numpy as np
+
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")
     d = m.bases.shape[1]
@@ -189,6 +230,8 @@ def cached_mub(d: int) -> MubSet:
 
 def mub_from_payload(payload: dict) -> MubSet:
     """Rebuild a MubSet from the JSON wire format {d, bases}."""
+    import numpy as np
+
     from .serialization import pairs_to_complex_matrix
 
     d = int(payload["d"])

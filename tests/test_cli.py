@@ -499,6 +499,78 @@ def test_evolve_mub_state_spec(runner):
     assert np.max(np.abs(rho - 0.5 * np.ones((2, 2)))) < 1e-12
 
 
+# (d, --state); None is a random state file
+_EVOLVE_STATES = {
+    "max-mixed": (3, "max-mixed"),
+    "mub-basis-0": (4, "mub:0:2"),
+    "mub-d2": (2, "mub:2:1"),
+    "mub-d9": (9, "mub:4:7"),
+    "mub-d16": (16, "mub:16:5"),
+    "mub-d27": (27, "mub:27:26"),
+    "file-d5": (5, None),
+}
+
+
+@pytest.mark.parametrize("d, state", _EVOLVE_STATES.values(), ids=_EVOLVE_STATES.keys())
+def test_evolve_states_match_apply(runner, tmp_path, d, state):
+    rng = np.random.default_rng(d)
+    if state is None:
+        rho0 = random_density_matrix(d, rng)
+        state = str(tmp_path / "rho.json")
+        Path(state).write_text(json.dumps(complex_matrix_to_pairs(rho0)))
+    elif state == "max-mixed":
+        rho0 = np.eye(d) / d
+    else:
+        _, alpha, j = state.split(":")
+        v = mub_mod.cached_mub(d).bases[int(alpha)][:, int(j)]
+        rho0 = np.outer(v, v.conj())
+    weights = rng.dirichlet(np.ones(d + 1)).tolist()
+    weights[0] += 1e-13  # the CLI divides by the sum, and the payload holds the quotients
+    payload = run_ok(runner, ["evolve", "--d", str(d), "--n", "1.1", "--weights", ",".join(map(repr, weights)),
+                              "--state", state, "--steps", "5"])
+    m = dynmaps.mixture_map(d, payload["weights"], dynmaps.Exponential(n=1.1, c=1.0))
+    for t, got in zip(payload["times"], payload["states"]):
+        assert np.max(np.abs(pairs_to_complex_matrix(got) - m.apply(t, rho0))) <= 1e-15
+
+
+@pytest.mark.parametrize("off", [0.0, 1e-13, -1e-13])
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 9, 27, 32])
+def test_the_closed_form_dephasing_matches_the_numpy_products(d, off):
+    rng = np.random.default_rng(d)
+    weights = rng.dirichlet(np.ones(d + 1)).tolist()
+    weights[0] += off  # taken as given: MixtureMap accepts a sum within 1e-12 of 1
+    m = dynmaps.mixture_map(d, weights, dynmaps.Exponential(n=1.1, c=1.0))
+    alpha, j = int(rng.integers(1, d + 1)), int(rng.integers(d))
+    for spec in ("max-mixed", f"mub:0:{d - 1}", f"mub:{d}:0", f"mub:{alpha}:{j}"):
+        rho0, kept = cli_mod._initial_state(spec, d)
+        want = m.dephased(pairs_to_complex_matrix(rho0))
+        assert np.max(np.abs(pairs_to_complex_matrix(cli_mod._dephased(m, rho0, kept)) - want)) <= 1e-15, spec
+
+
+_QUTRIT_STATE = ["evolve", "--d", "3", "--n", "1.5", "--weights", "0.4,0.3,0.2,0.1", "--state"]
+
+
+@pytest.mark.parametrize("state, message", [
+    ("mub:1", "state spec 'mub:1' is not mub:ALPHA:J"),
+    ("mub:a:0", "state spec 'mub:a:0' is not mub:ALPHA:J"),
+    ("mub:4:0", "mub state indices out of range for d=3: 'mub:4:0'"),
+    ("mub:-1:0", "mub state indices out of range for d=3: 'mub:-1:0'"),
+    ("mub:1:3", "mub state indices out of range for d=3: 'mub:1:3'"),
+    ("{qubit}", "state has shape (2, 2), expected (3, 3)"),
+], ids=["malformed", "not-an-integer", "alpha-too-large", "alpha-negative", "j-too-large", "wrong-shape"])
+def test_evolve_refuses_a_bad_state_before_any_work(runner, monkeypatch, tmp_path, state, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the state was dephased before the refusal")
+
+    monkeypatch.setattr(cli_mod, "_dephased", no_work)
+    qubit = tmp_path / "qubit.json"
+    qubit.write_text(json.dumps([[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]))
+    result = runner.invoke(main, _QUTRIT_STATE + [state.format(qubit=qubit)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
+
+
 # --- mub verify ------------------------------------------------------------------
 
 
@@ -893,10 +965,13 @@ def test_byte_identical_reruns(runner):
 
 # sha256 of stdout for one fixed call of each command that prints no float from
 # BLAS or a random stream; a change that alters any printed byte fails here.
-# The digests were taken on Linux: the singular times and rates go through its libm.
+# The digests were taken on Linux: the singular times and rates, and the roots
+# of unity of an evolved MUB state at odd d, go through its libm.
 # The singular-time calls at d = 32, on a coarse grid and within 1e-13 of a
 # family's band were pinned from the per-index scan, before the one-pass rewrite.
+# evolve with a MUB or maximally mixed state is pure Python; a state file is not.
 _D32_WEIGHTS = ",".join(["0.01"] * 16 + ["0.05"] * 16 + ["0.04"])
+_D27_WEIGHTS = ",".join(["0.025"] * 20 + ["0.0625"] * 8)
 _STDOUT_SHA256 = {
     "regime": (["regime", "--d", "7", "--n", "1.1"],
                "9c7aad65be8e1209a8336b6263fa6de36c84dff87758b4091df397b863c3b603"),
@@ -946,6 +1021,24 @@ _STDOUT_SHA256 = {
                   "d14385d74a4d328a0c0856d981edbe2d31ab8d3c5ffc63a7feb8c3c561eb9afd"),
     "sweep-json": (["sweep", "--lo", "7", "--hi", "32", "--n", "1.03", "--format", "json"],
                    "6e49563039ce6021244af8a1e154847b774b88bc4b4828cd4fab3729d7b5fb9c"),
+    "evolve-d2-mub": (
+        ["evolve", "--d", "2", "--n", "1.5", "--weights", "0.2,0.3,0.5", "--state", "mub:2:1", "--steps", "4"],
+        "155d7b2254d54ab6074ed3d5a3abcd9a3d5feb5b26145410378342192c4fdc7d"),
+    "evolve-d8-mub": (
+        ["evolve", "--d", "8", "--n", "1.1", "--c", "0.7", "--weights", "0.1,0.1,0.1,0.1,0.1,0.1,0.1,0.15,0.15",
+         "--state", "mub:5:3", "--steps", "3"],
+        "3a3af1af623cd2582084e2aa0fba3e14d150d63b30156f6c613f0d40492b997f"),
+    "evolve-d27-mub": (
+        ["evolve", "--d", "27", "--family", "cosine", "--omega", "1.3", "--weights", _D27_WEIGHTS,
+         "--state", "mub:13:20", "--times", "0,0.4,2.5"],
+        "d66894fc739d3cac5b44e8889335105ab0b9287f9730715f6644ffd18705070c"),
+    "evolve-d32-mub": (
+        ["evolve", "--d", "32", "--n", "1.02", "--weights", _D32_WEIGHTS, "--state", "mub:32:31", "--times", "0,1.5"],
+        "d7fc2df0b6360e00d3cc91be6b3064878d0b1ad8eff6d828fceaef316c0837f4"),
+    "evolve-max-mixed": (
+        ["evolve", "--d", "4", "--family", "plateau", "--t-sharp", "0.7", "--weights", "0.1,0.2,0.3,0.15,0.25",
+         "--steps", "3"],
+        "179e6e2c79d649729749d0349c013354d0250961d8ba6106acef5aa9af21cac4"),
 }
 
 

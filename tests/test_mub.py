@@ -1,4 +1,6 @@
 import hashlib
+import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from paulimix.finite_field import (
 from paulimix.mub import (
     _MAX_D,
     MubSet,
+    _phase_row,
     build_mub,
     cached_mub,
     mub_from_payload,
@@ -89,6 +92,25 @@ def test_verify_passes_everywhere(d):
     report = verify_mub(m, tol=1e-12)
     assert report.passed, report
     assert np.array_equal(m.bases[0], np.eye(d))
+
+
+def _sampled_vectors(d):
+    """Every (alpha, j) with alpha >= 1 up to d = 9; above it the two corners and 20 drawn at random."""
+    if d <= 9:
+        return [(alpha, j) for alpha in range(1, d + 1) for j in range(d)]
+    rng = random.Random(d)
+    return [(1, 0), (d, d - 1)] + [(rng.randrange(1, d + 1), rng.randrange(d)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("d", PRIME_POWERS_LE_32)
+def test_the_pure_python_phase_row_is_the_exponent_of_each_basis_vector(d):
+    bases, dim = cached_mub(d).bases, factor_prime_power(d)
+    for alpha, j in _sampled_vectors(d):
+        m, row = _phase_row(dim, alpha, j)
+        assert m == (4 if dim.p == 2 else dim.p)
+        # the amplitudes are w^k/sqrt(d), with angles 2 pi/m apart, so rounding recovers k exactly
+        k = np.rint(np.angle(bases[alpha][:, j] * math.sqrt(d)) * m / (2 * np.pi)).astype(int) % m
+        assert row == k.tolist(), (alpha, j)
 
 
 def test_qubit_unitaries_are_pauli_matrices():

@@ -71,6 +71,11 @@ WITHOUT_NUMPY = {
     "cosine-singular-time": (
         ["singular-time", "--d", "4", "--family", "cosine", "--weights", "0.1,0.2,0.3,0.2,0.2"], 0),
     "evolve-weight-count": (["evolve", "--d", "3", "--n", "2.0", "--weights", "0.5,0.5"], 2),
+    # a MUB or maximally mixed state is dephased in closed form, without a basis
+    "evolve-max-mixed": (["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS, "--steps", "2"], 0),
+    "evolve-mub-state": (
+        ["evolve", "--d", "8", "--n", "1.1", "--weights", ",".join(["0.1"] * 7 + ["0.15"] * 2), "--state", "mub:3:5"],
+        0),
 }
 
 
@@ -170,7 +175,14 @@ def test_the_console_entry_point_reads_argv():
     assert json.loads(out.stdout)["classification"] == "intermediate_noninvertible"
 
 
-def test_eigenvalue_commands_never_ask_for_a_basis(monkeypatch):
+def _state_file(tmp_path):
+    """A qutrit state file, the one kind of evolve state that reads the bases."""
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps([[[0.5, 0], [0, 0.25], [0, 0]], [[0, -0.25], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]))
+    return str(path)
+
+
+def test_eigenvalue_commands_never_ask_for_a_basis(monkeypatch, tmp_path):
     from paulimix import mub
 
     calls = []
@@ -181,7 +193,8 @@ def test_eigenvalue_commands_never_ask_for_a_basis(monkeypatch):
         assert CliRunner().invoke(main, args).exit_code == code
     assert calls == []
     # the probe sees the commands that do read a basis
-    assert CliRunner().invoke(main, ["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS]).exit_code == 0
+    evolve = ["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS, "--state", _state_file(tmp_path)]
+    assert CliRunner().invoke(main, evolve).exit_code == 0
     assert "cached_mub" in calls
 
 
@@ -209,7 +222,8 @@ def test_mub_verify_loads_no_map_or_measure_module(tmp_path):
 
 
 def test_evolve_reads_the_bases_but_never_loads_the_dense_oracle(tmp_path):
-    code, modules = _run_isolated(["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS], tmp_path)
+    evolve = ["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS, "--state", _state_file(tmp_path)]
+    code, modules = _run_isolated(evolve, tmp_path)
     assert code == 0
     assert "paulimix.mub" in modules
     assert "paulimix.oracle" not in modules
