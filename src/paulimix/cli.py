@@ -428,7 +428,7 @@ def evolve(
         raise ValidationError("times must be nonnegative")
     mixed = _dephased(m, rho0, kept)
     states = []
-    for t in ts:  # (1 - a) rho0 + a M, a = p d/(d-1), as in MixtureMap.apply
+    for t in ts:
         a = m.pf.value(t) * d / (d - 1)
         b = 1.0 - a
         states.append([[[b * r + a * s, b * i + a * u] for (r, i), (s, u) in zip(row0, row1)]
