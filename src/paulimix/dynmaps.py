@@ -136,7 +136,8 @@ class DecoherenceFunction(Frozen, ABC):
     which decide whether a singular time exists, and gives its closed forms:
     the inverse formula behind ``singular_time``, ``decay_rate`` and
     ``horizon``, the default span of a singular-time scan. A ``periodic`` p
-    repeats after its horizon, so no scan goes past it.
+    repeats after its horizon, so no scan goes past it. ``kinks`` names the
+    times where p' jumps, which no finite-difference stencil may straddle.
     """
 
     family: str
@@ -167,6 +168,10 @@ class DecoherenceFunction(Frozen, ABC):
         if not _reaches_zero(d, self.n_sup, self.attains_sup, x):
             return None
         return self._singular_time(d, x)
+
+    def kinks(self) -> dict[str, float]:
+        """The times where p' jumps, by the parameter that sets each; none where p' is continuous."""
+        return {}
 
     def decay_rate(self, t: float) -> float:
         """Closed-form decay rate gamma(t) of a single input map.
@@ -314,6 +319,10 @@ class Plateau(DecoherenceFunction):
         """t_sharp, where the ramp first reaches its sup 1/2; lambda is smallest from there on."""
         return self.t_sharp
 
+    def kinks(self) -> dict[str, float]:
+        """p' falls from 1/(2 t_sharp) to 0 at t_sharp."""
+        return {"t_sharp": self.t_sharp}
+
     def horizon(self) -> float:
         """100 t_sharp, far into the plateau."""
         return _finite(100.0 * self.t_sharp, "the scan horizon 100*t_sharp", t_sharp=self.t_sharp)
@@ -448,7 +457,7 @@ def _simplex_weights(weights, d: int) -> tuple[float, ...]:
 
 
 def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:
-    """lambda(t), after checking the step and that the map is invertible at t."""
+    """lambda(t), after checking the step, that the map is invertible at t and that p' does not jump in the stencil."""
     if h <= 0:
         raise ValidationError(f"step must be > 0, got {h}")
     if t + h == t:  # covers t - h == t too: the float spacing below t is at most that above
@@ -456,6 +465,14 @@ def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> tuple[float, .
     lam = m.eigenvalues(t)
     if min(map(abs, lam)) < EIGENVALUE_ATOL:
         raise SingularAtTimeError(f"map has a zero eigenvalue at t={t}")
+    # the times _time_derivative reads: central, or forward where t - h < 0
+    first, last = (t - h, t + h) if t - h >= 0 else (t, t + 2 * h)
+    for name, kink in m.pf.kinks().items():
+        if first < kink < last:
+            raise ValidationError(
+                f"p' jumps at {name}={kink}, inside the stencil [{first}, {last}] of t={t} with step h={h}; "
+                f"pick t or h so that the stencil does not straddle it"
+            )
     return lam
 
 

@@ -489,41 +489,40 @@ def sweep(
     the first offenders and gives the rest by their ranges. With
     ``method="monte_carlo"`` every dimension reads the one shared stream of
     the seed in a single pass, and each row's delta is exactly
-    ``delta_monte_carlo(d, n, samples, seed).delta``. A row's log10_delta is
-    log10(delta) where delta is a normal float, and ``_tiny_log10`` where it
-    is 0 or subnormal.
+    ``delta_monte_carlo(d, n, samples, seed).delta``. Each row's value is
+    computed once, and its log10_delta is log10(delta) where delta is a
+    normal float. Where delta is 0 or subnormal, the log is taken before
+    rounding: d log10 of the closed form's base, log10 of the quadrature's
+    exact Fraction, and -inf for a Monte Carlo count of 0.
     """
     ds = sweep_dimensions(lo, hi, n)
     if method not in _SWEEP_METHODS:
         raise ValidationError(f"unknown method {method!r}")
+    tiny = sys.float_info.min
+    rows = []
     if method == "closed_form":
-        deltas = [_closed_form_delta(d, n) for d in ds]
+        for d in ds:
+            delta = _closed_form_delta(d, n)
+            if delta >= tiny:
+                log10 = math.log10(delta)
+            else:
+                base = (d * d * (n - 1.0) - n) / d
+                log10 = d * math.log10(base) if n > _interval(d)[0] and base > 0 else -math.inf
+            rows.append(SweepRow(d=d, delta=delta, log10_delta=log10))
     elif method == "quadrature":
         for d in ds:  # refused before the first row is computed
             _check_quadrature_d(d)
-        deltas = [delta_quadrature(d, n).delta for d in ds]
+        for d in ds:
+            q = _quadrature_fraction(d, n)
+            delta = float(q)
+            if delta >= tiny:
+                log10 = math.log10(delta)
+            else:
+                log10 = math.log10(q.numerator) - math.log10(q.denominator) if q else -math.inf
+            rows.append(SweepRow(d=d, delta=delta, log10_delta=log10))
     else:
         _check_mc(samples, seed, ds)
-        deltas = [k / samples for k in _mc_hits(ds, [_invertible_floor(d, n) for d in ds], samples, seed)]
-    rows = []
-    for d, delta in zip(ds, deltas):
-        log10 = math.log10(delta) if delta >= sys.float_info.min else _tiny_log10(d, n, method)
-        rows.append(SweepRow(d=d, delta=delta, log10_delta=log10))
+        for d, k in zip(ds, _mc_hits(ds, [_invertible_floor(d, n) for d in ds], samples, seed)):
+            delta = k / samples
+            rows.append(SweepRow(d=d, delta=delta, log10_delta=math.log10(delta) if delta >= tiny else -math.inf))
     return rows
-
-
-def _tiny_log10(d: int, n: float, method: str) -> float:
-    """log10 of a sweep row's delta that is 0 or subnormal as a float, from the value before it was rounded.
-
-    The closed form's is d log10((d^2 (n-1) - n)/d), the quadrature's is
-    log10 of its exact Fraction's numerator less that of its denominator, and
-    a Monte Carlo count of 0 has log -inf.
-    """
-    if method == "closed_form":
-        base = (d * d * (n - 1.0) - n) / d
-        return d * math.log10(base) if n > _interval(d)[0] and base > 0 else -math.inf
-    if method == "quadrature":
-        q = _quadrature_fraction(d, n)
-        return math.log10(q.numerator) - math.log10(q.denominator) if q else -math.inf
-    return -math.inf
-

@@ -884,6 +884,21 @@ def test_generator_answers_zero_rates_on_a_plateau(runner):
     assert [entry["rel_diff"] for entry in payload["rates"]] == [0, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "args, stencil",
+    [(["--d", "3", "--t", "1.0"], "[0.99999, 1.00001] of t=1.0 with step h=1e-05"),
+     (["--d", "2", "--t", "0.999995"], "[0.999985, 1.000005] of t=0.999995 with step h=1e-05"),
+     # the forward stencil reads t, t + h and t + 2h
+     (["--d", "2", "--t", "0", "--h", "0.75"], "[0.0, 1.5] of t=0.0 with step h=0.75")],
+    ids=["central-at-kink", "central-across-kink", "forward-across-kink"],
+)
+def test_generator_refuses_a_stencil_across_the_plateau_kink(runner, args, stencil):
+    result = runner.invoke(main, ["generator", "--family", "plateau", *args])
+    assert result.exit_code == 2, result.output
+    assert f"p' jumps at t_sharp=1.0, inside the stencil {stencil}" in result.stderr
+    assert result.stdout == ""
+
+
 # --- weights validation & determinism ------------------------------------------------
 
 

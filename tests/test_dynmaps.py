@@ -450,6 +450,22 @@ def test_generator_requires_invertibility():
         generator_rates(m, 0.5, 0.0)
 
 
+def test_generator_refuses_a_stencil_that_straddles_a_jump_of_p_derivative():
+    assert Exponential(n=1.5, c=1.0).kinks() == Cosine(omega=1.0).kinks() == {}
+    pf = Plateau(t_sharp=2.0)
+    assert pf.kinks() == {"t_sharp": 2.0}
+    m = mixture_map(2, [0.1, 0.45, 0.45], pf)
+    # central stencils [t - h, t + h], and forward ones [t, t + 2h] where t < h
+    for t, h in ((2.0, 1e-5), (1.99999, 2e-5), (2.00001, 2e-5), (0.5, 1.6), (0.0, 1.5)):
+        for route in (generator_rates, numeric_generator):
+            with pytest.raises(ValidationError, match=f"t_sharp=2.0, inside the stencil .* of t={t} with step h={h}"):
+                route(m, t, h)
+    # a stencil that ends at t_sharp reads the ramp up to its end, where p' is the ramp's slope
+    for t, h in ((1.5, 0.5), (2.5, 0.5), (0.0, 1.0)):
+        rates = generator_rates(m, t, h)
+        assert rates == pytest.approx([-s * pf.derivative(t) / x for s, x in zip(m.slopes, m.eigenvalues(t))])
+
+
 @pytest.mark.parametrize("family", sorted(ORACLE_PF))
 @pytest.mark.parametrize("d", ORACLE_DIMS)
 def test_generator_rates_match_dense_generator(d, family):

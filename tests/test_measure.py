@@ -392,6 +392,23 @@ def test_a_sweep_row_whose_delta_underflows_keeps_a_finite_log():
     assert (mc.delta, mc.log10_delta) == (0.0, -math.inf)
 
 
+def test_a_quadrature_sweep_integrates_once_per_row(monkeypatch):
+    calls = []
+
+    def counted(d, g):
+        calls.append(d)
+        return _nested_simplex_integral(d, g)
+
+    monkeypatch.setattr(measure_mod, "_nested_simplex_integral", counted)
+    # d = 97 underflows to 0 and d = 101 to a subnormal: both logs come from the one exact value
+    rows = sweep(97, 101, 1.0001063925170068, method="quadrature")
+    assert calls == [97, 101]
+    assert [(r.d, r.delta, r.log10_delta) for r in rows] == [
+        (97, 0.0, -486.28761926240054),
+        (101, 3.4660234829868923e-311, -310.46016849918192),
+    ]
+
+
 def test_sweep_reproduces_superexponential_growth():
     rows = sweep(7, 32, 1.03)
     assert len(rows) == 14
