@@ -38,7 +38,9 @@ loads only what its command uses:
     ``mub:`` or ``max-mixed`` state, which need no numpy and no basis; a
     state file adds numpy and the bases, once its weights and family are
     valid;
-  * ``mub verify``: numpy, ``mub``, ``finite_field`` and ``serialization``.
+  * ``mub verify``: ``mub``, ``finite_field`` and ``serialization``; a
+    ``--d`` set is verified from its integer tables, and ``--export`` and
+    ``--input`` add numpy and the bases.
 
 The package's records are plain classes, so no command loads the stdlib
 ``dataclasses`` (and with it ``inspect``); only numpy brings ``inspect`` in.
@@ -333,7 +335,8 @@ def _initial_state(spec: str, d: int) -> tuple[list, Optional[range]]:
     ``max-mixed`` is I/d, which every basis keeps. ``mub:ALPHA:J`` is vector
     J of basis ALPHA, which basis ALPHA keeps; its entries are
     w^((k_x - k_y) mod m)/d with the integer phase row k of
-    ``mub._phase_row`` (for ALPHA = 0, |J><J|). Neither imports numpy or
+    ``mub._phase_row`` and w^r from ``mub._roots``, the root table of the
+    bases (for ALPHA = 0, |J><J|). Neither imports numpy or
     builds a basis. A state file is read and validated with numpy, and no
     basis is known to keep it (None). Every refusal of the state comes here,
     before any work.
@@ -342,7 +345,7 @@ def _initial_state(spec: str, d: int) -> tuple[list, Optional[range]]:
         return [[[1.0 / d if x == y else 0.0, 0.0] for y in range(d)] for x in range(d)], range(d + 1)
     if spec.startswith("mub:"):
         from .finite_field import factor_prime_power
-        from .mub import _check_dimension, _phase_row
+        from .mub import _check_dimension, _phase_row, _roots
 
         try:
             _, alpha_s, j_s = spec.split(":")
@@ -356,10 +359,7 @@ def _initial_state(spec: str, d: int) -> tuple[list, Optional[range]]:
             rho0 = [[[1.0 if x == y == j else 0.0, 0.0] for y in range(d)] for x in range(d)]
         else:
             m, k = _phase_row(factor_prime_power(d), alpha, j)
-            # w^r / d; for m = 4 the roots are exact and their zeros are +0.0
-            roots = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)] if m == 4 else [
-                (math.cos(2 * math.pi * r / m), math.sin(2 * math.pi * r / m)) for r in range(m)]
-            roots = [(re / d, im / d) for re, im in roots]
+            roots = [(r.real / d, r.imag / d) for r in _roots(m)]  # w^r / d
             rho0 = [[list(roots[(kx - ky) % m]) for ky in k] for kx in k]
         return rho0, range(alpha, alpha + 1)
     from .dynmaps import validate_density_matrix

@@ -1,9 +1,9 @@
 """Mutually unbiased bases: build, verify, cache and serialize.
 
 For a prime-power dimension d this module constructs d+1 orthonormal bases
-with |<a|b>|^2 = 1/d across any two distinct bases. ``MixtureMap.apply``
-dephases in them, and ``paulimix.oracle`` builds from them the phase
-unitaries whose powers are the eigenoperators of every map.
+with |<a|b>|^2 = 1/d across any two distinct bases. ``MixtureMap.dephased``
+dephases a state file in them, and ``paulimix.oracle`` builds from them the
+phase unitaries whose powers are the eigenoperators of every map.
 
 Construction: one for every prime power q = p^k. Vector b of basis a+1
 (a, b, x running over q elements) has amplitudes
@@ -14,24 +14,35 @@ integer bilinear trace form over Z_m:
   * q = 2^k: m = 4, y(x) = x and c = 2, over the Teichmuller set of the
     Galois ring GR(4, k) = Z4[x]/(f) (the quartic phases of Klappenecker &
     Roetteler, LNCS 2948, 2004),
-and basis 0 is always the computational basis. Nothing downstream trusts
-the construction: ``verify_mub`` measures the actual deviations. Basis sets
-are built or read only up to d = 128, where verifying one takes seconds.
+and basis 0 is always the computational basis. Basis sets are built or
+read only up to d = 128.
 
 Basis vectors are the *columns* of each basis matrix. The first amplitude
 of every vector is 1/sqrt(d) (basis 0: 1), by construction (x = 0 gives
 exponent 0), so serialized output is reproducible without a phase pass.
 
 The integer tables of the trace form come from one pure-Python helper,
-``_trace_form``. ``_phase_bases`` multiplies them in numpy for every basis;
-``_phase_row`` reads the exponents of one vector from them, which is all
-``evolve`` needs for a ``mub:`` state. numpy is imported inside the
-functions that use it, so importing this module loads none.
+``_trace_form``, and every w^r from one root table, ``_roots``. A set from
+``build_mub`` holds the tables; ``_phase_bases`` forms its float array in
+numpy only when ``bases`` is read. ``_phase_row`` reads the exponents of
+one vector from the tables, which is all ``evolve`` needs for a ``mub:``
+state. numpy is imported inside the functions that use it, so importing
+this module loads none.
+
+Nothing downstream trusts the construction: ``verify_mub`` measures the
+deviations. For a set that holds tables it measures every overlap, in pure
+Python, as a character sum over the root table: the exponents are linear
+in the labels, so the overlap of two vectors depends only on the
+difference of their labels (Klappenecker & Roetteler prove the bases
+unbiased with these sums). For a set read from a file, which holds only
+floats, it takes the Gram products of the array.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import cached_property, lru_cache
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .errors import Frozen, ValidationError
@@ -49,18 +60,35 @@ if TYPE_CHECKING:
     import numpy as np
 
 MUB_TOLERANCE = 1e-12
-# build_mub and mub_from_payload refuse d above this. verify_mub costs about
-# d^5: 0.2 s at d = 64 and 4.7 s at d = 128 (build_mub 9 ms and 80 ms),
-# in one process with one BLAS thread on a 2-core VM; the bases take
-# (d+1) d^2 complex values, 34 MB at d = 128
+# build_mub and mub_from_payload refuse d above this. From a set's tables
+# verify_mub takes 10 ms at d = 64, 0.29 s at d = 127 and 32 ms at d = 128
+# (build_mub 2-7 ms); the Gram products of a set read from a file cost about
+# d^5: 0.13 s at d = 64 and 2.0 s at d = 128, in one process with one BLAS
+# thread on a 2-core VM. The bases take (d+1) d^2 complex values, 34 MB at
+# d = 128
 _MAX_D = 128
 
 
 class MubSet(Frozen):
-    """d+1 bases for dimension d; ``bases[alpha][:, j]`` is vector j."""
+    """d+1 bases for dimension d; ``bases[alpha][:, j]`` is vector j.
 
-    def __init__(self, dim: PrimePowerDim, bases: np.ndarray) -> None:
-        vars(self).update(dim=dim, bases=bases)  # bases: shape (d+1, d, d), complex
+    A set holds the ``_trace_form`` tables of the construction, or only its
+    float array. With tables, ``bases`` is formed from them the first time
+    it is read.
+    """
+
+    def __init__(self, dim: PrimePowerDim, bases: np.ndarray | None = None, tables: tuple | None = None) -> None:
+        if bases is None and tables is None:
+            raise ValueError("a MubSet needs its bases or its tables")
+        vars(self).update(dim=dim, bases=bases, tables=tables)  # bases: shape (d+1, d, d), complex
+        if bases is None:
+            del vars(self)["bases"]
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        bases = _phase_bases(self.dim, self.tables)
+        bases.setflags(write=False)
+        return bases
 
     @property
     def d(self) -> int:
@@ -131,18 +159,27 @@ def _trace_form(dim: PrimePowerDim) -> tuple[int, int, list, list, list]:
     return m, c, elements, ys, tmat
 
 
-def _phase_bases(dim: PrimePowerDim) -> np.ndarray:
+def _roots(m: int) -> list[complex]:
+    """The root table [w^r for r < m], w = exp(2 pi i / m), from math.cos and math.sin.
+
+    The quarter roots (m = 4) are exact, with +0.0 for their zero parts.
+    """
+    if m == 4:
+        return [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0)]
+    return [complex(math.cos(2 * math.pi * r / m), math.sin(2 * math.pi * r / m)) for r in range(m)]
+
+
+def _phase_bases(dim: PrimePowerDim, tables: tuple) -> np.ndarray:
     """Basis 0 = I, then basis a+1 with entry [x, b] w^(tr(a y(x)) + c tr(b x)) / sqrt(q).
 
     The exponents of all bases come from two integer matrix products over
-    the tables of ``_trace_form``.
+    the tables of ``_trace_form``, and w^r from ``_roots``.
     """
     import numpy as np
 
     q = dim.q
-    m, c, elements, ys, tmat = _trace_form(dim)
-    # -1j has real part -0.0; + 0.0 clears the sign
-    roots = np.array([1, 1j, -1, -1j]) + 0.0 if m == 4 else np.exp(2j * np.pi * np.arange(m) / m)
+    m, c, elements, ys, tmat = tables
+    roots = np.array(_roots(m))
     tmat = np.array(tmat, dtype=np.int64)
     vecs = np.array(elements, dtype=np.int64)  # (q, k)
     tr_ay = vecs @ tmat @ np.array(ys, dtype=np.int64).T  # [a, x] -> tr(a y(x))
@@ -184,42 +221,158 @@ def build_mub(dim: PrimePowerDim) -> MubSet:
     Basis 0 is the computational basis. Raises ValidationError beyond _MAX_D.
     """
     _check_dimension(dim.q)
-    bases = _phase_bases(dim)
-    bases.setflags(write=False)
-    return MubSet(dim=dim, bases=bases)
+    return MubSet(dim=dim, tables=_trace_form(dim))
 
 
 def verify_mub(m: MubSet, tol: float = MUB_TOLERANCE) -> MubVerification:
     """Measure orthonormality and unbiasedness deviations of a basis set.
 
-    Reports max |B^dag B - I| entry over bases and
-    max | |<a|b>|^2 - 1/d | over all cross-basis vector pairs. A negative
-    ``tol`` would fail every set, so it is refused. The last digits of the
-    deviations depend on the BLAS kernel (``OPENBLAS_CORETYPE``); ``passed`` does not.
+    Reports max |<u|v> - [u = v]| over the vector pairs of each basis (the
+    entries of B^dag B - I) and max | |<u|v>|^2 - 1/d | over all cross-basis
+    vector pairs. A set that holds tables is measured from them by
+    ``_character_deviations``, in pure Python. A set that holds only floats
+    is measured by the Gram products of its array, whose last digits depend
+    on the BLAS kernel (``OPENBLAS_CORETYPE``); ``passed`` does not. A
+    negative ``tol`` would fail every set, so it is refused.
     """
-    import numpy as np
-
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")
-    d = m.bases.shape[1]
-    ortho = 0.0
-    eye = np.eye(d)
-    for basis in m.bases:
-        gram = basis.conj().T @ basis
-        ortho = max(ortho, float(np.max(np.abs(gram - eye))))
-    unbiased = 0.0
-    n_bases = m.bases.shape[0]
-    for alpha in range(n_bases):
-        for beta in range(alpha + 1, n_bases):
-            overlaps = m.bases[alpha].conj().T @ m.bases[beta]
-            dev = np.max(np.abs(np.abs(overlaps) ** 2 - 1.0 / d))
-            unbiased = max(unbiased, float(dev))
+    if m.tables is None:
+        ortho, unbiased = _gram_deviations(m.bases)
+    else:
+        ortho, unbiased = _character_deviations(m.d, m.tables)
     return MubVerification(
-        d=d,
+        d=m.d,
         tol=tol,
         max_orthonormality_deviation=ortho,
         max_unbiasedness_deviation=unbiased,
     )
+
+
+def _gram_deviations(bases: np.ndarray) -> tuple[float, float]:
+    """(orthonormality, unbiasedness) deviations from the products of every pair of bases, O(d^5)."""
+    import numpy as np
+
+    d = bases.shape[1]
+    ortho = 0.0
+    eye = np.eye(d)
+    for basis in bases:
+        gram = basis.conj().T @ basis
+        ortho = max(ortho, float(np.max(np.abs(gram - eye))))
+    unbiased = 0.0
+    n_bases = bases.shape[0]
+    for alpha in range(n_bases):
+        for beta in range(alpha + 1, n_bases):
+            overlaps = bases[alpha].conj().T @ bases[beta]
+            dev = np.max(np.abs(np.abs(overlaps) ** 2 - 1.0 / d))
+            unbiased = max(unbiased, float(dev))
+    return ortho, unbiased
+
+
+def _character_deviations(q: int, tables: tuple) -> tuple[float, float]:
+    """(orthonormality, unbiasedness) deviations of the set the tables define, from character sums.
+
+    With u(x) = tmat x and w(x) = tmat y(x) over Z_m, vector b of basis a+1
+    is r^(a.w(x) + c b.u(x)) / sqrt(q), r = ``_roots(m)``. So two vectors
+    overlap by S/q with the character sum S = sum_x r^(g.w(x) + e.u(x)),
+    which depends only on the labels' differences g = a' - a and
+    e = c (b' - b). Basis 0 against basis a+1 overlaps by one amplitude, a
+    root over sqrt(q). Tables with m = 4, c = 2 and y(x) = x mod 2, as for
+    q = 2^k, take the sums by Walsh-Hadamard transforms (``_walsh_sums``);
+    any others take them one by one (``_direct_sums``).
+    """
+    m, c, elements, ys, tmat = tables
+    u = [_exponents(tmat, x, m) for x in elements]
+    w = [_exponents(tmat, y, m) for y in ys]
+    roots = _roots(m)
+    basis_0 = max(abs(r.real * r.real + r.imag * r.imag - 1.0) for r in roots) / q
+    walsh = (
+        m == 4
+        and c == 2
+        and len({tuple(v % 2 for v in x) for x in elements}) == q
+        and all(wi % 2 == ui % 2 for wx, ux in zip(w, u) for wi, ui in zip(wx, ux))
+    )
+    sums = _walsh_sums(q, u, w) if walsh else _direct_sums(q, m, c, elements, u, w, roots)
+    ortho = unbiased = 0.0
+    for same, s in sums:
+        if same is None:  # two vectors of different bases
+            unbiased = max(unbiased, abs(s.real * s.real + s.imag * s.imag - q))
+        else:  # two vectors of one basis, the same vector if ``same``
+            re = s.real - q if same else s.real
+            ortho = max(ortho, math.sqrt(re * re + s.imag * s.imag))
+    return ortho / q, max(basis_0, unbiased / (q * q))
+
+
+def _exponents(vecs: list, g, m: int) -> list[int]:
+    """[g.v mod m for v in vecs]."""
+    return [sum(gi * vi for gi, vi in zip(g, v)) % m for v in vecs]
+
+
+def _direct_sums(q: int, m: int, c: int, elements: list, u: list, w: list, roots: list):
+    """Each character sum once per pair of label differences (g, e), O(q) apiece: O(q^3) for odd q.
+
+    Yields (same, S): ``same`` is None for two bases, else whether the two
+    vectors of one basis are one. The sums are exactly rounded (math.fsum).
+    """
+    gs = {tuple((s - t) % m for s, t in zip(a, b)) for i, a in enumerate(elements)
+          for j, b in enumerate(elements) if i != j}
+    es = [_exponents(u, e, m) for e in {tuple(c * v % m for v in g) for g in gs}]
+    # every exponent sum is below 2m, so the doubled table needs no reduction
+    re = [r.real for r in roots] * 2
+    im = [r.imag for r in roots] * 2
+
+    def char_sum(s, t):
+        idx = list(map(add, s, t))
+        return complex(math.fsum(map(re.__getitem__, idx)), math.fsum(map(im.__getitem__, idx)))
+
+    zeros = [0] * q
+    yield True, char_sum(zeros, zeros)
+    for t in es:
+        yield False, char_sum(zeros, t)
+    es.append(zeros)  # b' = b
+    for g in gs:
+        s = _exponents(w, g, m)
+        for t in es:
+            yield None, char_sum(s, t)
+
+
+def _walsh(v: list) -> list:
+    """The Walsh-Hadamard transform of v, len(v) a power of 2, in place: sum_z v[z] (-1)^popcount(j & z) at j."""
+    n, h = len(v), 1
+    while h < n:
+        for i in range(0, n, 2 * h):
+            lo, hi = v[i:i + h], v[i + h:i + 2 * h]
+            v[i:i + h] = map(add, lo, hi)
+            v[i + h:i + 2 * h] = map(sub, lo, hi)
+        h *= 2
+    return v
+
+
+def _walsh_sums(q: int, u: list, w: list):
+    """The character sums for m = 4 and c = 2, one Walsh-Hadamard transform per g mod 2: O(q^2 log q).
+
+    Needs labels distinct mod 2, and w(x) = u(x) mod 2, as for y(x) = x.
+    Split g = g0 + 2 g1 digit by digit; e = 2 (b' - b). Then
+    S = sum_x i^(g0.w(x)) (-1)^((g1 + b' - b).u(x)), the transform at
+    g1 + b' - b (mod 2) of i^(g0.w(x)) placed at u(x) mod 2. As b and b'
+    run over the labels, b' - b runs over all of Z_2^k (0 only for b = b'),
+    so the transform for g0 holds every overlap of every pair of bases whose
+    labels differ by g0 mod 2: g0 = 0 for a basis with itself, every other
+    g0 for two bases. Each sum is a Gaussian integer, exact in floats.
+    """
+    k = len(u[0])
+    place = [sum((ui % 2) << i for i, ui in enumerate(ux)) for ux in u]
+    powers_of_i = _roots(4) * k  # g0.w(x) < 4k
+    exps = [[0] * q]  # exps[g0][x] = g0.w(x), g0 read as k bits
+    for i in range(k):
+        column = [wx[i] for wx in w]
+        exps += [list(map(add, e, column)) for e in exps]
+    for g0, e in enumerate(exps):
+        v = [0j] * q
+        for z, r in zip(place, e):
+            v[z] += powers_of_i[r]
+        for j, s in enumerate(_walsh(v)):
+            yield (None if g0 else j == 0), s
 
 
 @lru_cache(maxsize=None)

@@ -722,7 +722,7 @@ def test_a_refused_mub_verify_leaves_its_export_as_it_was(tmp_path):
 
 
 def test_mub_verify_exports_the_same_bases_under_another_blas_kernel(tmp_path):
-    # the printed deviations come from BLAS products and may differ in their last digits
+    # neither the bases nor a --d report comes from a BLAS product
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_CORETYPE", None)
     runs = []
@@ -731,9 +731,9 @@ def test_mub_verify_exports_the_same_bases_under_another_blas_kernel(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "paulimix.cli", "mub", "verify", "--d", "27", "--export",
                                str(export)], env={**env, **kernel}, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        runs.append((export.read_bytes(), json.loads(proc.stdout)["passed"]))
+        runs.append((export.read_bytes(), proc.stdout))
     assert runs[0] == runs[1]
-    assert runs[0][1] is True
+    assert json.loads(runs[0][1])["passed"] is True
 
 
 _TO_A_CLOSED_PIPE = {
@@ -981,7 +981,7 @@ def test_byte_identical_reruns(runner):
 # sha256 of stdout for one fixed call of each command that prints no float from
 # BLAS or a random stream; a change that alters any printed byte fails here.
 # The digests were taken on Linux: the singular times and rates, and the roots
-# of unity of an evolved MUB state at odd d, go through its libm.
+# of unity of an evolved MUB state and of a verified MUB set at odd d, go through its libm.
 # The singular-time calls at d = 32, on a coarse grid and within 1e-13 of a
 # family's band were pinned from the per-index scan, before the one-pass rewrite.
 # evolve with a MUB or maximally mixed state is pure Python; a state file is not.
@@ -1054,6 +1054,11 @@ _STDOUT_SHA256 = {
         ["evolve", "--d", "4", "--family", "plateau", "--t-sharp", "0.7", "--weights", "0.1,0.2,0.3,0.15,0.25",
          "--steps", "3"],
         "179e6e2c79d649729749d0349c013354d0250961d8ba6106acef5aa9af21cac4"),
+    # mub verify --d is pure Python: character sums in math.fsum, exact for 2^k
+    "mub-verify-d27": (["mub", "verify", "--d", "27"],
+                       "4fa808f275c6662028870296eafc710b216c01cab92db2c8d79a9958059141ab"),
+    "mub-verify-d32": (["mub", "verify", "--d", "32"],
+                       "c2eee35e69a713040d84841826b72e4677c2e30a93d3dae3577a3741dde57887"),
 }
 
 

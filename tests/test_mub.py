@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from paulimix import mub as mub_mod
+from paulimix.cli import _initial_state
 from paulimix.errors import NotPrimePowerError, ValidationError
 from paulimix.finite_field import (
     PrimePowerDim,
@@ -18,7 +20,12 @@ from paulimix.finite_field import (
 from paulimix.mub import (
     _MAX_D,
     MubSet,
+    _character_deviations,
+    _direct_sums,
+    _phase_bases,
     _phase_row,
+    _roots,
+    _trace_form,
     build_mub,
     cached_mub,
     mub_from_payload,
@@ -31,7 +38,9 @@ PRIME_POWERS_LE_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 3
 
 # sha256 of the bases' bytes for every prime power d up to the limit of 128,
 # recorded before the field layer moved to integer indices; 29 and 73 since
-# the phase pass, which put every amplitude of bases 1..d one ulp low there, went
+# the phase pass, which put every amplitude of bases 1..d one ulp low there, went;
+# the odd primes whose roots math.cos/math.sin round otherwise than numpy's
+# vectorized exp since the bases read w^r from the one root table, mub._roots
 BASIS_SHA256 = {
     2: "b9d9f13c056e51c9795cf0e33dd6ddd1074792360b1236348ab016463bfde4b2",
     3: "a6398970eb42061bb9c40dd693b45e29a0985b2669fc6c6b3e9ada1eea10db2f",
@@ -40,42 +49,42 @@ BASIS_SHA256 = {
     7: "a2aa4145626dbd6afe00404ed153c7361dc50f5b057cb81bcbdf58dba7c5c182",
     8: "43a8ad05e198c423878d02d71aebd2eda4ff1ed6289af044ee1d14e8a239a28f",
     9: "ef80fee18c106d333e4a1d75e4dd1783d70c2a9b9fa2a74fcf126cc11b7c9d7e",
-    11: "d5f6fc0399802d20c024f726275a59677d76fbc0f86ddfcf7a68506b7f8eee0f",
-    13: "8b4b49d1fefa3dcb4324645799dfeb760eb621425df7058234ab1ec62d9caaab",
+    11: "3db96c41fec2b7f90ef756d5d6d291dea2dba7081af8c45c895b251ab95ded15",
+    13: "2ab7f8941b4b173c74eaa643fa619ccaee0f33a1a7fd317a0f0e64e103ea7176",
     16: "cca0e29361bf2856825d3a9218f575dc5028c51f3002782acee481ebb28bb8ee",
-    17: "1464e0a686c6df1db76f4dfdf01627f16fac7a8d4f69afe933d0162c11c4b614",
-    19: "5ccd45bf3149bab2a7c4c47c324a853731bcd57897765aab5828224fb6f6c4a6",
-    23: "b17a7b09e713fea001c84002929006a3b2e2c4900308c66e78db928524d3fbd0",
+    17: "ff33e0fddb1a931d023a1e4f6d0f2f15f6aeb00ac67034347f8bd4ef5b7b1b8d",
+    19: "fc92ec984e4b9d6f1d936c75b08f4fc9abfe5cb9d21ec95435f9bdf20269771e",
+    23: "c82c5d00b597d41bab194fe42569c8eb07983eaf2b626b1dc319ab8c707db25e",
     25: "9b41db0be0e69dcc83db0c0b8d2263eefca837b9a441c54d6267976a4ef7fde8",
     27: "088f7ad3743775e2469ff566d5f376908d2d00e68e167165457bfdb19e119d85",
-    29: "f416c66fce56bd4edff882013017a0faec46e3703fbbbce904242777b4e5410f",
-    31: "79cb410917dbce5985474f8e017e7519569a2487dc9f2117ce7b87e8b0cd7e26",
+    29: "d57c5f9c54db7a2890dd6c6ae5a4221c83018c2b152fb5004efb6ea20d374ffb",
+    31: "886cef73481c9eaf08010bcdecb1c7f875f43d7637a690c39f3aab6f68e518f4",
     32: "1e5d52230ea2d1df9a2105cd167b4024f91d72fa47d311131db8479d54c7edf0",
-    37: "4e8813dd51ae03442090df6005c6598d7fce2aa328803a449f1ec8b5f01a935f",
-    41: "db272966474ad010180b355906ed62f850d6bf8d53a01616a96666ebdb83333f",
-    43: "d9fb1c28895ba7c36ff0063e31101b00c421b90f9b22689c9838d3e5b3874908",
-    47: "82d5d1236dfbe4fbbffcd70a0ff9a08a3b68460137d0ec81282a34f0adae3ea3",
+    37: "8ea829578f90ea2f148fe56ac4c145ae80948a7faf6dbf305b65aa9c2351c3ef",
+    41: "026269a81c3167571c958548186cc4ce381e2065180fbdc05c672dcd65002467",
+    43: "e834e3952dd996c3a96d765c6dc98e24f01daba6fbaf40937ccfd9f832c4de61",
+    47: "97fbed3c30e4d581935513e7edf6cf1e22daf52ff8d9fcf2eb765b231d68cbd3",
     49: "d8f91773536441c4aac0e726f37fb4835d6a8bc4b72e4624057db75c9c191237",
-    53: "f66a4fde85a6c0661038bcd0cf42f6861521008537d915954d073b3df141c882",
-    59: "34e7496c191bf2c6a19cfbbd53759cde2a812be391d753f271d4fc777801b77b",
-    61: "4537480cbd71f4e9d19eaaef41d0a0614956932fbb037e5c354b6ce161531542",
+    53: "cd10ef98f209b27b990a3716a9150d70c248dbdaac74cb20376978a9274d2504",
+    59: "2e8a0306fe0303cc2c517ac59380f03b444df7c636ee9a3be8a38a4b8e811f23",
+    61: "25aa84cb9473f46e46a9fab1d1d452c51488ce30d73a24c34894f1e8a9ea2f42",
     64: "f1474cc1f750d5bf0cef1b859943e8f85c616a08bcb564475d900008d864bcc6",
-    67: "6da0556bfc9c725831b44f216ed967509a07083f9ef2a665e211c6da715f9837",
-    71: "0bd114ed545515042ef4ffc6cabc884cc3dbd99bddc707285386ce75c5c0f689",
-    73: "699ee3716da10bf2cba487d8130332ac0b7b4c9d3708c3a59443d7f6f2d7236f",
-    79: "ac66f54103869d1822cb6f469c1b907d7eecb228fca22260cf72c82df9dcb755",
+    67: "eab7fb34365ba1d922a37b5b25789cebf7c35b10009560795ae40667952b8330",
+    71: "d84d4f748ee304fe3c221947803ed792c16e39c7e641acd1fa33c577659c44f6",
+    73: "29d376c32784c946d5d4e8980e6c93780d9f469034851a12b44a6c05722aee7f",
+    79: "8d341fe46dd4483d101736a96e89951f1d1761dc002957c2f05d915a1353e42f",
     81: "55e5a7270662530a4bdb66423ab1e958118e83903c9eb6ad9270e2053d1fabda",
-    83: "90fea9f7d69ed93bf1bec9fe7529cd163caeb88975266e8187f16bee61ea3147",
-    89: "5bdaada4ed1ea35b45e390db27171cd16282e900dee2584fb98c9607aab86cfe",
-    97: "75bdb29739c54f38250c829ddf44ae3d9988d1f3b60d13efb86ebbfd21e3690b",
-    101: "f993f4e6ca2152edf17f49d7db7eb2abe13abbf066f0142a5a3ae52a29276bc7",
-    103: "ef19b8b0440f2a6951e293e8b34671d04fdce9490b1a8657774f85a064f7e3ad",
-    107: "b4307d892f16af8b690e92beac63160a286f96b36e8e4af4f3cc056168556ba7",
-    109: "c21f9e17d05267f202b9149b070d4fb1fd756246830f306e3a8c0987a752d728",
-    113: "32721cb2d906d220f4816027db0551273f7a396994c97a1135a042f7fcbec3ad",
-    121: "9f801a4868365d8021b6a743457c8afb944d38a275bc537eb188d8eec1ecb07e",
+    83: "f664d356bac115faaf32963ea2ba76f57c3a2f2475dfb3577127d339b1b96b3e",
+    89: "fa17ba5d49da33735183e601ddfd1b736c11081445d6cc0cd7f0b1d15ab40a5d",
+    97: "7cce4e5566df90e79037c2eeb8366065ebc9ce755eb4c6b2c76ebed3b91e8814",
+    101: "666aa3b26fda426849fc91deb48b9391a7ff43ba446d22495db8e8839cc40df3",
+    103: "0bf6bcaae016bc39d278c4e0b6bc50741fa08bc67cd846af5819e0e4867a958b",
+    107: "6b203299b6ebf6aa804eb53f5df82bcb3c5587b2774761843c3bf35effb2bd1d",
+    109: "7ae92f9c5991ec4b1094d9c31c321e50de681b2137be593788a5ac0df30fbf62",
+    113: "0558e65291d6e4ea8e0b6b12370a29316f529ce1d8a10f98f898cfa7158f5839",
+    121: "a65e7c83c0ec163583f9ed15c82dcaa870313590c4b2e2f24b5357951ccf145a",
     125: "7b00d32dfc75d1512b5672b243cf77fc8ef8b9d92aee5ce8ec57517912bb1af9",
-    127: "2ef76d036604d38f6e21edb62a6ca6edaff6fa33ee0938c661cafb41c44e9e72",
+    127: "6aac02a2a8ab535d082853089c4c74d9a528be91b9766fd6243ececb5172cc1a",
     128: "2186c23e4b131fd98e90704d13ad3dc50c4294ffef559f5736182b2cf1d7441d",
 }
 
@@ -251,6 +260,94 @@ def test_the_pins_reach_the_limit():
         build_mub(factor_prime_power(131))
 
 
+
+def test_the_root_table_is_exact_for_quarter_roots_and_cos_sin_otherwise():
+    quarter = _roots(4)
+    assert quarter == [1, 1j, -1, -1j]
+    assert not any(math.copysign(1.0, part) < 0 for r in quarter for part in (r.real, r.imag) if part == 0)
+    for m in (3, 11, 127):
+        assert _roots(m) == [complex(math.cos(2 * math.pi * r / m), math.sin(2 * math.pi * r / m)) for r in range(m)]
+
+
+@pytest.mark.parametrize("d", [4, 11, 13, 127])
+def test_the_bases_and_a_mub_state_read_one_root_table(d):
+    # numpy's vectorized exp rounds some roots of 11, 13 and 127 otherwise than math.cos/math.sin
+    dim = factor_prime_power(d)
+    bases = build_mub(dim).bases
+    for alpha, j in _sampled_vectors(d):
+        m, k = _phase_row(dim, alpha, j)
+        roots = _roots(m)
+        assert np.array_equal(bases[alpha][:, j], np.array(roots)[k] / np.sqrt(d))
+        rho0, _ = _initial_state(f"mub:{alpha}:{j}", d)
+        assert [row[0] for row in rho0] == [[roots[r].real / d, roots[r].imag / d] for r in k]  # k[0] = 0
+
+
+# --- verify_mub from the tables: character sums against the Gram products ----------
+
+
+@pytest.mark.parametrize("d", [d for d in BASIS_SHA256 if d <= 64] + [127, 128])
+def test_the_character_route_agrees_with_the_gram_route(d):
+    built = build_mub(factor_prime_power(d))
+    by_tables = verify_mub(built)
+    by_gram = verify_mub(MubSet(dim=built.dim, bases=built.bases))
+    assert by_tables.passed and by_gram.passed
+    assert by_tables.max_orthonormality_deviation <= 1e-15
+    assert by_tables.max_unbiasedness_deviation <= 1e-15
+    # a Gram entry adds d products of size 1/d in floats: it read 1.1e-15 at d = 59 and
+    # 1.6e-15 at d = 127 under one x86-64 machine's default OpenBLAS kernel, and at
+    # most d eps / 2 (eps = 2^-52) at every d
+    assert by_gram.max_orthonormality_deviation <= d * 2**-52
+    assert by_gram.max_unbiasedness_deviation <= d * 2**-52
+    if d % 2 == 0:  # Gaussian integers, exact in floats
+        assert by_tables.max_orthonormality_deviation == by_tables.max_unbiasedness_deviation == 0.0
+
+
+@pytest.mark.parametrize("d", BASIS_SHA256)
+def test_every_built_set_passes_from_its_tables_without_forming_the_bases(d):
+    built = build_mub(factor_prime_power(d))
+    report = verify_mub(built)
+    assert report.passed
+    assert "bases" not in vars(built)
+    if d % 2 == 0:
+        assert report.max_orthonormality_deviation == report.max_unbiasedness_deviation == 0.0
+
+
+def _broken_tables(d, corruption):
+    m, c, elements, ys, tmat = _trace_form(factor_prime_power(d))
+    if corruption == "y(x) = x":
+        ys = elements
+    elif corruption == "y(x) = 0":  # every phase basis is one basis: worst at b' = b
+        ys = [elements[0]] * len(elements)
+    elif corruption == "c = 1":
+        c = 1
+    else:  # "y(1) + 2": the Walsh route still takes it, since y(x) = x mod 2
+        ys = list(ys)
+        ys[1] = ((ys[1][0] + 2) % 4,) + ys[1][1:]
+    return m, c, elements, ys, tmat
+
+
+@pytest.mark.parametrize("d, corruption", [(5, "y(x) = x"), (9, "y(x) = x"), (7, "y(x) = 0"), (4, "c = 1"),
+                                           (8, "c = 1"), (8, "y(1) + 2"), (16, "y(1) + 2")])
+def test_the_character_route_measures_broken_tables(d, corruption):
+    dim = factor_prime_power(d)
+    broken = MubSet(dim=dim, tables=_broken_tables(d, corruption))
+    by_tables = verify_mub(broken)
+    by_gram = verify_mub(MubSet(dim=dim, bases=_phase_bases(dim, broken.tables)))
+    assert not by_tables.passed and not by_gram.passed
+    for name in ("max_orthonormality_deviation", "max_unbiasedness_deviation"):
+        assert getattr(by_tables, name) == pytest.approx(getattr(by_gram, name), abs=1e-12), name
+
+
+@pytest.mark.parametrize("d, corruption", [(2, None), (8, None), (16, None), (8, "y(1) + 2"), (16, "y(1) + 2")])
+def test_the_walsh_route_gives_the_direct_sums_exactly(monkeypatch, d, corruption):
+    tables = _trace_form(factor_prime_power(d)) if corruption is None else _broken_tables(d, corruption)
+    walsh = _character_deviations(d, tables)
+    elements = tables[2]
+    monkeypatch.setattr(mub_mod, "_walsh_sums", lambda q, u, w: _direct_sums(q, 4, 2, elements, u, w, _roots(4)))
+    assert _character_deviations(d, tables) == walsh
+    assert (walsh == (0.0, 0.0)) == (corruption is None)
+
+
 # --- the two constructions that _phase_bases replaced, kept as references ----------
 
 
@@ -265,7 +362,7 @@ def _odd_prime_power_bases(dim: PrimePowerDim) -> np.ndarray:
     square_idx = mul_idx.diagonal()
     tr_bs = trace_vec[mul_idx]  # [s, b] -> tr(b s)
 
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    roots = np.array(_roots(p))  # the one root table, which the bases share with evolve
     bases = np.empty((q + 1, q, q), dtype=complex)
     bases[0] = np.eye(q, dtype=complex)
     for a in range(q):
@@ -327,7 +424,9 @@ def test_one_construction_keeps_the_payloads(d):
     dim = factor_prime_power(d)
     new, old = build_mub(dim), _reference_mub(dim)
     assert dumps_canonical(new.to_payload()) == dumps_canonical(old.to_payload())
-    assert dumps_canonical(verify_mub(new).to_payload()) == dumps_canonical(verify_mub(old).to_payload())
+    # the same floats give the same Gram report; ``new`` itself is verified from its tables
+    floats = MubSet(dim=dim, bases=new.bases)
+    assert dumps_canonical(verify_mub(floats).to_payload()) == dumps_canonical(verify_mub(old).to_payload())
 
 
 @pytest.mark.parametrize("d", BASIS_SHA256)

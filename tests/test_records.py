@@ -85,7 +85,8 @@ SIGNATURES = {
     MeasureResult: [("d", _EMPTY), ("n", _EMPTY), ("delta", _EMPTY), ("method", _EMPTY),
                     ("samples", None), ("stderr", None), ("seed", None)],
     SweepRow: [("d", _EMPTY), ("delta", _EMPTY), ("log10_delta", _EMPTY)],
-    MubSet: [("dim", _EMPTY), ("bases", _EMPTY)],
+    # a built set holds its trace-form tables instead, and forms the bases when they are read
+    MubSet: [("dim", _EMPTY), ("bases", None), ("tables", None)],
     MubVerification: [("d", _EMPTY), ("tol", _EMPTY), ("max_orthonormality_deviation", _EMPTY),
                       ("max_unbiasedness_deviation", _EMPTY)],
     KrausSet: [("operators", _EMPTY)],

@@ -76,6 +76,9 @@ WITHOUT_NUMPY = {
     "evolve-mub-state": (
         ["evolve", "--d", "8", "--n", "1.1", "--weights", ",".join(["0.1"] * 7 + ["0.15"] * 2), "--state", "mub:3:5"],
         0),
+    # a --d set is verified from its integer tables, without its float array
+    "mub-verify": (["mub", "verify", "--d", "3"], 0),
+    "mub-verify-d8": (["mub", "verify", "--d", "8"], 0),
 }
 
 
@@ -119,7 +122,6 @@ def test_eigenvalue_commands_never_load_the_measure(tmp_path, args, code):
 EVERY_COMMAND = {
     **WITHOUT_NUMPY,
     "measure-mc": (["measure", "--d", "3", "--n", "1.2", "--method", "mc", "--samples", "100"], 0),
-    "mub-verify": (["mub", "verify", "--d", "3"], 0),
     "evolve": (["evolve", "--d", "3", "--n", "1.5", "--weights", _WEIGHTS, "--steps", "2"], 0),
     "help": (["--help"], 0),
     "command-help": (["cp-check", "--help"], 0),
@@ -219,6 +221,14 @@ def test_mub_verify_loads_no_map_or_measure_module(tmp_path):
     assert code == 0
     assert "paulimix.mub" in modules
     assert not modules & {"paulimix.dynmaps", "paulimix.invertibility", "paulimix.measure", "paulimix.oracle"}
+
+
+def test_mub_verify_loads_numpy_to_write_or_read_the_bases(tmp_path):
+    export = str(tmp_path / "mub5.json")
+    for args in (["mub", "verify", "--d", "5", "--export", export], ["mub", "verify", "--input", export]):
+        code, modules = _run_isolated(args, tmp_path)
+        assert code == 0
+        assert "numpy" in modules
 
 
 def test_evolve_reads_the_bases_but_never_loads_the_dense_oracle(tmp_path):
