@@ -333,19 +333,17 @@ def _initial_state(spec: str, d: int) -> tuple[list, Optional[range]]:
     """The ``--state`` as rows of [re, im] pairs, and the bases whose dephasing keeps it.
 
     ``max-mixed`` is I/d, which every basis keeps. ``mub:ALPHA:J`` is vector
-    J of basis ALPHA, which basis ALPHA keeps; its entries are
-    w^((k_x - k_y) mod m)/d with the integer phase row k of
-    ``mub._phase_row`` and w^r from ``mub._roots``, the root table of the
-    bases (for ALPHA = 0, |J><J|). Neither imports numpy or
-    builds a basis. A state file is read and validated with numpy, and no
-    basis is known to keep it (None). Every refusal of the state comes here,
-    before any work.
+    J of basis ALPHA, which basis ALPHA keeps; ``mub.basis_state`` forms it
+    from the exponent table and the root table of the bases. Neither imports
+    numpy or builds a basis. A state file is read and validated with numpy,
+    and no basis is known to keep it (None). Every refusal of the state
+    comes here, before any work.
     """
     if spec == "max-mixed":
         return [[[1.0 / d if x == y else 0.0, 0.0] for y in range(d)] for x in range(d)], range(d + 1)
     if spec.startswith("mub:"):
         from .finite_field import factor_prime_power
-        from .mub import _check_dimension, _phase_row, _roots
+        from .mub import _check_dimension, basis_state
 
         try:
             _, alpha_s, j_s = spec.split(":")
@@ -355,13 +353,7 @@ def _initial_state(spec: str, d: int) -> tuple[list, Optional[range]]:
         _check_dimension(d)
         if not (0 <= alpha <= d and 0 <= j < d):
             raise ValidationError(f"mub state indices out of range for d={d}: {spec!r}")
-        if alpha == 0:
-            rho0 = [[[1.0 if x == y == j else 0.0, 0.0] for y in range(d)] for x in range(d)]
-        else:
-            m, k = _phase_row(factor_prime_power(d), alpha, j)
-            roots = [(r.real / d, r.imag / d) for r in _roots(m)]  # w^r / d
-            rho0 = [[list(roots[(kx - ky) % m]) for ky in k] for kx in k]
-        return rho0, range(alpha, alpha + 1)
+        return basis_state(factor_prime_power(d), alpha, j), range(alpha, alpha + 1)
     from .dynmaps import validate_density_matrix
     from .serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
 

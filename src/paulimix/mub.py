@@ -21,13 +21,14 @@ Basis vectors are the *columns* of each basis matrix. The first amplitude
 of every vector is 1/sqrt(d) (basis 0: 1), by construction (x = 0 gives
 exponent 0), so serialized output is reproducible without a phase pass.
 
-The integer tables of the trace form come from one pure-Python helper,
-``_trace_form``, and every w^r from one root table, ``_roots``. A set from
-``build_mub`` holds the tables; ``_phase_bases`` forms its float array in
-numpy only when ``bases`` is read. ``_phase_row`` reads the exponents of
-one vector from the tables, which is all ``evolve`` needs for a ``mub:``
-state. numpy is imported inside the functions that use it, so importing
-this module loads none.
+The trace form is evaluated once, in pure Python, by ``_trace_form``:
+its exponent table gives every vector's exponents as a.w[x] + c b.u[x],
+and every w^r comes from one root table, ``_roots``. A set from
+``build_mub`` holds the table; ``_phase_bases`` forms its float array in
+numpy only when ``bases`` is read. ``basis_state`` reads one vector from
+the table, which is all ``evolve`` needs for a ``mub:`` state. numpy is
+imported inside the functions that use it, so importing this module loads
+none.
 
 Nothing downstream trusts the construction: ``verify_mub`` measures the
 deviations. For a set that holds tables it measures every overlap, in pure
@@ -35,14 +36,14 @@ Python, as a character sum over the root table: the exponents are linear
 in the labels, so the overlap of two vectors depends only on the
 difference of their labels (Klappenecker & Roetteler prove the bases
 unbiased with these sums). For a set read from a file, which holds only
-floats, it takes the Gram products of the array.
+floats, all of them finite, it takes the Gram products of the array.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import Frozen, ValidationError
@@ -131,11 +132,13 @@ class MubVerification(Frozen):
 
 
 def _trace_form(dim: PrimePowerDim) -> tuple[int, int, list, list, list]:
-    """The integer tables of the construction, in Python ints: (m, c, elements, ys, tmat).
+    """The exponent table of the construction, in Python ints: (m, c, labels, u, w).
 
-    ``elements[x]`` and ``ys[x]`` = y(x) are the digit vectors over Z_m of
-    element x and of y(x). The trace is linear on them: tr(s t) = s^T tmat t
-    with tmat[i][j] = tr(x^(i+j)).
+    ``labels[x]`` is the digit vector over Z_m of element x. The trace is
+    bilinear on them, tr(s t) = s^T tmat t with tmat[i][j] = tr(x^(i+j)), so
+    with u[x] = tmat labels[x] and w[x] = tmat labels[y(x)] over Z_m,
+    tr(b x) = b.u[x] and tr(a y(x)) = a.w[x]: vector b of basis a+1 has
+    exponents a.w[x] + c b.u[x].
     """
     p, k, q = dim.p, dim.k, dim.q
     field = galois_field(p, k)
@@ -143,20 +146,21 @@ def _trace_form(dim: PrimePowerDim) -> tuple[int, int, list, list, list]:
         # the Teichmuller lift r^(2^k) in GR(4, k), whose modulus f mod 4 is
         # irreducible mod 2, of the binary representative r of each element
         m, c = 4, 2
-        elements = []
+        labels = []
         for i in range(q):
             t = _digits(i, 2, k)
             for _ in range(k):
                 t = _poly_mod(_poly_mul(t, t, 4), field.modulus, 4)
-            elements.append(t + (0,) * (k - len(t)))
-        ys = elements
+            labels.append(t + (0,) * (k - len(t)))
     else:
         m, c = p, 1
-        elements = [_digits(x, p, k) for x in range(q)]
-        ys = [elements[field.mul(x, x)] for x in range(q)]
+        labels = [_digits(x, p, k) for x in range(q)]
     traces = _power_traces(field.modulus, m, 2 * k - 1)
     tmat = [[traces[i + j] for j in range(k)] for i in range(k)]
-    return m, c, elements, ys, tmat
+    u = [_exponents(tmat, x, m) for x in labels]
+    # y(x) = x for q = 2^k, else y(x) = x^2
+    w = u if p == 2 else [u[field.mul(x, x)] for x in range(q)]
+    return m, c, labels, u, w
 
 
 def _roots(m: int) -> list[complex]:
@@ -170,20 +174,19 @@ def _roots(m: int) -> list[complex]:
 
 
 def _phase_bases(dim: PrimePowerDim, tables: tuple) -> np.ndarray:
-    """Basis 0 = I, then basis a+1 with entry [x, b] w^(tr(a y(x)) + c tr(b x)) / sqrt(q).
+    """Basis 0 = I, then basis a+1 with entry [x, b] w^(a.w[x] + c b.u[x]) / sqrt(q).
 
     The exponents of all bases come from two integer matrix products over
-    the tables of ``_trace_form``, and w^r from ``_roots``.
+    the ``_trace_form`` table, and w^r from ``_roots``.
     """
     import numpy as np
 
     q = dim.q
-    m, c, elements, ys, tmat = tables
+    m, c, labels, u, w = tables
     roots = np.array(_roots(m))
-    tmat = np.array(tmat, dtype=np.int64)
-    vecs = np.array(elements, dtype=np.int64)  # (q, k)
-    tr_ay = vecs @ tmat @ np.array(ys, dtype=np.int64).T  # [a, x] -> tr(a y(x))
-    c_tr_xb = c * (vecs @ tmat @ vecs.T)  # [x, b] -> c tr(b x)
+    labels = np.array(labels, dtype=np.int64)  # (q, k)
+    tr_ay = labels @ np.array(w, dtype=np.int64).T  # [a, x] -> a.w[x]
+    c_tr_xb = c * (np.array(u, dtype=np.int64) @ labels.T)  # [x, b] -> c b.u[x]
 
     bases = np.empty((q + 1, q, q), dtype=complex)
     bases[0] = np.eye(q, dtype=complex)
@@ -192,20 +195,23 @@ def _phase_bases(dim: PrimePowerDim, tables: tuple) -> np.ndarray:
     return bases
 
 
-def _phase_row(dim: PrimePowerDim, alpha: int, j: int) -> tuple[int, list[int]]:
-    """(m, k) with vector j of basis alpha >= 1 equal to w^k[x] / sqrt(q), w = exp(2 pi i / m).
+def basis_state(dim: PrimePowerDim, alpha: int, j: int) -> list:
+    """|v><v| for vector j of basis alpha, as rows of [re, im] pairs, in pure Python.
 
-    The same exponents as ``_phase_bases`` (a = alpha - 1, b = j), from the
-    same tables, in Python ints and without the other q^2 - 1 vectors.
+    For alpha >= 1, v[x] = w^k[x] / sqrt(q) with k[x] = a.w[x] + c b.u[x]
+    (a = alpha - 1, b = j) from the ``_trace_form`` table, so entry [x, y]
+    is w^((k[x] - k[y]) mod m) / q, with w^r from ``_roots``: the same
+    exponents and roots as ``_phase_bases``, without the other q^2 - 1
+    vectors. For alpha = 0 it is |j><j|.
     """
-    m, c, elements, ys, tmat = _trace_form(dim)
-    a, b = elements[alpha - 1], elements[j]
-    a_t = [sum(ai * row[l] for ai, row in zip(a, tmat)) for l in range(len(b))]  # a^T tmat
-    t_b = [sum(tl * bl for tl, bl in zip(row, b)) for row in tmat]  # tmat b
-    return m, [
-        (sum(u * y for u, y in zip(a_t, ys[x])) + c * sum(e * v for e, v in zip(elements[x], t_b))) % m
-        for x in range(dim.q)
-    ]
+    q = dim.q
+    if alpha == 0:
+        return [[[1.0 if x == y == j else 0.0, 0.0] for y in range(q)] for x in range(q)]
+    m, c, labels, u, w = _trace_form(dim)
+    a, b = labels[alpha - 1], labels[j]
+    k = [(sum(map(mul, a, wx)) + c * sum(map(mul, b, ux))) % m for ux, wx in zip(u, w)]
+    roots = [(r.real / q, r.imag / q) for r in _roots(m)]  # w^r / q
+    return [[list(roots[(kx - ky) % m]) for ky in k] for kx in k]
 
 
 def _check_dimension(d: int) -> None:
@@ -254,45 +260,39 @@ def _gram_deviations(bases: np.ndarray) -> tuple[float, float]:
     import numpy as np
 
     d = bases.shape[1]
-    ortho = 0.0
     eye = np.eye(d)
-    for basis in bases:
-        gram = basis.conj().T @ basis
-        ortho = max(ortho, float(np.max(np.abs(gram - eye))))
-    unbiased = 0.0
-    n_bases = bases.shape[0]
-    for alpha in range(n_bases):
-        for beta in range(alpha + 1, n_bases):
-            overlaps = bases[alpha].conj().T @ bases[beta]
-            dev = np.max(np.abs(np.abs(overlaps) ** 2 - 1.0 / d))
-            unbiased = max(unbiased, float(dev))
-    return ortho, unbiased
+    # a product past the float range is inf, and inf - inf or inf * 0 is NaN: a deviation without
+    # bound, reported as inf and not as numpy's warnings. np.max keeps a NaN, which max would drop
+    with np.errstate(invalid="ignore", over="ignore"):
+        ortho = [np.max(np.abs(basis.conj().T @ basis - eye)) for basis in bases]
+        unbiased = [np.max(np.abs(np.abs(bases[alpha].conj().T @ bases[beta]) ** 2 - 1.0 / d))
+                    for alpha in range(len(bases)) for beta in range(alpha + 1, len(bases))]
+    worst = [float(np.max(devs)) for devs in (ortho, unbiased)]
+    return tuple(math.inf if math.isnan(dev) else dev for dev in worst)
 
 
 def _character_deviations(q: int, tables: tuple) -> tuple[float, float]:
     """(orthonormality, unbiasedness) deviations of the set the tables define, from character sums.
 
-    With u(x) = tmat x and w(x) = tmat y(x) over Z_m, vector b of basis a+1
-    is r^(a.w(x) + c b.u(x)) / sqrt(q), r = ``_roots(m)``. So two vectors
-    overlap by S/q with the character sum S = sum_x r^(g.w(x) + e.u(x)),
-    which depends only on the labels' differences g = a' - a and
-    e = c (b' - b). Basis 0 against basis a+1 overlaps by one amplitude, a
-    root over sqrt(q). Tables with m = 4, c = 2 and y(x) = x mod 2, as for
+    Vector b of basis a+1 is r^(a.w[x] + c b.u[x]) / sqrt(q) over the
+    ``_trace_form`` table, r = ``_roots(m)``. So two vectors overlap by S/q
+    with the character sum S = sum_x r^(g.w[x] + e.u[x]), which depends
+    only on the labels' differences g = a' - a and e = c (b' - b). Basis 0
+    against basis a+1 overlaps by one amplitude, a root over sqrt(q). Tables
+    with m = 4, c = 2, labels distinct mod 2 and w = u mod 2, as for
     q = 2^k, take the sums by Walsh-Hadamard transforms (``_walsh_sums``);
     any others take them one by one (``_direct_sums``).
     """
-    m, c, elements, ys, tmat = tables
-    u = [_exponents(tmat, x, m) for x in elements]
-    w = [_exponents(tmat, y, m) for y in ys]
+    m, c, labels, u, w = tables
     roots = _roots(m)
     basis_0 = max(abs(r.real * r.real + r.imag * r.imag - 1.0) for r in roots) / q
     walsh = (
         m == 4
         and c == 2
-        and len({tuple(v % 2 for v in x) for x in elements}) == q
+        and len({tuple(v % 2 for v in x) for x in labels}) == q
         and all(wi % 2 == ui % 2 for wx, ux in zip(w, u) for wi, ui in zip(wx, ux))
     )
-    sums = _walsh_sums(q, u, w) if walsh else _direct_sums(q, m, c, elements, u, w, roots)
+    sums = _walsh_sums(q, u, w) if walsh else _direct_sums(q, m, c, labels, u, w, roots)
     ortho = unbiased = 0.0
     for same, s in sums:
         if same is None:  # two vectors of different bases
@@ -308,14 +308,14 @@ def _exponents(vecs: list, g, m: int) -> list[int]:
     return [sum(gi * vi for gi, vi in zip(g, v)) % m for v in vecs]
 
 
-def _direct_sums(q: int, m: int, c: int, elements: list, u: list, w: list, roots: list):
+def _direct_sums(q: int, m: int, c: int, labels: list, u: list, w: list, roots: list):
     """Each character sum once per pair of label differences (g, e), O(q) apiece: O(q^3) for odd q.
 
     Yields (same, S): ``same`` is None for two bases, else whether the two
     vectors of one basis are one. The sums are exactly rounded (math.fsum).
     """
-    gs = {tuple((s - t) % m for s, t in zip(a, b)) for i, a in enumerate(elements)
-          for j, b in enumerate(elements) if i != j}
+    gs = {tuple((s - t) % m for s, t in zip(a, b)) for i, a in enumerate(labels)
+          for j, b in enumerate(labels) if i != j}
     es = [_exponents(u, e, m) for e in {tuple(c * v % m for v in g) for g in gs}]
     # every exponent sum is below 2m, so the doubled table needs no reduction
     re = [r.real for r in roots] * 2
@@ -351,10 +351,10 @@ def _walsh(v: list) -> list:
 def _walsh_sums(q: int, u: list, w: list):
     """The character sums for m = 4 and c = 2, one Walsh-Hadamard transform per g mod 2: O(q^2 log q).
 
-    Needs labels distinct mod 2, and w(x) = u(x) mod 2, as for y(x) = x.
+    Needs labels distinct mod 2, and w[x] = u[x] mod 2, as for y(x) = x.
     Split g = g0 + 2 g1 digit by digit; e = 2 (b' - b). Then
-    S = sum_x i^(g0.w(x)) (-1)^((g1 + b' - b).u(x)), the transform at
-    g1 + b' - b (mod 2) of i^(g0.w(x)) placed at u(x) mod 2. As b and b'
+    S = sum_x i^(g0.w[x]) (-1)^((g1 + b' - b).u[x]), the transform at
+    g1 + b' - b (mod 2) of i^(g0.w[x]) placed at u[x] mod 2. As b and b'
     run over the labels, b' - b runs over all of Z_2^k (0 only for b = b'),
     so the transform for g0 holds every overlap of every pair of bases whose
     labels differ by g0 mod 2: g0 = 0 for a basis with itself, every other
@@ -362,8 +362,8 @@ def _walsh_sums(q: int, u: list, w: list):
     """
     k = len(u[0])
     place = [sum((ui % 2) << i for i, ui in enumerate(ux)) for ux in u]
-    powers_of_i = _roots(4) * k  # g0.w(x) < 4k
-    exps = [[0] * q]  # exps[g0][x] = g0.w(x), g0 read as k bits
+    powers_of_i = _roots(4) * k  # g0.w[x] < 4k
+    exps = [[0] * q]  # exps[g0][x] = g0.w[x], g0 read as k bits
     for i in range(k):
         column = [wx[i] for wx in w]
         exps += [list(map(add, e, column)) for e in exps]
@@ -382,7 +382,7 @@ def cached_mub(d: int) -> MubSet:
 
 
 def mub_from_payload(payload: dict) -> MubSet:
-    """Rebuild a MubSet from the JSON wire format {d, bases}."""
+    """Rebuild a MubSet from the JSON wire format {d, bases}; every entry must be finite."""
     import numpy as np
 
     from .serialization import pairs_to_complex_matrix
@@ -393,4 +393,6 @@ def mub_from_payload(payload: dict) -> MubSet:
     bases = np.stack([pairs_to_complex_matrix(b) for b in payload["bases"]])
     if bases.shape != (d + 1, d, d):
         raise ValueError(f"expected {(d + 1, d, d)} bases array, got {bases.shape}")
+    if not np.isfinite(bases).all():  # json.loads takes NaN and Infinity
+        raise ValidationError("basis entries must be finite numbers")
     return MubSet(dim=dim, bases=bases)

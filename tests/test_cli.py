@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import platform
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -23,7 +26,8 @@ from paulimix.finite_field import is_prime_power
 from paulimix.oracle import random_density_matrix
 from paulimix.serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 @pytest.fixture()
@@ -643,6 +647,11 @@ def test_mub_work_beyond_its_limit_is_refused_at_once(runner, monkeypatch, tmp_p
 
 
 _MUB_INPUT = ["mub", "verify", "--input"]
+# `mub verify --d 2 --export` writes these bases; json.loads takes NaN and Infinity
+_D2_BASES = ('{"d": 2, "bases": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0.70710678118654746, 0], '
+             '[0.70710678118654746, 0]], [[0.70710678118654746, 0], [-0.70710678118654746, 0]]], '
+             '[[[0.70710678118654746, 0], [0.70710678118654746, 0]], [[0, 0.70710678118654746], '
+             '[0, -0.70710678118654746]]]]}')
 _EVOLVE_STATE = ["evolve", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--times", "0,1", "--state"]
 
 
@@ -657,9 +666,12 @@ _EVOLVE_STATE = ["evolve", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3",
         (_MUB_INPUT, '{"bases": []}'),
         (_EVOLVE_STATE, '{"d": 2, "bases": []}'),
         (_EVOLVE_STATE, "[[[NaN, 0], [0, 0]], [[0, 0], [NaN, 0]]]"),
+        (_MUB_INPUT, _D2_BASES.replace("[0.70710678118654746, 0]", "[NaN, 0]", 1)),
+        (_MUB_INPUT, json.dumps({"d": 2, "bases": [[[[math.nan] * 2] * 2] * 2] * 3})),
+        (_MUB_INPUT, _D2_BASES.replace("[1, 0]", "[Infinity, 0]", 1)),
     ],
     ids=["missing-basis", "missing-state", "text-basis", "text-state", "no-bases",
-         "no-d", "object-as-state", "nan-state"],
+         "no-d", "object-as-state", "nan-state", "nan-basis-entry", "nan-basis", "inf-basis-entry"],
 )
 def test_bad_input_file_exits_2(runner, tmp_path, args, content):
     path = tmp_path / "input.json"
@@ -783,6 +795,38 @@ def test_a_reader_that_closes_partway_through_a_long_output_gives_exit_1(args, u
     proc.stdout.close()
     _, stderr = proc.communicate(timeout=60)
     assert (proc.returncode, stderr) == (1, b"")
+
+
+def _console_script_step() -> str:
+    """The ``run:`` block of the workflow's "Console script" step, dedented."""
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
+    start = lines.index("      - name: Console script") + 1
+    assert lines[start].strip() == "run: |"
+    indent = lines[start].index("run:") + 2
+    block = []
+    for line in lines[start + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) < indent:
+            break
+        block.append(line[indent:])
+    return "\n".join(block) + "\n"
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the workflow's run: blocks are bash")
+def test_the_console_script_step_of_the_workflow_passes(tmp_path):
+    # the step's default shell is bash -e; `paulimix` and `python` are shims for this interpreter
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name, argv in (("paulimix", '-m paulimix.cli "$@"'), ("python", '"$@"')):
+        shim = bin_dir / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {argv}\n')
+        shim.chmod(0o755)
+    script = tmp_path / "step.sh"
+    script.write_text(_console_script_step())
+    env = dict(os.environ, PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]), TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(["bash", "-e", str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 # --- cp-check ---------------------------------------------------------------------
@@ -1067,6 +1111,34 @@ def test_numpy_free_commands_print_the_pinned_bytes(runner, args, digest):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+def _other_interpreters() -> list[Path]:
+    """Each pyenv ``bin/python`` other than this one that is at the requires-python floor and imports paulimix.
+
+    The binaries are called directly: the pyenv shims need PYENV_VERSION.
+    """
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups()
+    probe = f"import sys, paulimix; sys.exit(sys.version_info < ({floor[0]}, {floor[1]}))"
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    return [python for python in sorted(Path.home().glob(".pyenv/versions/*/bin/python"))
+            if python.parent.parent.name != platform.python_version()
+            and subprocess.run([python, "-c", probe], env=env, capture_output=True, timeout=60).returncode == 0]
+
+
+def test_the_pinned_bytes_under_every_other_interpreter():
+    # from 3.12 on sum() over floats is compensated, and libm differs between builds
+    pythons = _other_interpreters()
+    if not pythons:
+        pytest.skip("no other Python at the requires-python floor under ~/.pyenv/versions imports paulimix")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    wrong = []
+    for python in pythons:
+        for name, (args, digest) in _STDOUT_SHA256.items():
+            proc = subprocess.run([python, "-m", "paulimix.cli", *args], env=env, capture_output=True, timeout=120)
+            if proc.returncode != 0 or hashlib.sha256(proc.stdout).hexdigest() != digest:
+                wrong.append((python.parent.parent.name, name, proc.returncode, proc.stderr[-300:]))
+    assert wrong == []
 
 
 # --- non-finite numbers and resource failures ----------------------------------------

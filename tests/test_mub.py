@@ -23,9 +23,9 @@ from paulimix.mub import (
     _character_deviations,
     _direct_sums,
     _phase_bases,
-    _phase_row,
     _roots,
     _trace_form,
+    basis_state,
     build_mub,
     cached_mub,
     mub_from_payload,
@@ -111,15 +111,20 @@ def _sampled_vectors(d):
     return [(1, 0), (d, d - 1)] + [(rng.randrange(1, d + 1), rng.randrange(d)) for _ in range(20)]
 
 
-@pytest.mark.parametrize("d", PRIME_POWERS_LE_32)
+@pytest.mark.parametrize("d", PRIME_POWERS_LE_32 + [127, 128])
 def test_the_pure_python_phase_row_is_the_exponent_of_each_basis_vector(d):
-    bases, dim = cached_mub(d).bases, factor_prime_power(d)
-    for alpha, j in _sampled_vectors(d):
-        m, row = _phase_row(dim, alpha, j)
-        assert m == (4 if dim.p == 2 else dim.p)
-        # the amplitudes are w^k/sqrt(d), with angles 2 pi/m apart, so rounding recovers k exactly
-        k = np.rint(np.angle(bases[alpha][:, j] * math.sqrt(d)) * m / (2 * np.pi)).astype(int) % m
-        assert row == k.tolist(), (alpha, j)
+    dim = factor_prime_power(d)
+    bases, m = build_mub(dim).bases, 4 if dim.p == 2 else dim.p
+    roots = _roots(m)
+    for alpha, j in [(0, 0), (0, d - 1)] + _sampled_vectors(d):
+        v = bases[alpha][:, j]
+        state = basis_state(dim, alpha, j)
+        assert np.allclose(np.array(state) @ [1, 1j], np.outer(v, v.conj()), rtol=0, atol=1e-15), (alpha, j)
+        if alpha:
+            # the amplitudes are w^k/sqrt(d), with angles 2 pi/m apart, so rounding recovers k exactly;
+            # row 0 is v[0] v[y]^* = w^-k[y]/d, since k[0] = 0
+            k = np.rint(np.angle(v * math.sqrt(d)) * m / (2 * np.pi)).astype(int) % m
+            assert state[0] == [[roots[-r % m].real / d, roots[-r % m].imag / d] for r in k], (alpha, j)
 
 
 def test_qubit_unitaries_are_pauli_matrices():
@@ -151,6 +156,31 @@ def test_verify_detects_scaled_vector():
     report = verify_mub(broken, tol=1e-12)
     assert report.max_orthonormality_deviation > 1.0
     assert not report.passed
+
+
+@pytest.mark.parametrize("bad", ["one NaN", "all NaN", "one inf"])
+def test_a_basis_array_with_a_non_finite_entry_is_refused_and_fails(bad):
+    dim = factor_prime_power(2)
+    bases = build_mub(dim).bases.copy()
+    if bad == "all NaN":
+        bases[:] = complex(math.nan, math.nan)
+    else:
+        bases[1][0, 1] = math.nan if bad == "one NaN" else math.inf
+    floats = MubSet(dim=dim, bases=bases)
+    with pytest.raises(ValidationError, match="must be finite"):
+        mub_from_payload(floats.to_payload())
+    report = verify_mub(floats)
+    assert not report.passed
+    assert report.max_orthonormality_deviation == report.max_unbiasedness_deviation == math.inf
+
+
+def test_a_basis_file_whose_products_overflow_fails_with_infinite_deviations():
+    # finite entries, so the file is read; its Gram products overflow to inf and on to NaN, reported as inf
+    dim = factor_prime_power(2)
+    bases = build_mub(dim).bases * 1e200
+    report = verify_mub(mub_from_payload(MubSet(dim=dim, bases=bases).to_payload()))
+    assert not report.passed
+    assert report.max_orthonormality_deviation == report.max_unbiasedness_deviation == math.inf
 
 
 def test_verify_detects_duplicate_basis():
@@ -274,9 +304,11 @@ def test_the_bases_and_a_mub_state_read_one_root_table(d):
     # numpy's vectorized exp rounds some roots of 11, 13 and 127 otherwise than math.cos/math.sin
     dim = factor_prime_power(d)
     bases = build_mub(dim).bases
+    m, c, labels, u, w = _trace_form(dim)
+    roots = _roots(m)
     for alpha, j in _sampled_vectors(d):
-        m, k = _phase_row(dim, alpha, j)
-        roots = _roots(m)
+        a, b = labels[alpha - 1], labels[j]
+        k = [(np.dot(a, wx) + c * np.dot(b, ux)) % m for ux, wx in zip(u, w)]
         assert np.array_equal(bases[alpha][:, j], np.array(roots)[k] / np.sqrt(d))
         rho0, _ = _initial_state(f"mub:{alpha}:{j}", d)
         assert [row[0] for row in rho0] == [[roots[r].real / d, roots[r].imag / d] for r in k]  # k[0] = 0
@@ -313,21 +345,25 @@ def test_every_built_set_passes_from_its_tables_without_forming_the_bases(d):
 
 
 def _broken_tables(d, corruption):
-    m, c, elements, ys, tmat = _trace_form(factor_prime_power(d))
+    m, c, labels, u, w = _trace_form(factor_prime_power(d))
     if corruption == "y(x) = x":
-        ys = elements
+        w = u
     elif corruption == "y(x) = 0":  # every phase basis is one basis: worst at b' = b
-        ys = [elements[0]] * len(elements)
+        w = [[0] * len(u[0])] * len(u)
     elif corruption == "c = 1":
         c = 1
-    else:  # "y(1) + 2": the Walsh route still takes it, since y(x) = x mod 2
-        ys = list(ys)
-        ys[1] = ((ys[1][0] + 2) % 4,) + ys[1][1:]
-    return m, c, elements, ys, tmat
+    elif corruption == "y(1) + 2":  # labels[1] is the unit digit vector, so w[1] gains 2 u[1]; w = u mod 2 still
+        w = list(w)
+        w[1] = [(s + 2 * t) % m for s, t in zip(w[1], u[1])]
+    else:  # "label(3) = label(2) + 2": u is still one-to-one mod 2, but the Walsh route must not take it
+        labels = list(labels)
+        labels[3] = ((labels[2][0] + 2) % m,) + labels[2][1:]
+    return m, c, labels, u, w
 
 
 @pytest.mark.parametrize("d, corruption", [(5, "y(x) = x"), (9, "y(x) = x"), (7, "y(x) = 0"), (4, "c = 1"),
-                                           (8, "c = 1"), (8, "y(1) + 2"), (16, "y(1) + 2")])
+                                           (8, "c = 1"), (8, "y(1) + 2"), (16, "y(1) + 2"),
+                                           (4, "label(3) = label(2) + 2"), (8, "label(3) = label(2) + 2")])
 def test_the_character_route_measures_broken_tables(d, corruption):
     dim = factor_prime_power(d)
     broken = MubSet(dim=dim, tables=_broken_tables(d, corruption))
@@ -342,8 +378,8 @@ def test_the_character_route_measures_broken_tables(d, corruption):
 def test_the_walsh_route_gives_the_direct_sums_exactly(monkeypatch, d, corruption):
     tables = _trace_form(factor_prime_power(d)) if corruption is None else _broken_tables(d, corruption)
     walsh = _character_deviations(d, tables)
-    elements = tables[2]
-    monkeypatch.setattr(mub_mod, "_walsh_sums", lambda q, u, w: _direct_sums(q, 4, 2, elements, u, w, _roots(4)))
+    labels = tables[2]
+    monkeypatch.setattr(mub_mod, "_walsh_sums", lambda q, u, w: _direct_sums(q, 4, 2, labels, u, w, _roots(4)))
     assert _character_deviations(d, tables) == walsh
     assert (walsh == (0.0, 0.0)) == (corruption is None)
 
