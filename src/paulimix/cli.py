@@ -34,10 +34,10 @@ loads only what its command uses:
   * ``singular-time``, ``cp-check`` and ``generator``, which work on the
     d+1 eigenvalues as Python floats: ``dynmaps``, ``invertibility`` and
     ``threshold``; never numpy, ``paulimix.mub`` or ``paulimix.measure``;
-  * ``evolve``: these and ``paulimix.mub``'s trace-form tables for a
-    ``mub:`` or ``max-mixed`` state, which need no numpy and no basis; a
-    state file adds numpy and the bases, once its weights and family are
-    valid;
+  * ``evolve``: these and ``paulimix.mub``, whose tables give a ``mub:`` or
+    ``max-mixed`` state and its dephased sum M with no numpy and no basis; a
+    state file adds numpy and the bases for M, once its weights, family,
+    times and dimension are valid;
   * ``mub verify``: ``mub``, ``finite_field`` and ``serialization``; a
     ``--d`` set is verified from its integer tables, and ``--export`` and
     ``--input`` add numpy and the bases.
@@ -173,6 +173,14 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
+def _left_sum(values) -> float:
+    """``values`` summed left to right: from Python 3.12 on, sum() compensates and rounds differently."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _parse_weights(text: str, d: int) -> list[float]:
     parts = _parse_floats(text, "weights")
     if len(parts) != d + 1:
@@ -181,9 +189,7 @@ def _parse_weights(text: str, d: int) -> list[float]:
         raise ValidationError(
             "weights must be strictly positive; replace zeros with a small epsilon (e.g. 5e-4)"
         )
-    total = 0.0
-    for w in parts:  # left to right: from Python 3.12 on, sum() compensates and rounds differently
-        total += w
+    total = _left_sum(parts)
     if abs(total - 1.0) > 1e-6:
         raise ValidationError(f"weights must sum to 1 (got {total!r})")
     if abs(total - 1.0) > 1e-9:
@@ -329,69 +335,47 @@ def sweep_cmd(
 # --- evolve ---------------------------------------------------------------------
 
 
-def _initial_state(spec: str, d: int) -> tuple[list, Optional[range]]:
-    """The ``--state`` as rows of [re, im] pairs, and the bases whose dephasing keeps it.
+def _initial_state(spec: str, m: MixtureMap) -> tuple[list, list]:
+    """The ``--state`` rho0 and M = sum_i x_i dephase_i(rho0), as rows of [re, im] pairs.
 
-    ``max-mixed`` is I/d, which every basis keeps. ``mub:ALPHA:J`` is vector
-    J of basis ALPHA, which basis ALPHA keeps; ``mub.basis_state`` forms it
-    from the exponent table and the root table of the bases. Neither imports
-    numpy or builds a basis. A state file is read and validated with numpy,
-    and no basis is known to keep it (None). Every refusal of the state
-    comes here, before any work.
+    Every basis keeps ``max-mixed``, I/d. Basis ALPHA keeps ``mub:ALPHA:J``
+    (``mub.basis_state``), and every other basis, unbiased with it, sends it
+    to I/d (Wootters & Fields, Ann. Phys. 191, 363, 1989). So both get
+    M = x_kept rho0 + (x_rest/d) I in pure Python: no numpy, basis or BLAS
+    kernel in their bytes. A state file's M is ``MixtureMap.dephased`` of the
+    array validated from it. Every refusal of the state comes here, the MUB
+    limit first, before a file is read.
     """
-    if spec == "max-mixed":
-        return [[[1.0 / d if x == y else 0.0, 0.0] for y in range(d)] for x in range(d)], range(d + 1)
-    if spec.startswith("mub:"):
-        from .finite_field import factor_prime_power
-        from .mub import _check_dimension, basis_state
+    from .mub import _check_dimension, basis_state
 
+    d, w = m.d, m.weights
+    # the MUB limit keeps a default-step evolve, whose output grows as d^2 per time, near one second:
+    # a mub: state took 1.0 s at d = 128, and without the limit 3.5 s at d = 256 and 5.9 s (30 MB) at d = 307
+    _check_dimension(d)
+    if spec == "max-mixed":
+        rho0 = [[[1.0 / d if x == y else 0.0, 0.0] for y in range(d)] for x in range(d)]
+        x_kept, rest = _left_sum(w), 0.0
+    elif spec.startswith("mub:"):
         try:
             _, alpha_s, j_s = spec.split(":")
             alpha, j = int(alpha_s), int(j_s)
         except ValueError as exc:
             raise ValidationError(f"state spec {spec!r} is not mub:ALPHA:J") from exc
-        _check_dimension(d)
         if not (0 <= alpha <= d and 0 <= j < d):
             raise ValidationError(f"mub state indices out of range for d={d}: {spec!r}")
-        return basis_state(factor_prime_power(d), alpha, j), range(alpha, alpha + 1)
-    from .dynmaps import validate_density_matrix
-    from .serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
-
-    rho = _read_json_input(spec, pairs_to_complex_matrix, "state file")
-    if rho.shape != (d, d):
-        raise ValidationError(f"state has shape {rho.shape}, expected {(d, d)}")
-    return complex_matrix_to_pairs(validate_density_matrix(rho)), None
-
-
-def _dephased(m: MixtureMap, rho0: list, kept: Optional[range]) -> list:
-    """M = sum_i x_i dephase_i(rho0), as rows of [re, im] pairs.
-
-    Each basis in ``kept`` leaves rho0 as it is. Every other basis sends it
-    to I/d, since rho0 is I/d or a vector of a basis unbiased with that one
-    (Wootters & Fields, Ann. Phys. 191, 363, 1989). So M = x_kept rho0 +
-    x_rest I/d, with the weights as given, in pure Python. With ``kept``
-    None, M comes from the numpy products of ``MixtureMap.dephased``, whose
-    last digits depend on the BLAS kernel.
-    """
-    if kept is None:
+        rho0 = basis_state(m.dim, alpha, j)
+        x_kept, rest = w[alpha], _left_sum(w[:alpha] + w[alpha + 1:]) / d
+    else:
+        from .dynmaps import validate_density_matrix
         from .serialization import complex_matrix_to_pairs, pairs_to_complex_matrix
 
-        return complex_matrix_to_pairs(m.dephased(pairs_to_complex_matrix(rho0)))
-    from .mub import _check_dimension
-
-    # neither state builds a basis, but the MUB limit keeps a default-step evolve,
-    # whose output grows as d^2 per time, near one second: a mub: state took 1.0 s
-    # at d = 128, and without the limit 3.5 s at d = 256 and 5.9 s (30 MB) at d = 307
-    _check_dimension(m.d)
-    x_kept = x_rest = 0.0
-    for i, x in enumerate(m.weights):
-        if i in kept:
-            x_kept += x
-        else:
-            x_rest += x
-    rest = x_rest / m.d
-    return [[[x_kept * re + (rest if r == c else 0.0), x_kept * im] for c, (re, im) in enumerate(row)]
-            for r, row in enumerate(rho0)]
+        rho = _read_json_input(spec, pairs_to_complex_matrix, "state file")
+        if rho.shape != (d, d):
+            raise ValidationError(f"state has shape {rho.shape}, expected {(d, d)}")
+        rho = validate_density_matrix(rho)
+        return complex_matrix_to_pairs(rho), complex_matrix_to_pairs(m.dephased(rho))
+    return rho0, [[[x_kept * re + (rest if r == c else 0.0), x_kept * im] for c, (re, im) in enumerate(row)]
+                  for r, row in enumerate(rho0)]
 
 
 def evolve(
@@ -413,7 +397,6 @@ def evolve(
     products, whose last digits do.
     """
     m = _mixture(d, weights, family)
-    rho0, kept = _initial_state(state, d)
     if times is not None:
         ts = _parse_floats(times, "times")
         _check_work(len(ts), d * d + d + 1)
@@ -421,7 +404,7 @@ def evolve(
         ts = _time_grid(t_max, steps, d * d + d + 1)
     if any(t < 0 for t in ts):
         raise ValidationError("times must be nonnegative")
-    mixed = _dephased(m, rho0, kept)
+    rho0, mixed = _initial_state(state, m)
     states = []
     for t in ts:
         a = m.pf.value(t) * d / (d - 1)
@@ -495,10 +478,7 @@ def generator(
         w = [1.0] + [0.0] * d
     else:
         w = _parse_weights(weights, d)
-    if h is None:
-        h = 1e-5 / pf.c if pf.family == "exponential" else 1e-5
-        if not math.isfinite(h):
-            raise ValidationError(f"the default step 1e-5/c overflows at c={pf.c}; pass --h")
+    h = pf.default_step() if h is None else h
     m = mixture_map(d, w, pf)
     numeric = generator_rates(m, t, h)
     lam = m.eigenvalues(t)
@@ -768,7 +748,7 @@ main = _Group("main", "Mixtures of dephasing qudit maps: invertibility, measure,
         _Option("--d", int, required=True),
         *_FAMILY,
         _Option("--t", _finite_float, required=True),
-        _Option("--h", _finite_float, help="Finite-difference step (default 1e-5/c)."),
+        _Option("--h", _finite_float, help="Finite-difference step (default 1e-5/c, 1e-5/omega or 1e-5*t_sharp)."),
         _Option("--weights", str, help="Omit to analyze a single input map."),
         _OUTPUT,
     ),

@@ -23,7 +23,8 @@ independently of the eigenvalues; the tests compare the core against it,
 and no command loads it.
 
 The closed forms that depend on p(t) alone (singular times, the decay rate
-of a single input map, the default scan span) are methods of each family.
+of a single input map, the default scan span and finite-difference step) are
+methods of each family.
 
 The core is Python floats: the weights are a tuple, ``eigenvalues`` and
 ``generator_rates`` return tuples, and none of it imports numpy, so the
@@ -190,6 +191,10 @@ class DecoherenceFunction(Frozen, ABC):
         """The default span [0, horizon] of a singular-time scan; ValidationError if it overflows."""
 
     @abstractmethod
+    def default_step(self) -> float:
+        """``generator``'s step without ``--h``: 1e-5 of the time scale, one rounding; ValidationError on overflow."""
+
+    @abstractmethod
     def _value(self, t: float) -> float: ...
 
     @abstractmethod
@@ -247,6 +252,9 @@ class Exponential(DecoherenceFunction):
         """50/c, by which e^{-ct} has fallen below 2e-22."""
         return _finite(50.0 / self.c, "the scan horizon 50/c", c=self.c)
 
+    def default_step(self) -> float:
+        return _finite(1e-5 / self.c, "the default step 1e-5/c", c=self.c)
+
 
 class Cosine(DecoherenceFunction):
     """p(t) = (1 - cos(omega t)) / 2, oscillating through [0, 1]."""
@@ -292,6 +300,9 @@ class Cosine(DecoherenceFunction):
         """One period, 2 pi/omega; the singular times repeat after it."""
         return _finite(2 * math.pi / self.omega, "the period 2*pi/omega", omega=self.omega)
 
+    def default_step(self) -> float:
+        return _finite(1e-5 / self.omega, "the default step 1e-5/omega", omega=self.omega)
+
 
 class Plateau(DecoherenceFunction):
     """Linear ramp p(t) = t / (2 t_sharp) up to 1/2 at t_sharp, constant at 1/2 afterwards."""
@@ -326,6 +337,12 @@ class Plateau(DecoherenceFunction):
     def horizon(self) -> float:
         """100 t_sharp, far into the plateau."""
         return _finite(100.0 * self.t_sharp, "the scan horizon 100*t_sharp", t_sharp=self.t_sharp)
+
+    def default_step(self) -> float:
+        step = 1e-5 * self.t_sharp  # at most 1.8e303, but 0 below t_sharp = 2.5e-319
+        if step == 0:
+            raise ValidationError(f"the default step 1e-5*t_sharp underflows to 0 at t_sharp={self.t_sharp}")
+        return step
 
     def describe(self) -> dict:
         return {**super().describe(), "ramp": "linear"}

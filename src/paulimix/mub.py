@@ -382,12 +382,14 @@ def cached_mub(d: int) -> MubSet:
 
 
 def mub_from_payload(payload: dict) -> MubSet:
-    """Rebuild a MubSet from the JSON wire format {d, bases}; every entry must be finite."""
+    """Rebuild a MubSet from the JSON wire format {d, bases}; d must be an integer, and every entry finite."""
     import numpy as np
 
     from .serialization import pairs_to_complex_matrix
 
-    d = int(payload["d"])
+    d = payload["d"]
+    if type(d) is not int:  # not a float, a string or a bool
+        raise ValidationError(f"d must be an integer, got {d!r}")
     dim = factor_prime_power(d)
     _check_dimension(d)
     bases = np.stack([pairs_to_complex_matrix(b) for b in payload["bases"]])

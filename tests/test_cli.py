@@ -158,8 +158,14 @@ _OVERFLOWING_SCALES = {
                                "--weights", "0.1,0.45,0.45"], "t_sharp=1e+307"),
     "generator-step": (["generator", "--d", "2", "--n", "1.5", "--c", "1e-320", "--t", "1"], "c=1e-320"),
     "generator-rate-c": (["generator", "--d", "2", "--n", "1", "--c", "1.7e308", "--t", "0"], "c=1.7e+308"),
-    "generator-rate-omega": (["generator", "--d", "2", "--family", "cosine", "--omega", "1e308", "--t", "0.5"],
-                             "omega=1e+308"),
+    "generator-step-omega": (["generator", "--d", "2", "--family", "cosine", "--omega", "1e-320", "--t", "1"],
+                             "omega=1e-320"),
+    # 1e-5 * t_sharp underflows to 0
+    "generator-step-t-sharp": (["generator", "--d", "2", "--family", "plateau", "--t-sharp", "1e-320", "--t", "1"],
+                               "t_sharp=1e-320"),
+    # the default step 1e-5/omega would be below the float spacing at t
+    "generator-rate-omega": (["generator", "--d", "2", "--family", "cosine", "--omega", "1e308", "--t", "0.5",
+                              "--h", "1e-5"], "omega=1e+308"),
     # p'(t) underflows to 0 first, so only e^(c t) in the single map's decay rate overflows
     "generator-decay-rate": (["generator", "--d", "2", "--n", "3", "--c", "1", "--t", "800"], "t=800.0"),
 }
@@ -546,9 +552,22 @@ def test_the_closed_form_dephasing_matches_the_numpy_products(d, off):
     m = dynmaps.mixture_map(d, weights, dynmaps.Exponential(n=1.1, c=1.0))
     alpha, j = int(rng.integers(1, d + 1)), int(rng.integers(d))
     for spec in ("max-mixed", f"mub:0:{d - 1}", f"mub:{d}:0", f"mub:{alpha}:{j}"):
-        rho0, kept = cli_mod._initial_state(spec, d)
+        rho0, mixed = cli_mod._initial_state(spec, m)
         want = m.dephased(pairs_to_complex_matrix(rho0))
-        assert np.max(np.abs(pairs_to_complex_matrix(cli_mod._dephased(m, rho0, kept)) - want)) <= 1e-15, spec
+        assert np.max(np.abs(pairs_to_complex_matrix(mixed) - want)) <= 1e-15, spec
+
+
+def test_a_state_file_is_decoded_once_after_the_dimension_check(runner, monkeypatch, tmp_path):
+    calls = []
+    decode, check = serialization.pairs_to_complex_matrix, mub_mod._check_dimension
+    monkeypatch.setattr(serialization, "pairs_to_complex_matrix", lambda obj: calls.append("decode") or decode(obj))
+    monkeypatch.setattr(mub_mod, "_check_dimension", lambda d: calls.append("check") or check(d))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps([[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]))
+    run_ok(runner, ["evolve", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--times", "0,1",
+                    "--state", str(path)])
+    # building the bases for M may check the dimension again
+    assert calls.count("decode") == 1 and calls.index("check") < calls.index("decode")
 
 
 _QUTRIT_STATE = ["evolve", "--d", "3", "--n", "1.5", "--weights", "0.4,0.3,0.2,0.1", "--state"]
@@ -564,9 +583,10 @@ _QUTRIT_STATE = ["evolve", "--d", "3", "--n", "1.5", "--weights", "0.4,0.3,0.2,0
 ], ids=["malformed", "not-an-integer", "alpha-too-large", "alpha-negative", "j-too-large", "wrong-shape"])
 def test_evolve_refuses_a_bad_state_before_any_work(runner, monkeypatch, tmp_path, state, message):
     def no_work(*args, **kwargs):
-        raise AssertionError("the state was dephased before the refusal")
+        raise AssertionError("the state was formed or dephased before the refusal")
 
-    monkeypatch.setattr(cli_mod, "_dephased", no_work)
+    monkeypatch.setattr(mub_mod, "basis_state", no_work)
+    monkeypatch.setattr(dynmaps.MixtureMap, "dephased", no_work)
     qubit = tmp_path / "qubit.json"
     qubit.write_text(json.dumps([[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]))
     result = runner.invoke(main, _QUTRIT_STATE + [state.format(qubit=qubit)])
@@ -623,6 +643,8 @@ _PAST_THE_MUB_LIMIT = {
     "evolve": ["evolve", "--d", "131", "--n", "1.01", "--weights", ",".join([repr(1 / 132)] * 132)],
     "evolve-mub-state": ["evolve", "--d", "131", "--n", "1.01", "--weights", ",".join([repr(1 / 132)] * 132),
                          "--state", "mub:1:0"],
+    "evolve-state-file": ["evolve", "--d", "131", "--n", "1.01", "--weights", ",".join([repr(1 / 132)] * 132),
+                          "--state", "{file}"],
 }
 
 
@@ -669,9 +691,14 @@ _EVOLVE_STATE = ["evolve", "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3",
         (_MUB_INPUT, _D2_BASES.replace("[0.70710678118654746, 0]", "[NaN, 0]", 1)),
         (_MUB_INPUT, json.dumps({"d": 2, "bases": [[[[math.nan] * 2] * 2] * 2] * 3})),
         (_MUB_INPUT, _D2_BASES.replace("[1, 0]", "[Infinity, 0]", 1)),
+        (_MUB_INPUT, _D2_BASES.replace('"d": 2', '"d": 2.9')),
+        (_MUB_INPUT, _D2_BASES.replace('"d": 2', '"d": 2.0')),
+        (_MUB_INPUT, _D2_BASES.replace('"d": 2', '"d": "2"')),
+        (_MUB_INPUT, _D2_BASES.replace('"d": 2', '"d": true')),
     ],
     ids=["missing-basis", "missing-state", "text-basis", "text-state", "no-bases",
-         "no-d", "object-as-state", "nan-state", "nan-basis-entry", "nan-basis", "inf-basis-entry"],
+         "no-d", "object-as-state", "nan-state", "nan-basis-entry", "nan-basis", "inf-basis-entry",
+         "float-d", "integral-float-d", "string-d", "bool-d"],
 )
 def test_bad_input_file_exits_2(runner, tmp_path, args, content):
     path = tmp_path / "input.json"
@@ -873,6 +900,9 @@ def test_a_negative_t_max_is_refused_by_name(runner, command):
         result = runner.invoke(main, args + ["--times", "0,-1"])
         assert (result.exit_code, result.stdout) == (2, "")
         assert "times must be nonnegative" in result.stderr
+        # the times are checked before the state
+        result = runner.invoke(main, args + ["--times", "0,-1", "--state", "mub:9:9"])
+        assert "times must be nonnegative" in result.stderr
 
 
 # --- generator --------------------------------------------------------------------
@@ -896,6 +926,21 @@ def test_generator_with_weights(runner):
     assert "gamma" not in payload
     for entry in payload["rates"]:
         assert entry["rel_diff"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "family, h",
+    [(["--family", "cosine", "--omega", "1e6", "--t", "3e-6"], 1e-5 / 1e6),
+     # mid-ramp: a flat step of 1e-5 would straddle the kink at t_sharp
+     (["--family", "plateau", "--t-sharp", "1e-6", "--t", "5e-7"], 1e-5 * 1e-6)],
+    ids=["cosine-fast", "plateau-short"],
+)
+def test_generator_default_step_follows_the_family_time_scale(runner, family, h):
+    payload = run_ok(runner, ["generator", "--d", "2", *family])
+    assert payload["h"] == h
+    for entry in payload["rates"]:
+        assert entry["rel_diff"] <= 1e-10
+    assert payload.get("gamma", {"rel_diff": 0})["rel_diff"] <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -1094,6 +1139,15 @@ _STDOUT_SHA256 = {
     "evolve-d32-mub": (
         ["evolve", "--d", "32", "--n", "1.02", "--weights", _D32_WEIGHTS, "--state", "mub:32:31", "--times", "0,1.5"],
         "d7fc2df0b6360e00d3cc91be6b3064878d0b1ad8eff6d828fceaef316c0837f4"),
+    # the top of the closed-form range, pinned before M moved into _initial_state
+    "evolve-d125-mub": (
+        ["evolve", "--d", "125", "--n", "1.01", "--weights", ",".join([repr(1 / 126)] * 126), "--state", "mub:7:99",
+         "--times", "0,1.5"],
+        "e8443e557549248e1938e82fde8c267b110279d43c6effa8f69073719489aaaa"),
+    "evolve-d128-max-mixed": (
+        ["evolve", "--d", "128", "--n", "1.01", "--weights", ",".join([repr(1 / 129)] * 129), "--state", "max-mixed",
+         "--times", "0,1.5"],
+        "93aeedf7ff90c992345f4f1b23bf2a4d4272a7e06bf4e216ccde5aec267b8dde"),
     "evolve-max-mixed": (
         ["evolve", "--d", "4", "--family", "plateau", "--t-sharp", "0.7", "--weights", "0.1,0.2,0.3,0.15,0.25",
          "--steps", "3"],

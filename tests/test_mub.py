@@ -7,6 +7,7 @@ import pytest
 
 from paulimix import mub as mub_mod
 from paulimix.cli import _initial_state
+from paulimix.dynmaps import Plateau, mixture_map
 from paulimix.errors import NotPrimePowerError, ValidationError
 from paulimix.finite_field import (
     PrimePowerDim,
@@ -306,11 +307,12 @@ def test_the_bases_and_a_mub_state_read_one_root_table(d):
     bases = build_mub(dim).bases
     m, c, labels, u, w = _trace_form(dim)
     roots = _roots(m)
+    mixture = mixture_map(d, [1 / (d + 1)] * (d + 1), Plateau(t_sharp=1.0))
     for alpha, j in _sampled_vectors(d):
         a, b = labels[alpha - 1], labels[j]
         k = [(np.dot(a, wx) + c * np.dot(b, ux)) % m for ux, wx in zip(u, w)]
         assert np.array_equal(bases[alpha][:, j], np.array(roots)[k] / np.sqrt(d))
-        rho0, _ = _initial_state(f"mub:{alpha}:{j}", d)
+        rho0, _ = _initial_state(f"mub:{alpha}:{j}", mixture)
         assert [row[0] for row in rho0] == [[roots[r].real / d, roots[r].imag / d] for r in k]  # k[0] = 0
 
 
