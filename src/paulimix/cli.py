@@ -48,10 +48,10 @@ An ``--output`` or ``--export`` path that cannot be opened for writing is
 a usage error: exit 2, one ``error:`` line, and nothing on stdout or in a file.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set, before any command imports numpy: up to d = 32 no command multiplies
-matrices larger than 32 x 1056, and OpenBLAS would otherwise start a
-spinning thread per core in every process that loads numpy. A value the
-user sets is kept.
+set, before any command imports numpy: the largest matrix any command
+multiplies, the basis columns of a state-file ``evolve``, is d x d(d+1)
+(128 x 16512 at d = 128), and OpenBLAS would otherwise start a spinning
+thread per core in every process that loads numpy. A value the user sets is kept.
 
 The eigenvalue commands and ``evolve`` refuse, before their work per time
 starts, to compute more than ``_MAX_VALUES`` values: the d+1 eigenvalues at each of the

@@ -52,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .finite_field import PrimePowerDim, factor_prime_power
-from .threshold import EIGENVALUE_ATOL, _reaches_zero
+from .threshold import EIGENVALUE_ATOL, _gap, _reaches_zero
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,9 +231,9 @@ class Exponential(DecoherenceFunction):
         return self.c * math.exp(-self.c * t) / self.n
 
     def _singular_time(self, d: int, x: float) -> float:
-        """t* = (1/c) ln[ d(1-x) / (d(1-x) - n(d-1)) ], whose denominator d(g - x) is positive below g - 1e-12."""
-        numer = d * (1.0 - x)
-        return _finite(math.log(numer / (numer - self.n * (d - 1))) / self.c, "the singular time", c=self.c)
+        """t* = (1/c) ln[ d(1-x) / (d(g - x)) ], with the exact gap g - x > 0 (``threshold._gap``) rounded once."""
+        num, den = _gap(d, self.n, x)
+        return _finite(math.log(d * (1.0 - x) / (d * num / den)) / self.c, "the singular time", c=self.c)
 
     def _decay_rate(self, t: float) -> float:
         """gamma = c / ((n - 2) e^{c t} + 2); ValidationError once e^{c t} overflows."""
@@ -284,7 +284,7 @@ class Cosine(DecoherenceFunction):
     def _singular_time(self, d: int, x: float) -> float:
         """t* = arccos(max(1 - 2(d-1)/(d(1-x)), -1)) / omega.
 
-        The argument is below -1 only where lambda reaches 0 within ``EIGENVALUE_ATOL`` of the sup p = 1.
+        ``_reaches_zero`` passes only x <= 1/d, where the argument is at least -1; the max guards its rounding.
         """
         target = 1.0 - 2.0 * (d - 1) / (d * (1.0 - x))
         return _finite(math.acos(max(target, -1.0)) / self.omega, "the singular time", omega=self.omega)
@@ -474,14 +474,14 @@ def _simplex_weights(weights, d: int) -> tuple[float, ...]:
 
 
 def _invertible_eigenvalues(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:
-    """lambda(t), after checking the step, that the map is invertible at t and that p' does not jump in the stencil."""
+    """lambda(t), after checking the step, that every |lambda| >= 1e-12 and that p' does not jump in the stencil."""
     if h <= 0:
         raise ValidationError(f"step must be > 0, got {h}")
     if t + h == t:  # covers t - h == t too: the float spacing below t is at most that above
         raise ValidationError(f"step h={h} is below the float spacing at t={t}: t + h rounds to t")
     lam = m.eigenvalues(t)
     if min(map(abs, lam)) < EIGENVALUE_ATOL:
-        raise SingularAtTimeError(f"map has a zero eigenvalue at t={t}")
+        raise SingularAtTimeError(f"an eigenvalue is within 1e-12 of 0 at t={t}")
     # the times _time_derivative reads: central, or forward where t - h < 0
     first, last = (t - h, t + h) if t - h >= 0 else (t, t + 2 * h)
     for name, kink in m.pf.kinks().items():
@@ -510,7 +510,7 @@ def generator_rates(m: MixtureMap, t: float, h: float) -> tuple[float, ...]:
 
     The generator is diagonal on the eigenoperators U_i^k, so its rates are
     finite differences of the eigenvalues divided by the eigenvalues.
-    Raises SingularAtTimeError when the map is not invertible at t, and
+    Raises SingularAtTimeError when an eigenvalue is within 1e-12 of 0 at t, and
     ValidationError when the stencil moves no eigenvalue although p'(t) != 0.
     """
     lam = _invertible_eigenvalues(m, t, h)

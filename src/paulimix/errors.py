@@ -42,11 +42,11 @@ class RateSingularError(ComputationError):
 
 
 class SingularAtTimeError(ComputationError):
-    """The map is not invertible at the requested time."""
+    """An eigenvalue of the map is within 1e-12 of 0 at the requested time."""
 
 
 class SingularAtGridPointError(ComputationError):
-    """A propagator grid point hits a zero eigenvalue of the map."""
+    """An eigenvalue of the map is within 1e-12 of 0 at a propagator grid time."""
 
 
 class Frozen:

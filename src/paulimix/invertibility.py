@@ -30,7 +30,7 @@ from typing import Callable, Optional
 from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _simplex_weights
 from .errors import Frozen, SingularAtGridPointError, ValidationError
 from .finite_field import factor_prime_power
-from .threshold import EIGENVALUE_ATOL, _interval, _invertible_floor
+from .threshold import EIGENVALUE_ATOL, _interval, _reaches_zero
 
 # only scan minima below _COARSE_JUMP are refined, and a jump between samples
 # above it earns the GridTooCoarse advisory
@@ -40,17 +40,15 @@ _COARSE_JUMP = 0.1
 
 
 def output_invertible(d: int, n: float, weights) -> bool:
-    """True iff every weight clears the threshold g(d, n) = 1 - n(d-1)/d.
+    """True iff every weight clears the threshold g(d, n) = 1 - n(d-1)/d, exactly.
 
     The boundary x_i = g counts as invertible: the singular time diverges.
-    So do weights up to 1e-12 below g (``threshold._invertible_floor``), as
-    in the exponential singular time and the Monte Carlo count. Refuses
-    what ``mixture_map`` refuses: a d that is no prime power, or bad weights.
+    The rule is ``threshold._reaches_zero``, as in the exponential singular
+    time, on the float weights and n read as rationals. Refuses what
+    ``mixture_map`` refuses: a d that is no prime power, or bad weights.
     """
     factor_prime_power(d)
-    w = _simplex_weights(weights, d)
-    floor = _invertible_floor(d, n)
-    return all(x >= floor for x in w)
+    return not any(_reaches_zero(d, n, False, x) for x in _simplex_weights(weights, d))
 
 
 # --- reports ------------------------------------------------------------------
@@ -266,9 +264,9 @@ def cp_divisibility_check(
     and its Choi matrix has the eigenvalues d p_0 and d p_i/(d-1), so the
     Choi minimum eigenvalue d min(p_0, min_i p_i/(d-1)) costs O(d) per step
     (Chruscinski & Siudzinska, PRA 94, 022118 (2016)). It decides the CP
-    flag. The tests check it against the dense Choi matrix of K. Raises
-    SingularAtGridPointError when the map is singular at any grid time, and
-    refuses a negative ``tol``, which would call a CP step non-CP.
+    flag, which the tests check against the dense Choi matrix of K. Raises
+    SingularAtGridPointError where an eigenvalue is within 1e-12 of 0 at a grid
+    time, and refuses a negative ``tol``, which would call a CP step non-CP.
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")
@@ -285,7 +283,7 @@ def cp_divisibility_check(
     lams = [m.eigenvalues(t) for t in ts]
     for t, lam in zip(ts, lams):
         if min(map(abs, lam)) < EIGENVALUE_ATOL:
-            raise SingularAtGridPointError(f"map is singular at grid time t={t}")
+            raise SingularAtGridPointError(f"an eigenvalue is within 1e-12 of 0 at t={t}")
 
     d = m.d
     scale = (d - 1) / d**2

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import Frozen, RegimeMismatchError, ValidationError
 from .finite_field import _MR_EXACT_BELOW, _int_root, _is_prime, factor_prime_power, is_prime_power
-from .threshold import _check_n, _interval, _invertible_floor, _threshold_ratio
+from .threshold import _check_n, _interval, _threshold_ratio, weight_threshold
 
 # numpy is imported by the Monte Carlo paths only, and fractions by the
 # quadrature only, so the regime and the closed form run without either
@@ -354,7 +354,7 @@ def delta_monte_carlo(d: int, n: float, samples: int, seed: int) -> MeasureResul
     """
     factor_prime_power(d)
     _check_mc(samples, seed, [d])
-    delta = _mc_hits([d], [_invertible_floor(d, n)], samples, seed)[0] / samples
+    delta = _mc_hits([d], [weight_threshold(d, n)], samples, seed)[0] / samples
     stderr = math.sqrt(delta * (1.0 - delta) / samples)
     return MeasureResult(
         d=d,
@@ -522,7 +522,7 @@ def sweep(
             rows.append(SweepRow(d=d, delta=delta, log10_delta=log10))
     else:
         _check_mc(samples, seed, ds)
-        for d, k in zip(ds, _mc_hits(ds, [_invertible_floor(d, n) for d in ds], samples, seed)):
+        for d, k in zip(ds, _mc_hits(ds, [weight_threshold(d, n) for d in ds], samples, seed)):
             delta = k / samples
             rows.append(SweepRow(d=d, delta=delta, log10_delta=math.log10(delta) if delta >= tiny else -math.inf))
     return rows

@@ -87,7 +87,7 @@ def numeric_generator(m: MixtureMap, t: float, h: float) -> np.ndarray:
     """Finite-difference time-local generator L(t) = dPhi/dt * Phi(t)^-1.
 
     The dense counterpart of ``dynmaps.generator_rates``. Raises
-    SingularAtTimeError when the map is not invertible at t.
+    SingularAtTimeError when an eigenvalue is within 1e-12 of 0 at t.
     """
     _invertible_eigenvalues(m, t, h)
     dense = partial(superoperator, m)

@@ -1,15 +1,15 @@
-"""The weight threshold g(d, n) that decides invertibility, its tolerances, and the regime of n.
+"""The weight threshold g(d, n) that decides invertibility, and the regime of n.
 
 Eigenvalue i of a mixture, 1 - d/(d-1) (1 - x_i) p(t), vanishes iff it does at
-sup p; ``_reaches_zero`` decides that for every family. Where p attains its
-sup, lambda there must be within ``EIGENVALUE_ATOL`` of 0, as in the numeric
-scan. The exponential p only approaches 1/n, so its output map is invertible
-iff every weight clears g(d, n) = 1 - n(d-1)/d less ``THRESHOLD_ATOL``
-(``_invertible_floor``); its singular time, the Monte Carlo count and
-``invertibility.output_invertible`` read that floor here, so they agree on
-every weight and the eigenvalue commands run without ``paulimix.measure``.
-g is exact for the float n (``_threshold_ratio``, an integer ratio that the
-quadrature reads too) and rounded once, so no digit cancels at large d.
+sup p = 1/n_sup, where it is d(x_i - g)/((d-1) n_sup) with g = g(d, n_sup).
+``_reaches_zero`` decides that exactly, for every family, from the gap g - x_i
+as an integer ratio (``_gap``): x_i < g, or x_i = g where p attains its sup.
+The singular times and ``invertibility.output_invertible`` read it, so the
+eigenvalue commands run without ``paulimix.measure``. g is exact for the float
+n (``_threshold_ratio``, which the quadrature reads too) and rounded once
+(``weight_threshold``, the Monte Carlo threshold), so no digit cancels at large
+d. ``EIGENVALUE_ATOL`` is the tolerance of the float routes only: the numeric
+scan, the CP check and the generator.
 
 ``classify_regime`` places n against the intermediate interval
 [d^2/(d^2-1), d/(d-1)] (``_interval``, which the measure routes read too).
@@ -25,9 +25,7 @@ from enum import Enum
 from .errors import Frozen, ValidationError
 from .finite_field import factor_prime_power
 
-# a weight this close below g(d, n) is on the boundary, which is invertible: the singular time diverges
-THRESHOLD_ATOL = 1e-12
-# an eigenvalue this close to 0 is 0, in the singularity rule, the scan and the CP check
+# an eigenvalue this close to 0 is 0, in the numeric scan, the CP check and the generator
 EIGENVALUE_ATOL = 1e-12
 
 
@@ -51,20 +49,21 @@ def weight_threshold(d: int, n: float) -> float:
     return num / den
 
 
-def _invertible_floor(d: int, n: float) -> float:
-    """The smallest weight that keeps the output map invertible: g(d, n) - ``THRESHOLD_ATOL``."""
-    return weight_threshold(d, n) - THRESHOLD_ATOL
+def _gap(d: int, n: float, x: float) -> tuple[int, int]:
+    """g(d, n) - x for the float n and weight x, exactly, as (numerator, denominator > 0)."""
+    num, den = _threshold_ratio(d, n)
+    a, b = x.as_integer_ratio()
+    return num * b - a * den, den * b
 
 
 def _reaches_zero(d: int, n_sup: float, attained: bool, x: float) -> bool:
-    """Whether lambda = 1 - d/(d-1) (1 - x) p vanishes for some t, where sup p = 1/``n_sup``.
+    """Whether lambda = 1 - d/(d-1) (1 - x) p vanishes for some t, where sup p = 1/``n_sup``; exact.
 
-    A sup p only approaches needs x below ``_invertible_floor``; an attained
-    one needs lambda there to be at most ``EIGENVALUE_ATOL``.
+    At the sup, lambda = d(x - g)/((d-1) n_sup) with g = g(d, n_sup): it
+    reaches 0 iff x < g, or x = g where p attains its sup.
     """
-    if attained:
-        return 1.0 - d / (d - 1) * (1.0 - x) / n_sup <= EIGENVALUE_ATOL
-    return x < _invertible_floor(d, n_sup)
+    gap = _gap(d, n_sup, x)[0]
+    return gap > 0 or (attained and gap == 0)
 
 
 # both ends of the interval exceed 1 for every d, but in floats d^2/(d^2-1)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +119,31 @@ def test_singular_time_exponential_table(runner):
     # x = 0.5 sits exactly on the threshold: no finite singular time
     assert entries[2]["t_star_analytic"] is None
     assert entries[2]["t_star_numeric"] is None
+
+
+# x_0 is 1e-13 below g(3, 1.2) = 0.2: inside the 1e-12 band an earlier float
+# rule counted as the boundary, so every route called this map invertible
+_BELOW_G_BY_1E13 = "0.1999999999999,0.26666666666669997,0.26666666666669997,0.26666666666669997"
+
+
+def test_a_weight_just_below_g_goes_singular_at_the_exact_time(runner):
+    args = ["--d", "3", "--n", "1.2", "--weights", _BELOW_G_BY_1E13]
+    payload = run_ok(runner, ["singular-time", *args, "--t-max", "100", "--grid", "100001"])
+    assert payload["classification_analytic"] == "noninvertible"
+    # t* = ln[d(1-x) / (d(g-x))] with c = 1, from the weight the map was built from
+    x = Fraction(payload["entries"][0]["x"])
+    ratio = (1 - x) / (1 - Fraction(1.2) * 2 / 3 - x)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).ln()
+    assert payload["entries"][0]["t_star_analytic"] == pytest.approx(float(exact), rel=1e-12)
+    assert 29.7 < float(exact) < 29.8
+    # lambda_0 changes sign between t = 29 and 31
+    lam0 = [row[0] for row in run_ok(runner, ["evolve", *args, "--times", "29,31"])["eigenvalues"]]
+    assert lam0[0] > 0 > lam0[1]
+    # the scan takes the eigenvalue's least value, about -1.25e-13, for 0 within its 1e-12
+    # tolerance, so it finds no sign change: its documented limit
+    assert payload["classification_numeric"] == "invertible"
 
 
 def test_singular_time_cosine_table(runner):
@@ -1072,7 +1099,11 @@ def test_byte_identical_reruns(runner):
 # The digests were taken on Linux: the singular times and rates, and the roots
 # of unity of an evolved MUB state and of a verified MUB set at odd d, go through its libm.
 # The singular-time calls at d = 32, on a coarse grid and within 1e-13 of a
-# family's band were pinned from the per-index scan, before the one-pass rewrite.
+# family's boundary were pinned from the per-index scan, before the one-pass rewrite.
+# The exponential and the two boundary pins were taken again when the analytic
+# verdict became exact: t* moved in its last digits, and the cosine weight 5e-14
+# and the plateau weight 5e-13 above their boundary, inside the old 1e-12 band,
+# went from singular to null.
 # evolve with a MUB or maximally mixed state is pure Python; a state file is not.
 _D32_WEIGHTS = ",".join(["0.01"] * 16 + ["0.05"] * 16 + ["0.04"])
 _D27_WEIGHTS = ",".join(["0.025"] * 20 + ["0.0625"] * 8)
@@ -1081,7 +1112,7 @@ _STDOUT_SHA256 = {
                "9c7aad65be8e1209a8336b6263fa6de36c84dff87758b4091df397b863c3b603"),
     "singular-time-exponential": (
         ["singular-time", "--d", "3", "--n", "1.15", "--weights", "0.05,0.4,0.3,0.25"],
-        "4c8d6bed099618010179ff0dd3eccc770a29710cb0441c824ffd7d330e696c03"),
+        "9894ad885d7864480e17a3fe575a637c4fb21748574eb43b5dbccd17ce95f65e"),
     "singular-time-cosine": (
         ["singular-time", "--d", "4", "--family", "cosine", "--omega", "1.3", "--weights", "0.1,0.2,0.3,0.15,0.25"],
         "e70a4e68fcfdd4480b0f5c9b5f961467acc40a756b50ec7a3e92edb642268085"),
@@ -1090,7 +1121,7 @@ _STDOUT_SHA256 = {
         "4edef9f71b55849b83e7e3f81b2f80487ba9b0d061d4ee711c06ce2194ccc968"),
     "singular-time-d32-exponential": (
         ["singular-time", "--d", "32", "--n", "1.02", "--weights", _D32_WEIGHTS],
-        "7cffef97a70674d35ec1a1b183c2e83f1e5e98d2b8785a88f987280cac555560"),
+        "5a1e8996da46acd201d2b63ddcd7bde7c53e25dff7e02210046dc893472c84ee"),
     "singular-time-d32-cosine": (
         ["singular-time", "--d", "32", "--family", "cosine", "--omega", "1.3", "--weights", _D32_WEIGHTS],
         "9398c1848a1a00afbb0fe1adc74fdb4ec64be4e89c3e962ffe4610bfd9ccbc8c"),
@@ -1104,11 +1135,11 @@ _STDOUT_SHA256 = {
     "singular-time-cosine-band": (
         ["singular-time", "--d", "4", "--family", "cosine", "--omega", "1.3",
          "--weights", "0.25000000000005,0.1874999999999875,0.1874999999999875,0.1874999999999875,0.1874999999999875"],
-        "12162707a3d3b6b7ae9714cc3ea25d98b2052a501a403b2112d42f30cb50ae72"),
+        "c80376c60ed5e21b3defd7d33ad198bf5312ae70bd74dae853be8d1e3289354d"),
     "singular-time-plateau-band": (
         ["singular-time", "--d", "2", "--family", "plateau", "--t-sharp", "1",
          "--weights", "5e-13,0.49999999999975,0.49999999999975"],
-        "e6d5a9bb7a9c1f19ab97e08d1b17ec31e1066df4b43ccde38c79b1c5f511651f"),
+        "e9be9a31bf6f9499bdd3e3211350503e7923b4b16cf9f2aab54b123f882d5e3f"),
     "cp-check": (
         ["cp-check", "--d", "5", "--n", "1.1", "--c", "0.8", "--weights", "0.1,0.3,0.2,0.15,0.15,0.1", "--steps", "12"],
         "53c2d6e35b71a3e94965b58c42d2da6a1b5c60ab9b454545b3314402bcd06d46"),

@@ -4,10 +4,14 @@
 arrays. The functions below transcribe those array formulas, and every
 payload value of the three commands must equal them with ``==``, as must
 ``_pairwise_sum`` and ``_linspace`` equal ``np.sum`` and ``np.linspace``.
+The closed-form singular time is the exception: it now exists exactly where
+x < g(d, n_sup), or x = g where p attains its sup, decided in Fraction, and
+its exponential denominator is d(g - x), exact and rounded once.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,17 +127,17 @@ def _np_scan(d, w, pf, t_max, grid_points, tol=1e-12, coarse_threshold=0.1):
 
 
 def _analytic_time(d, pf, x):
-    """The closed-form singular time, as the three per-family formulas computed it."""
+    """The closed-form singular time per family, where the exact gap g(d, n_sup) - x says one exists."""
+    n_sup = {"exponential": pf.get("n"), "cosine": 1.0, "plateau": 2.0}[pf["family"]]
+    gap = 1 - Fraction(n_sup) * (d - 1) / d - Fraction(x)
     if pf["family"] == "exponential":
-        numer = d * (1.0 - x)
-        denom = numer - pf["n"] * (d - 1)
-        return None if denom <= 1e-12 * numer else math.log(numer / denom) / pf["c"]
+        return math.log(d * (1.0 - x) / float(d * gap)) / pf["c"] if gap > 0 else None
+    if gap < 0:
+        return None
     if pf["family"] == "cosine":
-        if x == 1.0:
-            return None
         target = 1.0 - 2.0 * (d - 1) / (d * (1.0 - x))
-        return None if target < -1.0 - 1e-12 else math.acos(max(target, -1.0)) / pf["omega"]
-    return pf["t_sharp"] if d == 2 and x == 0.0 else None
+        return math.acos(max(target, -1.0)) / pf["omega"]
+    return pf["t_sharp"]
 
 
 def _gamma(pf, t):

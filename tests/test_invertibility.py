@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from operator import sub
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_exponential_singular_time_qubit_form():
         x = rng.uniform(0.0, 1.0)
         general = Exponential(n=n, c=c).singular_time(2, x)
         denom = 2 * (1 - x) - n
-        direct = math.log(2 * (1 - x) / denom) / c if x < weight_threshold(2, n) - 1e-12 else None
+        direct = math.log(2 * (1 - x) / denom) / c if Fraction(x) < 1 - Fraction(n) / 2 else None
         if direct is None:
             assert general is None
         else:
@@ -105,20 +106,23 @@ def test_plateau_singular_time():
     # p <= 1/2 < (d-1)/(d(1-x)) for every d > 2
     assert Plateau(t_sharp=1.0).singular_time(3, 0.1) is None
     assert Plateau(t_sharp=1.0).singular_time(3, 0.0) is None
-    # on the plateau lambda_0 = x at d = 2: zero within 1e-12, as the generator and cp-check take it
-    assert Plateau(t_sharp=1.0).singular_time(2, 5e-13) == 1.0
+    # on the plateau lambda_0 = x at d = 2: zero only at x = 0, though the generator and
+    # cp-check take a lambda within 1e-12 of 0 for 0
+    assert Plateau(t_sharp=1.0).singular_time(2, 5e-13) is None
     assert Plateau(t_sharp=1.0).singular_time(2, 2e-12) is None
 
 
 @pytest.mark.parametrize("d, x", [(2, 0.0), (2, 5e-13), (2, 2e-12), (3, 0.0)])
 def test_plateau_singular_time_and_scan_agree_at_the_plateau(d, x):
-    # lambda_0 holds its minimum from t_sharp on; the scan takes that held
-    # minimum for a root exactly where the closed form does
+    # lambda_0 holds its minimum, x at d = 2, from t_sharp on. The closed form
+    # takes it for a root only where it is 0; the scan, where it is within
+    # 1e-12 of 0, so the two routes part at x = 5e-13
     pf = Plateau(t_sharp=1.0)
     m = mixture_map(d, [x] + [(1 - x) / d] * d, pf)
     analytic = analytic_singularity_report(m).singular_times[0]
     numeric = numeric_singularity_scan(m, pf.horizon(), 4001).singular_times[0]
-    assert (analytic is not None) == (numeric is not None) == (d == 2 and x < 1e-12)
+    assert (analytic is not None) == (d == 2 and x == 0)
+    assert (numeric is not None) == (d == 2 and x < 1e-12)
     if analytic is not None:
         assert numeric == pytest.approx(analytic, abs=1e-9)
 
@@ -147,7 +151,10 @@ def test_classify_regime_boundaries():
 
 
 def test_output_invertible_examples():
-    assert output_invertible(2, 4 / 3, [1 / 3, 1 / 3, 1 / 3])
+    # a weight on g(2, 1.5) = 1/4 is the boundary, which is invertible
+    assert output_invertible(2, 1.5, [0.25, 0.375, 0.375])
+    # the float 1/3 is 2^-54 below g(2, 4/3) of the float 4/3: the float semigroup point is not invertible
+    assert not output_invertible(2, 4 / 3, [1 / 3, 1 / 3, 1 / 3])
     assert not output_invertible(2, 4 / 3, [0.5, 0.3, 0.2])
     rng = np.random.default_rng(2)
     for d in (2, 3, 7):
@@ -190,18 +197,21 @@ def test_output_invertible_monotone_in_n(d, raw, n0, bump):
 
 @pytest.mark.parametrize(
     "d, n, off, invertible",
-    [(2, 1.5, 8e-13, True), (32, 1.01, 9.9e-13, True), (2, 1.5, 2e-12, False)],
+    [(2, 1.5, 8e-13, False), (32, 1.01, 9.9e-13, False), (2, 1.5, 2e-12, False),
+     (2, 1.5, 0.0, True), (2, 1.5, -1e-13, True), (32, 1.01, -1e-13, True)],
 )
 def test_every_analytic_route_shares_the_boundary_band(d, n, off, invertible):
-    # a weight up to 1e-12 below g is the boundary on every analytic route;
-    # the singular time once used a relative guard, finite inside that band
+    # every analytic route calls a weight off below g singular, however small
+    # off is, and one on g (exact at d = 2, n = 1.5) or above it invertible
     g = weight_threshold(d, n)
     weights = [g - off] + [(1 - g + off) / d] * d
+    assert (Fraction(weights[0]) >= 1 - Fraction(n) * (d - 1) / d) == invertible
     pf = Exponential(n=n, c=1.0)
     t_star = pf.singular_time(d, weights[0])
     assert (t_star is None) == invertible
     if not invertible:
-        assert math.isfinite(t_star) and t_star > 0
+        # t* = ln[d(1-x) / (d(g-x))], finite and positive for every x below g
+        assert t_star == pytest.approx(math.log((1 - weights[0]) / off), rel=1e-3)
     kind = analytic_singularity_report(mixture_map(d, weights, pf)).classification
     assert kind is (Classification.INVERTIBLE if invertible else Classification.NONINVERTIBLE)
     assert output_invertible(d, n, weights) == invertible
@@ -209,15 +219,20 @@ def test_every_analytic_route_shares_the_boundary_band(d, n, off, invertible):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16, 32])
 def test_cosine_singular_time_and_scan_share_the_band_at_the_sup(d):
-    # lambda_0 at the sup p = 1 is d/(d-1) (x - 1/d); the scan takes a dip to
-    # within 1e-12 of 0 for a root at the half period, and the closed form agrees
+    # lambda_0 at the sup p = 1 is d/(d-1) (x - 1/d): the closed form finds a
+    # root at the half period exactly where that is <= 0. The scan takes a dip
+    # to within 1e-12 of 0 for a root, so it may find one the closed form does
+    # not where 0 < lambda <= 1e-12, give or take its rounding, and nowhere else
     pf = Cosine(omega=1.0)
     for k in range(-9, 10):
         x = 1 / d + k * 1e-13
         m = mixture_map(d, [x] + [(1 - x) / d] * d, pf)
         analytic = analytic_singularity_report(m).singular_times[0]
         numeric = numeric_singularity_scan(m, pf.horizon(), 4001).singular_times[0]
-        assert (analytic is None) == (numeric is None), k
+        lam = Fraction(d, d - 1) * (Fraction(x) - Fraction(1, d))
+        assert (analytic is None) == (lam > 0), k
+        if (analytic is None) != (numeric is None):
+            assert analytic is None and 0 < lam <= Fraction(1e-12) + Fraction(1e-15), k
 
 
 # --- numeric scan ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ from paulimix.measure import (
     sweep,
     sweep_dimensions,
 )
-from paulimix.threshold import THRESHOLD_ATOL, classify_regime, weight_threshold
+from paulimix.threshold import classify_regime, weight_threshold
 
 
 # --- threshold -----------------------------------------------------------------
@@ -265,7 +265,7 @@ def test_monte_carlo_agrees_with_output_invertible_bitwise():
     g = weight_threshold(d, n)
     e = np.random.default_rng(123).standard_exponential((samples, d + 1))
     draws = e / e.sum(axis=1, keepdims=True)
-    via_min = np.count_nonzero(draws.min(axis=1) >= g - THRESHOLD_ATOL)
+    via_min = np.count_nonzero(draws.min(axis=1) >= g)
     via_checker = sum(output_invertible(d, n, row) for row in draws)
     assert via_min == via_checker
     # the row-minimum test divides only min(e) by sum(e); both give the same bits
@@ -277,7 +277,7 @@ def test_monte_carlo_agrees_with_output_invertible_bitwise():
     draws = e / e.sum(axis=1, keepdims=True)
     via_checker = sum(output_invertible(d, n, row) for row in draws)
     assert samples * (d + 1) > 2 * _MC_CHUNK
-    assert _mc_hits([d], [g - THRESHOLD_ATOL], samples, seed) == [via_checker]
+    assert _mc_hits([d], [g], samples, seed) == [via_checker]
 
 
 def test_mc_hits_reads_one_stream_for_every_dimension():
@@ -523,7 +523,7 @@ def _median_thresholds(ds):
 
 
 def _thresholds(ds, n):
-    return [weight_threshold(d, n) - THRESHOLD_ATOL for d in ds] if n else _median_thresholds(ds)
+    return [weight_threshold(d, n) for d in ds] if n else _median_thresholds(ds)
 
 
 # _mc_hits counts recorded before the shared path existed, from the one-pass
@@ -602,7 +602,7 @@ def _pinned_cases():
     for d, n, samples, seed, hits in MC_PINNED_HITS:
         # enough copies of d for the shared path: one per table level, at least two
         copies = max(2, (d + 1).bit_length() - 1)
-        yield [d] * copies, [weight_threshold(d, n) - THRESHOLD_ATOL] * copies, samples, seed, [hits] * copies
+        yield [d] * copies, [weight_threshold(d, n)] * copies, samples, seed, [hits] * copies
     for ds, n, samples, seed, hits in MC_PINNED_SWEEPS[:1] + [c for c in MC_PINNED_SWEEPS if c[2] < 100_000]:
         yield ds, _thresholds(ds, n), samples, seed, hits
 
