@@ -263,6 +263,8 @@ def singular_time(
     _check_work(grid, 1, d + 1)
     if t_max is None:
         t_max = m.pf.horizon()
+    elif not t_max > 0:
+        raise ValidationError(f"--t-max must be > 0, got {t_max}")
     analytic = analytic_singularity_report(m)
     numeric = numeric_singularity_scan(m, t_max=t_max, grid_points=grid)
     payload = _map_payload(

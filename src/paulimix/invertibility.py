@@ -5,7 +5,9 @@ lambda_i(t) = 1 - s_i p(t), with the slopes s_i = d/(d-1) (1 - x_i) of
 ``MixtureMap.slopes``, hits zero. Each decoherence
 family gives that time in closed form (``DecoherenceFunction.singular_time``
 in ``paulimix.dynmaps``). This module gathers those times into a report,
-next to a family-agnostic numeric scan (grid + bisection) that only uses
+which calls a map noninvertible iff one of its times is finite: the
+semigroup point n = d^2/(d^2-1) at equal mixing has no special case. Next
+to it sit a family-agnostic numeric scan (grid + bisection) that only uses
 lambda_i(t) values, and a stepwise CP check of the propagators between grid
 times. The scan reads p once per grid point for all d+1 eigenvalues, since
 each lambda_i is a monotone function of p: 0.6-1.4 us a grid point at any
@@ -27,10 +29,10 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Optional
 
-from .dynmaps import Exponential, MixtureMap, _linspace, _pairwise_sum, _simplex_weights
+from .dynmaps import MixtureMap, _linspace, _pairwise_sum, _simplex_weights
 from .errors import Frozen, SingularAtGridPointError, ValidationError
 from .finite_field import factor_prime_power
-from .threshold import EIGENVALUE_ATOL, _interval, _reaches_zero
+from .threshold import EIGENVALUE_ATOL, _reaches_zero
 
 # only scan minima below _COARSE_JUMP are refined, and a jump between samples
 # above it earns the GridTooCoarse advisory
@@ -57,49 +59,27 @@ def output_invertible(d: int, n: float, weights) -> bool:
 class Classification(str, Enum):
     INVERTIBLE = "invertible"
     NONINVERTIBLE = "noninvertible"
-    SEMIGROUP_EQUAL_MIX = "semigroup_equal_mix_point"
 
 
 class InvertibilityReport:
-    """Per-index singular times plus an overall verdict."""
+    """Per-index singular times; the first of them and the verdict follow from them."""
 
-    def __init__(
-        self,
-        classification: Classification,
-        singular_times: list[Optional[float]],
-        t_star: Optional[float],
-        warnings: Optional[list[str]] = None,
-    ) -> None:
-        self.classification = classification
+    def __init__(self, singular_times: list[Optional[float]], warnings: Optional[list[str]] = None) -> None:
         self.singular_times = singular_times
-        self.t_star = t_star
         self.warnings = [] if warnings is None else warnings
 
+    @property
+    def t_star(self) -> Optional[float]:
+        return min((t for t in self.singular_times if t is not None), default=None)
 
-def _is_semigroup_point(m: MixtureMap) -> bool:
-    if not isinstance(m.pf, Exponential):
-        return False
-    equal = 1.0 / (m.d + 1)
-    return abs(m.pf.n - _interval(m.d)[0]) <= 1e-12 and max(abs(x - equal) for x in m.weights) <= 1e-12
-
-
-def _build_report(
-    m: MixtureMap, times: list[Optional[float]], warnings: Optional[list[str]] = None
-) -> InvertibilityReport:
-    if _is_semigroup_point(m):
-        # lambda_i(t) = e^{-ct} exactly; any root located here is float noise
-        kind, times = Classification.SEMIGROUP_EQUAL_MIX, [None] * len(times)
-    elif any(t is not None for t in times):
-        kind = Classification.NONINVERTIBLE
-    else:
-        kind = Classification.INVERTIBLE
-    t_star = min((t for t in times if t is not None), default=None)
-    return InvertibilityReport(kind, times, t_star, warnings or [])
+    @property
+    def classification(self) -> Classification:
+        return Classification.INVERTIBLE if self.t_star is None else Classification.NONINVERTIBLE
 
 
 def analytic_singularity_report(m: MixtureMap) -> InvertibilityReport:
     """Closed-form singular times for every mixing index of a map."""
-    return _build_report(m, [m.pf.singular_time(m.d, x) for x in m.weights])
+    return InvertibilityReport([m.pf.singular_time(m.d, x) for x in m.weights])
 
 
 # --- numeric scan ---------------------------------------------------------------
@@ -239,7 +219,7 @@ def numeric_singularity_scan(
             f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "
             "double roots may be missed"
         )
-    return _build_report(m, times, warnings)
+    return InvertibilityReport(times, warnings)
 
 
 # --- CP divisibility -------------------------------------------------------------

@@ -146,6 +146,39 @@ def test_a_weight_just_below_g_goes_singular_at_the_exact_time(runner):
     assert payload["classification_numeric"] == "invertible"
 
 
+# the float semigroup point at d = 2: the float 1/3 is 2^-54 below g of the float 4/3
+_FLOAT_THIRD = "0.3333333333333333"
+
+
+def test_the_float_semigroup_point_goes_singular_at_the_exact_time(runner):
+    args = ["--d", "2", "--n", "1.3333333333333333", "--weights", ",".join([_FLOAT_THIRD] * 3)]
+    result = runner.invoke(main, ["singular-time", *args], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert '"classification_analytic": "noninvertible"' in result.stdout
+    assert result.stdout.count('"t_star_analytic": 37.024482642128881') == 3
+    # the scan takes lambda, 0 or a few ulps from it beyond t*, for 0 within its tolerance
+    assert '"classification_numeric": "invertible"' in result.stdout
+    # t* = ln[(1-x) / (g-x)] with c = 1
+    n, x = Fraction(1.3333333333333333), Fraction(float(_FLOAT_THIRD))
+    ratio = (1 - x) / (1 - n / 2 - x)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).ln()
+    for entry in json.loads(result.stdout)["entries"]:
+        assert entry["t_star_analytic"] == pytest.approx(float(exact), rel=1e-12)
+    # lambda = e^{-t} up to rounding: 9.3e-14 at t = 30, then 0
+    lam = run_ok(runner, ["evolve", *args, "--times", "30,40"])["eigenvalues"]
+    assert 0 < lam[0][0] < 1e-13 and lam[1] == [0, 0, 0]
+
+
+def test_the_float_semigroup_point_at_d_3_is_exact_and_invertible(runner):
+    # d^2/(d^2-1) = 1.125 and 1/(d+1) = 0.25 are floats: every weight is on g
+    payload = run_ok(runner, ["singular-time", "--d", "3", "--n", "1.125", "--weights", "0.25,0.25,0.25,0.25"])
+    assert payload["classification_analytic"] == payload["classification_numeric"] == "invertible"
+    for entry in payload["entries"]:
+        assert entry["t_star_analytic"] is None and entry["t_star_numeric"] is None
+
+
 def test_singular_time_cosine_table(runner):
     payload = run_ok(
         runner,
@@ -914,9 +947,18 @@ def test_cp_check_refuses_a_negative_tolerance(runner):
     assert run_ok(runner, args + ["--tol", "0"])["all_cp"] is True
 
 
-@pytest.mark.parametrize("command", ["cp-check", "evolve"])
+@pytest.mark.parametrize("command", ["cp-check", "evolve", "singular-time"])
 def test_a_negative_t_max_is_refused_by_name(runner, command):
-    args = [command, "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3", "--steps", "2"]
+    args = [command, "--d", "2", "--n", "1.5", "--weights", "0.4,0.3,0.3"]
+    if command == "singular-time":
+        # the scan needs a span, so a zero horizon is refused too
+        for t_max in ("-1", "0"):
+            result = runner.invoke(main, args + ["--t-max", t_max])
+            assert (result.exit_code, result.stdout) == (2, ""), result.output
+            assert f"--t-max must be > 0, got {float(t_max)}" in result.stderr
+        assert run_ok(runner, args + ["--t-max", "1e-300"])
+        return
+    args += ["--steps", "2"]
     result = runner.invoke(main, args + ["--t-max", "-1"])
     assert result.exit_code == 2, result.output
     assert "--t-max must be >= 0, got -1.0" in result.stderr

@@ -13,8 +13,8 @@ from paulimix.errors import SingularAtGridPointError, ValidationError
 from paulimix.invertibility import (
     _COARSE_JUMP,
     Classification,
+    InvertibilityReport,
     _bisect_root,
-    _build_report,
     _refine_minimum,
     analytic_singularity_report,
     cp_divisibility_check,
@@ -300,13 +300,23 @@ def test_scan_plateau_never_singular_for_positive_weights():
         assert report.classification is Classification.INVERTIBLE
 
 
-def test_scan_semigroup_point_classification():
-    m = mixture_map(2, [1 / 3, 1 / 3, 1 / 3], Exponential(n=4 / 3, c=1))
-    report = numeric_singularity_scan(m, t_max=50.0, grid_points=2001)
-    assert report.classification is Classification.SEMIGROUP_EQUAL_MIX
-    assert report.t_star is None
+@pytest.mark.parametrize("d", prime_powers_in(2, 128))
+def test_the_float_semigroup_point_is_decided_like_any_other_input(d):
+    # n = d^2/(d^2-1) and x = 1/(d+1), each rounded once: lambda_i = e^{-t} up to
+    # a few ulps. No special case holds here; the exact rule on the float inputs
+    # decides, and where it calls the map singular, t* lies where e^{-t} reaches
+    # the ulps, beyond which the scan sees lambda_i at 0 or a few ulps from it
+    n = d * d / (d * d - 1.0)
+    weights = [1 / (d + 1)] * (d + 1)
+    pf = Exponential(n=n, c=1.0)
+    m = mixture_map(d, weights, pf)
+    assert m.weights == tuple(weights)
     analytic = analytic_singularity_report(m)
-    assert analytic.classification is Classification.SEMIGROUP_EQUAL_MIX
+    assert (analytic.classification is Classification.INVERTIBLE) == output_invertible(d, n, weights)
+    assert analytic.singular_times == [pf.singular_time(d, x) for x in weights]
+    assert analytic.t_star is None or 36 < analytic.t_star < 42
+    numeric = numeric_singularity_scan(m, t_max=50.0, grid_points=2001)
+    assert numeric.singular_times == [None] * (d + 1)
 
 
 def test_scan_grid_too_coarse_advisory():
@@ -373,7 +383,7 @@ def _per_index_scan(m, t_max, grid_points):
             f"GridTooCoarse: consecutive eigenvalue samples jump by up to {jump:.3g}; "
             "double roots may be missed"
         )
-    return _build_report(m, times, warnings)
+    return InvertibilityReport(times, warnings)
 
 
 def _assert_scans_agree(m, t_max, grid_points):

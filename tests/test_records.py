@@ -78,8 +78,8 @@ SIGNATURES = {
     Plateau: [("t_sharp", _EMPTY)],
     MixtureMap: [("dim", _EMPTY), ("weights", _EMPTY), ("pf", _EMPTY)],
     # the dataclass default was a new empty list per report; None stands for it
-    InvertibilityReport: [("classification", _EMPTY), ("singular_times", _EMPTY), ("t_star", _EMPTY),
-                          ("warnings", None)],
+    # its first time and its verdict are read from the times, not given
+    InvertibilityReport: [("singular_times", _EMPTY), ("warnings", None)],
     PropagatorStep: [("t_start", _EMPTY), ("t_end", _EMPTY), ("choi_min_eigenvalue", _EMPTY), ("cp", _EMPTY)],
     Regime: [("d", _EMPTY), ("n", _EMPTY), ("kind", _EMPTY), ("lower", _EMPTY), ("upper", _EMPTY)],
     MeasureResult: [("d", _EMPTY), ("n", _EMPTY), ("delta", _EMPTY), ("method", _EMPTY),
@@ -146,13 +146,18 @@ def test_records_compare_by_class_and_value():
 
 
 def test_the_mutable_records_keep_their_defaults_and_validation():
-    a = InvertibilityReport(Classification.NONINVERTIBLE, [0.5, None, 1.25], 0.5)
-    b = InvertibilityReport(classification=Classification.NONINVERTIBLE, singular_times=[0.5, None, 1.25],
-                            t_star=0.5)
+    a = InvertibilityReport([0.5, None, 1.25])
+    b = InvertibilityReport(singular_times=[0.5, None, 1.25])
     assert vars(a) == vars(b)
     assert a.warnings == [] and a.warnings is not b.warnings
     a.warnings.append("w")
     assert b.warnings == []
+    assert a.t_star == 0.5 and a.classification is Classification.NONINVERTIBLE
+    c = InvertibilityReport([None, None, None])
+    assert c.t_star is None and c.classification is Classification.INVERTIBLE
+    for name in ("t_star", "classification"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
 
     dim = factor_prime_power(2)
     m = MixtureMap(dim, [0.5, 0.25, 0.25], Exponential(1.5, 1.0))
